@@ -214,7 +214,6 @@ def diffusion_slope_estimate(
     t_lo: int = 400,
     t_hi: int = 500,
     n_k: int | None = None,
-    threads: int | None = None,
 ) -> DiffusionResult:
     """D(p) from the finite-horizon variance slope of the generic engine.
 
@@ -228,7 +227,7 @@ def diffusion_slope_estimate(
             "a variance slope does not converge"
         )
     diffusion = diffusion_from_slope(
-        default_channel(p), coin, t_lo=t_lo, t_hi=t_hi, n_k=n_k, threads=threads
+        default_channel(p), coin, t_lo=t_lo, t_hi=t_hi, n_k=n_k
     )
     if p < 1.0:
         prefactor = p / (1.0 - p) * diffusion

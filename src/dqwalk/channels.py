@@ -106,6 +106,16 @@ def _renumbered(groups: Sequence[Sequence[KrausTerm]]) -> tuple[KrausTerm, ...]:
     return tuple(terms)
 
 
+def _unitary_coin(coin: np.ndarray) -> np.ndarray:
+    """``coin`` as a complex 2x2 array; raises unless unitary to 1e-12."""
+    coin = np.asarray(coin, dtype=complex)
+    if coin.shape != (2, 2):
+        raise NonUnitaryCoinError(f"coin must be 2x2, got shape {coin.shape}")
+    if not np.max(np.abs(coin.conj().T @ coin - np.eye(2))) <= 1e-12:
+        raise NonUnitaryCoinError("coin matrix is not unitary")  # NaN fails too
+    return coin
+
+
 def build_coherent(coin: np.ndarray, label: str = "coherent") -> WalkChannel:
     """Noiseless coined walk: flip the coin with a unitary, then shift.
 
@@ -115,11 +125,7 @@ def build_coherent(coin: np.ndarray, label: str = "coherent") -> WalkChannel:
     Raises:
         NonUnitaryCoinError: if ``coin`` is not unitary to 1e-12.
     """
-    coin = np.asarray(coin, dtype=complex)
-    if coin.shape != (2, 2):
-        raise NonUnitaryCoinError(f"coin must be 2x2, got shape {coin.shape}")
-    if np.max(np.abs(coin.conj().T @ coin - np.eye(2))) > 1e-12:
-        raise NonUnitaryCoinError("coin matrix is not unitary")
+    coin = _unitary_coin(coin)
     group = [
         KrausTerm(0, +1, "R", j, coin[0, COIN_INDEX[j]]) for j in COIN_LABELS
     ] + [
@@ -191,7 +197,7 @@ def build_broken_line(params: BrokenLineParams) -> WalkChannel:
     label = f"broken-line(p={p:g})"
     channel = WalkChannel(label, _renumbered(_broken_line_groups(params)))
     wrapped = (params.theta2 - params.theta3 - math.pi + math.pi) % (2 * math.pi) - math.pi
-    if abs(wrapped) > 1e-9:
+    if not abs(wrapped) <= 1e-9:
         _, residual = completeness_residual(channel)
         raise PhaseConstraintError(
             "broken-line phases must satisfy theta2 - theta3 = pi (mod 2*pi); "
@@ -224,13 +230,13 @@ def build_coin_channel(
         NonUnitaryCoinError: if ``coin`` is not unitary.
         InvalidCoinKrausError: if the weights or the completeness sum are off.
     """
-    coin = np.asarray(coin, dtype=complex)
-    if coin.shape != (2, 2) or np.max(np.abs(coin.conj().T @ coin - np.eye(2))) > 1e-12:
-        raise NonUnitaryCoinError("coin matrix is not unitary")
+    coin = _unitary_coin(coin)
     weights = np.array([float(p) for p, _ in coin_kraus])
-    if np.any(weights < 0):
-        raise InvalidCoinKrausError("coin Kraus weights must be nonnegative")
-    if abs(weights.sum() - 1.0) > 1e-12:
+    if not np.all(weights >= 0):
+        raise InvalidCoinKrausError(
+            f"coin Kraus weights must be nonnegative, got {weights}"
+        )
+    if not abs(weights.sum() - 1.0) <= 1e-12:
         raise InvalidCoinKrausError(
             f"coin Kraus weights sum to {weights.sum()!r}, expected 1"
         )
@@ -240,7 +246,7 @@ def build_coin_channel(
         if d_n.shape != (2, 2):
             raise InvalidCoinKrausError(f"coin Kraus operator has shape {d_n.shape}")
         total += p_n * (d_n.conj().T @ d_n)
-    if np.max(np.abs(total - np.eye(2))) > 1e-10:
+    if not np.max(np.abs(total - np.eye(2))) <= 1e-10:
         raise InvalidCoinKrausError(
             "sum_n p_n D_n^dag D_n deviates from the identity by "
             f"{np.max(np.abs(total - np.eye(2))):.3g}"
@@ -345,9 +351,12 @@ def validate_completeness(
     tol: float = 1e-10,
     num_k_samples: int | None = None,
 ) -> None:
-    """Raise CompletenessError if the channel is not trace preserving."""
+    """Raise CompletenessError if the channel is not trace preserving.
+
+    A NaN residual (from a NaN amplitude) fails the check too.
+    """
     worst_k, residual = completeness_residual(channel, num_k_samples)
-    if residual > tol:
+    if not residual <= tol:
         raise CompletenessError(
             f"channel {channel.label!r} violates Kraus completeness: "
             f"residual {residual:.3g} at k = {worst_k:.6f}",

@@ -7,9 +7,9 @@ Subcommands:
     diffusion  closed-form diffusion-constant sweep / crossover probability
     xcheck     plays the independent routes against each other
 
-Exit codes: 0 ok, 1 cross-check failure, 2 invalid input or channel,
-3 regime error (non-contracting / ballistic).  The DQWALK_THREADS
-environment variable sets the momentum-loop worker count (0 = all CPUs).
+Exit codes: 0 ok, 1 cross-check failure, 2 invalid input or channel
+(including NaN values and negative horizons), 3 regime error
+(non-contracting / ballistic).
 """
 
 from __future__ import annotations
@@ -151,15 +151,28 @@ def _out_stream(path: str | None):
 
 # --- subcommands -------------------------------------------------------------
 
-def cmd_walk(config: RunConfig) -> int:
-    channel = _resolve_channel(config)
-    state = init_state(_coin_arg(config), x0=config.x0)
+def _oracle_run(channel: WalkChannel, coin, t_max: int, x0: int = 0):
+    """Run the density-matrix oracle for ``t_max`` steps.
+
+    Returns the final state and the lists of <x> and <x^2> after 0..t_max steps.
+    """
+    if t_max < 0:
+        raise ValueError(f"horizon must be nonnegative, got {t_max}")
+    state = init_state(coin, x0=x0)
     firsts = [moment_direct(state, 1)]
     seconds = [moment_direct(state, 2)]
-    for _ in range(config.t):
+    for _ in range(t_max):
         state = step(state, channel)
         firsts.append(moment_direct(state, 1))
         seconds.append(moment_direct(state, 2))
+    return state, firsts, seconds
+
+
+def cmd_walk(config: RunConfig) -> int:
+    channel = _resolve_channel(config)
+    state, firsts, seconds = _oracle_run(
+        channel, _coin_arg(config), config.t, x0=config.x0
+    )
     xs, probs = position_distribution(state)
     with _out_stream(config.out) as fh:
         fh.write("x,prob\n")
@@ -179,7 +192,8 @@ def cmd_moments(config: RunConfig) -> int:
     channel = _resolve_channel(config)
     coin = _coin_arg(config)
     if config.asymptotic:
-        value = asymptotic_first_moment(channel, coin, n_k=config.n_k or 512)
+        n_k = 512 if config.n_k is None else config.n_k
+        value = asymptotic_first_moment(channel, coin, n_k=n_k)
         with _out_stream(config.out) as fh:
             fh.write(f"{value:.17g}\n")
         return 0
@@ -201,7 +215,7 @@ def cmd_diffusion(config: RunConfig) -> int:
         with _out_stream(config.out) as fh:
             fh.write(f"{value:.17g}\n")
         return 0
-    if config.p_step <= 0 or config.p_max < config.p_min:
+    if not (config.p_step > 0 and config.p_max >= config.p_min):  # NaN fails
         raise ValueError("need p_step > 0 and p_max >= p_min")
     count = int(round((config.p_max - config.p_min) / config.p_step)) + 1
     ps = [config.p_min + i * config.p_step for i in range(count)]
@@ -236,17 +250,6 @@ def cmd_diffusion(config: RunConfig) -> int:
     return 0
 
 
-def _oracle_moments(channel: WalkChannel, coin, t_max: int):
-    state = init_state(coin)
-    firsts = [0.0]
-    seconds = [0.0]
-    for _ in range(t_max):
-        state = step(state, channel)
-        firsts.append(moment_direct(state, 1))
-        seconds.append(moment_direct(state, 2))
-    return np.array(firsts), np.array(seconds)
-
-
 def _xcheck_rows(config: RunConfig) -> list[tuple[str, float, float]]:
     """Each row is (name, max |delta|, tolerance)."""
     rows: list[tuple[str, float, float]] = []
@@ -258,7 +261,7 @@ def _xcheck_rows(config: RunConfig) -> list[tuple[str, float, float]]:
         )
         if config.corrupt_drift:
             grids = dataclasses.replace(grids, drift=-grids.drift)
-        first_ref, second_ref = _oracle_moments(channel, coin, t_max)
+        _, first_ref, second_ref = _oracle_run(channel, coin, t_max)
         try:
             series = moment_series_from_grids(grids, coin, t_max, label=channel.label)
         except NonRealMomentError:

@@ -26,9 +26,7 @@ node count exceeds the trigonometric degree of the integrand
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +46,8 @@ from .errors import (
 )
 from .pauli import coin_state, sandwich_superop
 
-# Momentum nodes are processed in fixed-size chunks and reduced in order, so
-# results are bit-identical for every thread count.
+# Momentum nodes are swept in fixed-size chunks, summed in order: this bounds
+# the transfer grids and running vectors held in memory at once.
 _CHUNK = 512
 
 # A moment whose imaginary part exceeds this is reported as an error rather
@@ -72,26 +70,6 @@ def default_node_count(channel: WalkChannel, t_max: int) -> int:
 def exact_node_bound(channel: WalkChannel, t_max: int) -> int:
     """Minimum node count for which the uniform rule is exact at horizon t."""
     return 4 * channel.max_hop * t_max + 1
-
-
-def thread_count(threads: int | None = None) -> int:
-    """Resolve the worker count: argument, else DQWALK_THREADS, else 1.
-
-    A value of 0 means "use all CPUs".
-    """
-    if threads is None:
-        raw = os.environ.get("DQWALK_THREADS", "1")
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"DQWALK_THREADS must be an integer, got {raw!r}"
-            ) from None
-    if threads == 0:
-        return os.cpu_count() or 1
-    if threads < 0:
-        raise ValueError(f"thread count must be nonnegative, got {threads}")
-    return threads
 
 
 # --- transfer matrices ------------------------------------------------------
@@ -251,24 +229,17 @@ def _series_sums(
     rho_vec: np.ndarray,
     t_max: int,
     n_k: int,
-    threads: int,
     naive: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Chunked (optionally threaded) sweep over the full momentum grid."""
+    """Sweep the full momentum grid chunk by chunk, summing in order."""
     ks = momentum_grid(n_k)
-    chunks = [ks[i:i + _CHUNK] for i in range(0, n_k, _CHUNK)]
-
-    def work(ks_chunk: np.ndarray):
-        return _accumulate(transfer_grids(channel, ks_chunk), rho_vec, t_max, naive)
-
-    if threads <= 1 or len(chunks) == 1:
-        parts = [work(c) for c in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(work, chunks))
-    first = sum(p[0] for p in parts)
-    cross = sum(p[1] for p in parts)
-    jsum = sum(p[2] for p in parts)
+    first = cross = jsum = 0.0
+    for i in range(0, n_k, _CHUNK):
+        grids = transfer_grids(channel, ks[i:i + _CHUNK])
+        part_first, part_cross, part_j = _accumulate(grids, rho_vec, t_max, naive)
+        first = first + part_first
+        cross = cross + part_cross
+        jsum = jsum + part_j
     return first, cross, jsum
 
 
@@ -314,6 +285,21 @@ class MomentSeries:
         }
 
 
+def _imag_residue(val, what: str) -> float:
+    """Largest imaginary part of ``val``, which must be finite and below tolerance.
+
+    A NaN fails the check, so bad channel data cannot pass silently.
+    """
+    val = np.asarray(val)
+    residue = float(np.max(np.abs(val.imag)))
+    if not (np.isfinite(val).all() and residue <= _IMAG_TOL):
+        raise NonRealMomentError(
+            f"{what} is not a finite real number (imaginary part {residue:.3g}); "
+            "the channel data are inconsistent"
+        )
+    return residue
+
+
 def _finalize(
     first_sums: np.ndarray,
     cross_sums: np.ndarray,
@@ -324,14 +310,8 @@ def _finalize(
 ) -> MomentSeries:
     first_c = 1j * first_sums / n_k
     second_c = (cross_sums + j_sums) / n_k
-    residue = max(
-        float(np.max(np.abs(first_c.imag))), float(np.max(np.abs(second_c.imag)))
-    )
-    if residue > _IMAG_TOL:
-        raise NonRealMomentError(
-            f"moments acquired imaginary part {residue:.3g}; "
-            "the channel data are inconsistent"
-        )
+    residue = max(_imag_residue(first_c, "first moment"),
+                  _imag_residue(second_c, "second moment"))
     first = first_c.real.copy()
     second = second_c.real.copy()
     return MomentSeries(
@@ -363,7 +343,6 @@ def moment_series(
     t_max: int,
     n_k: int | None = None,
     naive: bool = False,
-    threads: int | None = None,
 ) -> MomentSeries:
     """Exact <x>_t, <x^2>_t and variance for all t up to ``t_max``.
 
@@ -371,8 +350,9 @@ def moment_series(
     state (any form accepted by ``pauli.coin_state``).  ``n_k`` defaults to
     the smallest grid that integrates the moments exactly (plus headroom);
     smaller values are allowed but trigger ``QuadratureTooCoarseWarning``.
-    ``naive`` switches the second moment to the literal double sum.
-    ``threads`` overrides the DQWALK_THREADS worker count.
+    ``naive`` switches the second moment to the literal double sum.  The
+    momentum grid is swept in fixed 512-node chunks summed in order, so the
+    result depends only on the arguments.
     """
     if t_max < 0:
         raise ValueError(f"horizon must be nonnegative, got {t_max}")
@@ -380,8 +360,7 @@ def moment_series(
     if n_k is None:
         n_k = default_node_count(channel, t_max)
     _check_node_count(channel, t_max, n_k)
-    workers = thread_count(threads)
-    first, cross, jsum = _series_sums(channel, rho_vec, t_max, n_k, workers, naive)
+    first, cross, jsum = _series_sums(channel, rho_vec, t_max, n_k, naive)
     return _finalize(first, cross, jsum, n_k, channel.label, rho_vec)
 
 
@@ -392,10 +371,11 @@ def moment_series_from_grids(
     naive: bool = False,
     label: str = "custom-grids",
 ) -> MomentSeries:
-    """Moment sweep over prebuilt transfer grids (single pass, no threading).
+    """Moment sweep over prebuilt transfer grids, in one pass over all nodes.
 
     Exists so cross-check harnesses can perturb individual grids and watch
-    the comparison fail.
+    the comparison fail.  With more than 512 nodes its sums may differ from
+    ``moment_series`` in the last bits, because that sweeps in chunks.
     """
     if t_max < 0:
         raise ValueError(f"horizon must be nonnegative, got {t_max}")
@@ -419,7 +399,6 @@ def j_term(
     coin,
     t: int,
     n_k: int | None = None,
-    threads: int | None = None,
 ) -> float:
     """The single-sum (dispersion) part of <x^2>_t.
 
@@ -433,11 +412,9 @@ def j_term(
     if n_k is None:
         n_k = default_node_count(channel, t)
     _check_node_count(channel, t, n_k)
-    workers = thread_count(threads)
-    _, _, jsum = _series_sums(channel, rho_vec, t, n_k, workers, naive=False)
+    _, _, jsum = _series_sums(channel, rho_vec, t, n_k, naive=False)
     val = jsum[t] / n_k
-    if abs(val.imag) > _IMAG_TOL:
-        raise NonRealMomentError(f"dispersion term has imaginary part {val.imag:.3g}")
+    _imag_residue(val, "dispersion term")
     return float(val.real)
 
 
@@ -483,10 +460,7 @@ def second_moment_coin_specialized(
         u = _mv(step, u + y)
         b = _mv(step, b)
     val = acc / n
-    if abs(val.imag) > _IMAG_TOL:
-        raise NonRealMomentError(
-            f"second moment has imaginary part {val.imag:.3g}"
-        )
+    _imag_residue(val, "second moment")
     return float(t + val.real)
 
 
@@ -530,17 +504,14 @@ def asymptotic_first_moment(channel: WalkChannel, coin, n_k: int = 512) -> float
     gamma = grids.drift[:, 0, 1:]
     stationary = 2.0 * (gamma0 * r0 + np.einsum("ni,ni->n", gamma, r_star))
     drift = 1j * stationary.mean()
-    if abs(drift) > _IMAG_TOL:
+    if not abs(drift) <= _IMAG_TOL:
         raise DomainError(
             f"channel has nonzero stationary drift {drift!r}; "
             "the first moment grows linearly and has no limit"
         )
     transient = np.linalg.solve(eye3 - block, (r_init - r_star)[..., None])[..., 0]
     val = 1j * (2.0 * np.einsum("ni,ni->n", gamma, transient)).mean()
-    if abs(val.imag) > _IMAG_TOL:
-        raise NonRealMomentError(
-            f"asymptotic first moment has imaginary part {val.imag:.3g}"
-        )
+    _imag_residue(val, "asymptotic first moment")
     return float(val.real)
 
 
@@ -550,12 +521,11 @@ def diffusion_from_slope(
     t_lo: int = 400,
     t_hi: int = 500,
     n_k: int | None = None,
-    threads: int | None = None,
 ) -> float:
     """Finite-horizon diffusion estimate D = (var(t_hi) - var(t_lo)) / 2 dt."""
     if not 1 <= t_lo < t_hi:
         raise ValueError(f"need 1 <= t_lo < t_hi, got {t_lo}, {t_hi}")
-    series = moment_series(channel, coin, t_hi, n_k=n_k, threads=threads)
+    series = moment_series(channel, coin, t_hi, n_k=n_k)
     return float(
         0.5 * (series.variance[t_hi] - series.variance[t_lo]) / (t_hi - t_lo)
     )

@@ -41,40 +41,6 @@ def from_pauli(vec: np.ndarray) -> np.ndarray:
     """Rebuild the (..., 2, 2) operator from Pauli coordinates."""
     return np.einsum("...i,iab->...ab", np.asarray(vec, dtype=complex), PAULI)
 
-def trace(vec: np.ndarray) -> np.ndarray:
-    """Trace of the operator encoded by ``vec``: 2 * r_0."""
-    return 2.0 * np.asarray(vec)[..., 0]
-
-
-def identity_superop() -> np.ndarray:
-    """The 4x4 identity map."""
-    return np.eye(4, dtype=complex)
-
-def apply(superop: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Apply a (..., 4, 4) map to a (..., 4) Pauli vector."""
-    return np.matmul(superop, vec[..., None])[..., 0]
-
-def compose(after: np.ndarray, before: np.ndarray) -> np.ndarray:
-    """Composition (after o before) of two maps."""
-    return after @ before
-
-def superop_power(superop: np.ndarray, n: int) -> np.ndarray:
-    """n-fold composition of a single 4x4 map with itself."""
-    return np.linalg.matrix_power(superop, n)
-
-
-def left_mult(op: np.ndarray) -> np.ndarray:
-    """Matrix of the map O -> A @ O in the Pauli basis."""
-    return sandwich_superop(np.asarray(op, dtype=complex)[None], PAULI[0][None])
-
-def right_mult(op: np.ndarray) -> np.ndarray:
-    """Matrix of the map O -> O @ A in the Pauli basis.
-
-    Note: right multiplication by A, not by A^dag; the sandwich helper
-    conjugates its right factor, hence the adjoint below.
-    """
-    return sandwich_superop(PAULI[0][None], np.asarray(op, dtype=complex).conj().T[None])
-
 
 def sandwich_superop(lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
     """Pauli matrix of the map O -> sum_n L_n @ O @ R_n^dag.
@@ -108,13 +74,13 @@ def coin_state(coin) -> np.ndarray:
     arr = np.asarray(coin, dtype=complex)
     if arr.shape == (2,):
         norm = np.linalg.norm(arr)
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:
             raise UnnormalizedCoinError(f"amplitude norm is {norm!r}, expected 1")
         vec = to_pauli(np.outer(arr, arr.conj()))
     elif arr.shape == (4,):
         vec = arr
     elif arr.shape == (2, 2):
-        if np.max(np.abs(arr - arr.conj().T)) > 1e-12:
+        if not np.max(np.abs(arr - arr.conj().T)) <= 1e-12:
             raise UnnormalizedCoinError("coin density matrix is not Hermitian")
         vec = to_pauli(arr)
     else:
@@ -126,17 +92,17 @@ def validate_coin_state(vec: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Check that ``vec`` encodes a unit-trace, Hermitian, positive coin density.
 
     Returns the vector as a real float array (the imaginary parts must be
-    negligible for a Hermitian operator).
+    negligible for a Hermitian operator).  Every check fails on NaN.
     """
     vec = np.asarray(vec, dtype=complex)
     if vec.shape != (4,):
         raise UnnormalizedCoinError(f"coin state must be a 4-vector, got shape {vec.shape}")
-    if np.max(np.abs(vec.imag)) > tol:
+    if not np.max(np.abs(vec.imag)) <= tol:
         raise UnnormalizedCoinError("coin density has non-real Pauli coordinates")
     real = vec.real.copy()
-    if abs(real[0] - 0.5) > tol:
+    if not abs(real[0] - 0.5) <= tol:
         raise UnnormalizedCoinError(f"coin trace is {2 * real[0]!r}, expected 1")
     bloch_sq = float(np.dot(real[1:], real[1:]))
-    if bloch_sq > 0.25 + 1e-9:
+    if not bloch_sq <= 0.25 + 1e-9:
         raise UnnormalizedCoinError("coin density is not positive semidefinite")
     return real

@@ -60,6 +60,8 @@ def test_coherent_hadamard_structure():
 def test_coherent_rejects_nonunitary():
     with pytest.raises(NonUnitaryCoinError):
         build_coherent(np.array([[1.0, 0.0], [0.0, 0.5]]))
+    with pytest.raises(NonUnitaryCoinError):
+        build_coherent(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 def test_coherent_coin_matrix_and_derivative():
@@ -206,6 +208,10 @@ def test_coin_channel_weight_validation():
     # weights fine but sum_n p_n D_n^dag D_n != I
     with pytest.raises(InvalidCoinKrausError):
         build_coin_channel(HADAMARD, [(0.5, ident), (0.5, np.diag([2.0, 0.0]))])
+    with pytest.raises(InvalidCoinKrausError):
+        build_coin_channel(HADAMARD, [(np.nan, ident), (1.0, ident)])
+    with pytest.raises(InvalidCoinKrausError):
+        build_coin_channel(HADAMARD, [(0.5, ident), (0.5, np.diag([np.nan, 1.0]))])
 
 
 def test_random_coin_channels_are_complete():
@@ -285,6 +291,14 @@ def test_load_rejects_incomplete_channel(tmp_path):
     )
     path = tmp_path / "lossy.json"
     save_channel(lossy, path)
+    with pytest.raises(CompletenessError):
+        load_channel(path)
+    # a NaN amplitude is stored as the bare JSON literal NaN and must not load
+    nan_amp = WalkChannel(
+        label="nan", terms=(KrausTerm(0, 0, "R", "R", 1.0), KrausTerm(0, 0, "L", "L", np.nan))
+    )
+    save_channel(nan_amp, path)
+    assert "NaN" in path.read_text()
     with pytest.raises(CompletenessError):
         load_channel(path)
 

@@ -153,6 +153,55 @@ def test_moments_invalid_coin_exits_2(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moments", "--coin", "nan,0,0,0.5", "--t", "3"],
+        ["walk", "--coin", "0.5,nan,0,0", "--t", "3"],
+        ["moments", "--theta1", "nan", "--t", "3"],
+        ["moments", "--theta2", "nan", "--t", "3"],
+        ["moments", "--p", "nan", "--t", "3"],
+        ["moments", "--channel", "coin-dephasing", "--q", "nan", "--t", "3"],
+    ],
+)
+def test_nan_inputs_exit_2(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("sub", ["walk", "moments"])
+def test_nan_channel_file_exits_2(sub, tmp_path, capsys):
+    s = 0.5 ** 0.5
+    chan = tmp_path / "chan.json"
+    chan.write_text(json.dumps({
+        "label": "nan-amplitude",
+        "terms": [
+            {"n": 0, "l": 1, "i": "R", "j": "R", "re": float("nan"), "im": 0.0},
+            {"n": 0, "l": 1, "i": "R", "j": "L", "re": s, "im": 0.0},
+            {"n": 0, "l": -1, "i": "L", "j": "R", "re": s, "im": 0.0},
+            {"n": 0, "l": -1, "i": "L", "j": "L", "re": -s, "im": 0.0},
+        ],
+    }))
+    assert main([sub, "--channel-file", str(chan), "--t", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "residual nan" in captured.err
+
+
+def test_walk_negative_horizon_exits_2(capsys):
+    assert main(["walk", "--t", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "nonnegative" in captured.err
+
+
+def test_moments_asymptotic_zero_nodes_exits_2(capsys):
+    assert main(["moments", "--coin", "R", "--asymptotic", "--nk", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "node count" in captured.err
+
+
 def test_unparseable_coin_is_an_argparse_error():
     with pytest.raises(SystemExit) as err:
         main(["moments", "--coin", "north", "--t", "2"])
@@ -207,6 +256,9 @@ def test_diffusion_with_slope_column(tmp_path):
 def test_diffusion_bad_grid_exits_2(capsys):
     assert main(["diffusion", "--p-min", "0.8", "--p-max", "0.2"]) == 2
     assert "error" in capsys.readouterr().err
+    for flag in ("--p-min", "--p-max", "--p-step"):
+        assert main(["diffusion", flag, "nan"]) == 2
+        assert "need p_step > 0" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -258,14 +310,3 @@ def test_parse_coin_forms():
     with pytest.raises(Exception):
         _parse_coin("1,2")
 
-
-def test_thread_count_does_not_change_output(tmp_path, monkeypatch):
-    args = ["moments", "--channel", "broken-line", "--p", "0.35",
-            "--coin", "symmetric", "--t", "30", "--nk", "1200"]
-    monkeypatch.setenv("DQWALK_THREADS", "1")
-    one = tmp_path / "one.csv"
-    assert main([*args, "--out", str(one)]) == 0
-    monkeypatch.setenv("DQWALK_THREADS", "4")
-    four = tmp_path / "four.csv"
-    assert main([*args, "--out", str(four)]) == 0
-    assert one.read_bytes() == four.read_bytes()

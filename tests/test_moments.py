@@ -18,6 +18,8 @@ from dqwalk import brokenline
 from dqwalk.channels import (
     HADAMARD,
     BrokenLineParams,
+    KrausTerm,
+    WalkChannel,
     build_broken_line,
     build_coherent,
     build_coin_channel,
@@ -25,6 +27,7 @@ from dqwalk.channels import (
     dephasing_channel,
 )
 from dqwalk.errors import (
+    NonRealMomentError,
     NotACoinChannelError,
     NotContractingError,
     QuadratureTooCoarseWarning,
@@ -44,7 +47,6 @@ from dqwalk.moments import (
     momentum_grid,
     second_moment,
     second_moment_coin_specialized,
-    thread_count,
     transfer_grids,
     transfer_matrix,
 )
@@ -368,35 +370,23 @@ def test_coarse_grid_warns():
         moment_series(ch, "R", 10, n_k=exact_node_bound(ch, 10) - 2)
 
 
-def test_thread_count_parsing(monkeypatch):
-    monkeypatch.delenv("DQWALK_THREADS", raising=False)
-    assert thread_count() == 1
-    assert thread_count(3) == 3
-    monkeypatch.setenv("DQWALK_THREADS", "5")
-    assert thread_count() == 5
-    monkeypatch.setenv("DQWALK_THREADS", "0")
-    assert thread_count() >= 1
-    monkeypatch.setenv("DQWALK_THREADS", "soup")
-    with pytest.raises(ValueError):
-        thread_count()
-
-
-def test_threaded_runs_are_bit_identical():
-    ch = broken_line(0.35)
-    one = moment_series(ch, "symmetric", 30, threads=1)
-    four = moment_series(ch, "symmetric", 30, threads=4)
-    assert np.array_equal(one.first, four.first)
-    assert np.array_equal(one.second, four.second)
-
-
-def test_series_from_prebuilt_grids_matches():
+@pytest.mark.parametrize(
+    "t, n_k, atol",
+    [
+        (10, None, 0.0),  # one 512-node chunk: the same sums, bit for bit
+        (30, 1200, 1e-11),  # three chunks summed in order vs one pass
+    ],
+    ids=["one-chunk", "three-chunks"],
+)
+def test_series_from_prebuilt_grids_matches(t, n_k, atol):
     ch = broken_line(0.25)
-    n_k = default_node_count(ch, 10)
-    direct = moment_series(ch, "R", 10, n_k=n_k)
+    if n_k is None:
+        n_k = default_node_count(ch, t)
+    direct = moment_series(ch, "R", t, n_k=n_k)
     grids = transfer_grids(ch, momentum_grid(n_k))
-    rebuilt = moment_series_from_grids(grids, "R", 10)
-    assert np.array_equal(direct.first, rebuilt.first)
-    assert np.array_equal(direct.second, rebuilt.second)
+    rebuilt = moment_series_from_grids(grids, "R", t)
+    np.testing.assert_allclose(rebuilt.first, direct.first, rtol=0.0, atol=atol)
+    np.testing.assert_allclose(rebuilt.second, direct.second, rtol=0.0, atol=atol)
 
 
 def test_corrupted_grids_poison_the_moments():
@@ -411,6 +401,27 @@ def test_corrupted_grids_poison_the_moments():
     poisoned = moment_series_from_grids(bad, "R", 8)
     assert np.max(np.abs(clean.second - poisoned.second)) > 0.1
     assert np.max(np.abs(clean.first - poisoned.first)) > 0.1
+
+
+def _nan_coherent_channel():
+    # built by hand, so no completeness certificate stands in the way
+    terms = list(HAD.terms)
+    terms[0] = KrausTerm(0, terms[0].l, terms[0].i, terms[0].j, complex(np.nan, 0.0))
+    return WalkChannel("nan-amplitude", tuple(terms))
+
+
+def test_nan_channel_data_fail_closed():
+    ch = _nan_coherent_channel()
+    with pytest.raises(NonRealMomentError):
+        moment_series(ch, "R", 4)
+    with pytest.raises(NonRealMomentError):
+        moment_series(ch, "R", 4, naive=True)
+    with pytest.raises(NonRealMomentError):
+        j_term(ch, "R", 4)
+    with pytest.raises(NonRealMomentError):
+        second_moment_coin_specialized(ch, "R", 4)
+    with pytest.raises(ValueError):
+        asymptotic_first_moment(ch, "R")
 
 
 def test_negative_horizon_rejected():
