@@ -75,7 +75,12 @@ class BracketingError(DQWalkError, RuntimeError):
 
 
 class NonRealMomentError(DQWalkError, ArithmeticError):
-    """A position moment came out with a non-negligible imaginary part."""
+    """A position moment is not a finite real number.
+
+    Raised when the transfer grids lack the real/imaginary structure of a
+    trace-preserving channel (or hold a non-finite entry), or when a moment
+    computed in complex arithmetic has a non-negligible imaginary part.
+    """
 
 
 class QuadratureTooCoarseWarning(UserWarning):

@@ -16,7 +16,17 @@ where L_k applies one step at fixed momentum, G_k is its derivative with the
 right (conjugated) factor frozen, and J_k carries the derivative on both
 sides.  The double sum telescopes into a second running vector, so the
 default path costs O(t) matrix-vector products per momentum node
-(``naive=True`` keeps the literal double sum for cross-checking).
+(``naive=True`` keeps the literal complex double sum for cross-checking).
+
+The sweep runs in real arithmetic, which is exact rather than an
+approximation.  In the Pauli basis a Hermiticity-preserving map has a real
+matrix, so L_k and J_k are real.  Differentiating completeness,
+sum_n C_n^dag C_n = I, makes sum_n C_n^dag C_n' anti-Hermitian, so the top
+rows of G_k and G*_k (the only rows a trace reads) are purely imaginary.
+G_k - G*_k is i times a real map, so the telescoping vector is i times a
+real vector, and the factors of i are put back analytically.  The discarded
+parts are checked to be negligible on every grid (``NonRealMomentError``
+otherwise); that residue is ``MomentSeries.max_imag_residue``.
 
 The k-integral is evaluated on a uniform grid, which is *exact* once the
 node count exceeds the trigonometric degree of the integrand
@@ -50,7 +60,8 @@ from .pauli import coin_state, sandwich_superop
 # the transfer grids and running vectors held in memory at once.
 _CHUNK = 512
 
-# A moment whose imaginary part exceeds this is reported as an error rather
+# A grid part the real sweep discards, or the imaginary part of a moment
+# computed in complex arithmetic, above this is reported as an error rather
 # than silently truncated.
 _IMAG_TOL = 1e-8
 
@@ -146,82 +157,124 @@ def transfer_grids(channel: WalkChannel, ks: np.ndarray) -> TransferGrids:
 
 # --- the moment sweep -------------------------------------------------------
 
-def _mv(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Batched matrix @ vector over the momentum axis."""
-    return np.matmul(mats, vecs[..., None])[..., 0]
+def _grid_residue(grids: TransferGrids) -> float:
+    """Worst deviation of the grids from the structure the real sweep assumes.
 
-
-def _accumulate(
-    grids: TransferGrids, rho_vec: np.ndarray, t_max: int, naive: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-chunk sweep.
-
-    Returns three complex arrays of length t_max + 1 holding, for each
-    horizon t, the *sum over this chunk's momenta* of
-
-        first:  sum_{m<=t} Tr{ G a_m }
-        cross:  the double sum over m' < m <= t (both orderings),
-        jsum:   sum_{m<=t} Tr{ J a_m },
-
-    with a_m = L^{m-1} rho0.  Means and prefactors are applied by the caller.
+    The sweep keeps only the real step map, the imaginary top rows of the two
+    drift maps and the real top row of the dispersion map; each discarded
+    part must be below tolerance and every entry finite, or the grids are
+    rejected.  A NaN fails the check, so bad channel data cannot pass
+    silently.
     """
+    discarded = (
+        grids.step.imag,
+        grids.drift[:, 0, :].real,
+        grids.drift_adj[:, 0, :].real,
+        grids.dispersion[:, 0, :].imag,
+    )
+    residue = max(float(np.abs(part).max(initial=0.0)) for part in discarded)
+    finite = all(
+        np.isfinite(grid).all()
+        for grid in (grids.step, grids.drift, grids.drift_adj, grids.dispersion)
+    )
+    if not (finite and residue <= _IMAG_TOL):
+        raise NonRealMomentError(
+            f"transfer grids are not finite with the real/imaginary structure "
+            f"of a trace-preserving channel (residue {residue:.3g}); "
+            "the channel data are inconsistent"
+        )
+    return residue
+
+
+def _nodes_last(mats: np.ndarray) -> np.ndarray:
+    """(n_k, 4, ...) -> contiguous (4, ..., n_k): the momentum axis innermost."""
+    return np.ascontiguousarray(np.moveaxis(mats, 0, -1))
+
+
+def _mv(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Per-node matrix @ vector on the (4, 4, n_k) x (4, n_k) layout."""
+    return np.einsum("ijn,jn->in", mats, vecs)
+
+
+def _naive_cross(grids: TransferGrids, rho_vec: np.ndarray, t_max: int) -> np.ndarray:
+    """Literal complex double sum of the cross term, O(t^2) per momentum.
+
+    Kept as an independent route to catch bookkeeping errors in the
+    telescoped real recursion.  Returns, for each m, the chunk sum of the
+    m-th inner sum over m' < m (not yet accumulated over m).
+    """
+    def mv(mats, vecs):
+        return np.matmul(mats, vecs[..., None])[..., 0]
+
     step = grids.step
-    n_k = step.shape[0]
     # Tr{A O} = 2 * (row 0 of A) . (Pauli vector of O); fold in the factor 2.
     g_row = 2.0 * grids.drift[:, 0, :]
     gd_row = 2.0 * grids.drift_adj[:, 0, :]
-    j_row = 2.0 * grids.dispersion[:, 0, :]
-
-    first = np.zeros(t_max + 1, dtype=complex)
-    cross = np.zeros(t_max + 1, dtype=complex)
-    jsum = np.zeros(t_max + 1, dtype=complex)
-    a = np.tile(np.asarray(rho_vec, dtype=complex), (n_k, 1))
-
-    if not naive:
-        # w_m = sum_{m'<m} [ L^{m-m'-1} (G - G^dag') a_{m'} ]; then the double
-        # sum collapses to sum_m Tr{ G^dag' w_m } because for each inner pair
-        # the G term and the G^dag' term differ only in which factor carries
-        # the derivative, and the remaining imbalance telescopes.
-        run1 = np.zeros(n_k, dtype=complex)
-        run2 = np.zeros(n_k, dtype=complex)
-        runj = np.zeros(n_k, dtype=complex)
-        w = np.zeros((n_k, 4), dtype=complex)
-        g_minus_gd = grids.drift - grids.drift_adj
-        for m in range(1, t_max + 1):
-            run1 += np.einsum("ni,ni->n", g_row, a)
-            run2 += np.einsum("ni,ni->n", gd_row, w)
-            runj += np.einsum("ni,ni->n", j_row, a)
-            first[m] = run1.sum()
-            cross[m] = run2.sum()
-            jsum[m] = runj.sum()
-            w = _mv(step, w) + _mv(g_minus_gd, a)
-            a = _mv(step, a)
-        return first, cross, jsum
-
-    # Literal double sum, O(t^2) per momentum: kept as an independent route
-    # to catch bookkeeping errors in the telescoped recursion.
-    a_list = [a]
+    a_list = [np.tile(np.asarray(rho_vec, dtype=complex), (step.shape[0], 1))]
     for _ in range(1, t_max):
-        a_list.append(_mv(step, a_list[-1]))
-    run1 = np.zeros(n_k, dtype=complex)
-    runj = np.zeros(n_k, dtype=complex)
-    inner = np.zeros(t_max + 1, dtype=complex)  # value of the m-th inner sum
-    for m in range(1, t_max + 1):
-        run1 += np.einsum("ni,ni->n", g_row, a_list[m - 1])
-        runj += np.einsum("ni,ni->n", j_row, a_list[m - 1])
-        first[m] = run1.sum()
-        jsum[m] = runj.sum()
+        a_list.append(mv(step, a_list[-1]))
+    inner = np.zeros(t_max + 1, dtype=complex)
     for m_prime in range(1, t_max):
-        y1 = _mv(grids.drift, a_list[m_prime - 1])
-        y2 = _mv(grids.drift_adj, a_list[m_prime - 1])
+        y1 = mv(grids.drift, a_list[m_prime - 1])
+        y2 = mv(grids.drift_adj, a_list[m_prime - 1])
         for m in range(m_prime + 1, t_max + 1):
             inner[m] += np.einsum("ni,ni->", gd_row, y1)
             inner[m] += np.einsum("ni,ni->", g_row, y2)
             if m < t_max:
-                y1 = _mv(step, y1)
-                y2 = _mv(step, y2)
-    cross[:] = np.cumsum(inner)
-    return first, cross, jsum
+                y1 = mv(step, y1)
+                y2 = mv(step, y2)
+    return inner
+
+
+def _accumulate(
+    grids: TransferGrids, rho_vec: np.ndarray, t_max: int, naive: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Per-chunk sweep in real arithmetic.
+
+    Returns three float arrays of length t_max + 1 holding, for each
+    horizon t, the *sum over this chunk's momenta* of
+
+        first:  i * sum_{m<=t} Tr{ G a_m },
+        cross:  the double sum over m' < m <= t (both orderings),
+        jsum:   sum_{m<=t} Tr{ J a_m },
+
+    with a_m = L^{m-1} rho0, followed by the grid residue.  The mean over
+    momenta is taken by the caller.
+    """
+    residue = _grid_residue(grids)
+    n_k = len(grids.ks)
+    step = _nodes_last(grids.step.real)
+    # G - G^dag' is i times a real map (its real part is zero for consistent
+    # grids and is dropped), so w = i * w_r below.
+    drive = _nodes_last((grids.drift - grids.drift_adj).imag)
+    # Tr{A O} = 2 * (row 0 of A) . (Pauli vector of O).  The drift rows are i
+    # times a real row and meet one more factor i (the i of <x>, or that of
+    # w), so their real coefficient is -2 * Im.
+    g_row = _nodes_last(-2.0 * grids.drift[:, 0, :].imag).ravel()
+    gd_row = _nodes_last(-2.0 * grids.drift_adj[:, 0, :].imag).ravel()
+    j_row = _nodes_last(2.0 * grids.dispersion[:, 0, :].real).ravel()
+
+    s_first = np.zeros(t_max + 1)
+    s_cross = np.zeros(t_max + 1)
+    s_j = np.zeros(t_max + 1)
+    a = np.repeat(rho_vec[:, None], n_k, axis=1)
+    # w_m = sum_{m'<m} [ L^{m-m'-1} (G - G^dag') a_{m'} ]; then the double sum
+    # collapses to sum_m Tr{ G^dag' w_m } because for each inner pair the G
+    # term and the G^dag' term differ only in which factor carries the
+    # derivative, and the remaining imbalance telescopes.
+    w_r = np.zeros((4, n_k))
+    for m in range(1, t_max + 1):
+        s_first[m] = g_row @ a.ravel()
+        s_cross[m] = gd_row @ w_r.ravel()
+        s_j[m] = j_row @ a.ravel()
+        w_r = _mv(step, w_r) + _mv(drive, a)
+        a = _mv(step, a)
+    cross = np.cumsum(s_cross)
+    if naive:
+        cross_c = np.cumsum(_naive_cross(grids, rho_vec, t_max))
+        residue = max(residue, _imag_residue(cross_c / n_k, "naive cross term"))
+        cross = cross_c.real
+    return np.cumsum(s_first), cross, np.cumsum(s_j), residue
 
 
 def _series_sums(
@@ -230,26 +283,31 @@ def _series_sums(
     t_max: int,
     n_k: int,
     naive: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Sweep the full momentum grid chunk by chunk, summing in order."""
     ks = momentum_grid(n_k)
     first = cross = jsum = 0.0
+    residue = 0.0
     for i in range(0, n_k, _CHUNK):
         grids = transfer_grids(channel, ks[i:i + _CHUNK])
-        part_first, part_cross, part_j = _accumulate(grids, rho_vec, t_max, naive)
+        part_first, part_cross, part_j, part_res = _accumulate(
+            grids, rho_vec, t_max, naive
+        )
         first = first + part_first
         cross = cross + part_cross
         jsum = jsum + part_j
-    return first, cross, jsum
+        residue = max(residue, part_res)
+    return first, cross, jsum, residue
 
 
 @dataclass(frozen=True)
 class MomentSeries:
     """First and second position moments for t = 0 .. t_max.
 
-    ``max_imag_residue`` records the largest imaginary part discarded when
-    realizing the moments; it is a numerical health indicator and is kept
-    far below any physical scale by construction.
+    ``max_imag_residue`` records the largest part of the transfer grids that
+    the real sweep discards (see ``_grid_residue``) and, with ``naive=True``,
+    the imaginary part of the literal double sum; it is a numerical health
+    indicator and is kept far below any physical scale by construction.
     """
 
     channel_label: str
@@ -307,13 +365,14 @@ def _finalize(
     n_k: int,
     label: str,
     rho_vec: np.ndarray,
+    residue: float,
 ) -> MomentSeries:
-    first_c = 1j * first_sums / n_k
-    second_c = (cross_sums + j_sums) / n_k
-    residue = max(_imag_residue(first_c, "first moment"),
-                  _imag_residue(second_c, "second moment"))
-    first = first_c.real.copy()
-    second = second_c.real.copy()
+    first = first_sums / n_k
+    second = (cross_sums + j_sums) / n_k
+    if not (np.isfinite(first).all() and np.isfinite(second).all()):
+        raise NonRealMomentError(
+            "moments are not finite numbers; the channel data are inconsistent"
+        )
     return MomentSeries(
         channel_label=label,
         coin=tuple(float(v) for v in rho_vec),
@@ -326,6 +385,9 @@ def _finalize(
 
 
 def _check_node_count(channel: WalkChannel, t_max: int, n_k: int) -> None:
+    """Reject a nonpositive node count; warn below the exactness bound."""
+    if n_k < 1:
+        raise ValueError(f"node count must be positive, got {n_k}")
     bound = exact_node_bound(channel, t_max)
     if n_k < bound:
         warnings.warn(
@@ -360,8 +422,8 @@ def moment_series(
     if n_k is None:
         n_k = default_node_count(channel, t_max)
     _check_node_count(channel, t_max, n_k)
-    first, cross, jsum = _series_sums(channel, rho_vec, t_max, n_k, naive)
-    return _finalize(first, cross, jsum, n_k, channel.label, rho_vec)
+    first, cross, jsum, residue = _series_sums(channel, rho_vec, t_max, n_k, naive)
+    return _finalize(first, cross, jsum, n_k, channel.label, rho_vec, residue)
 
 
 def moment_series_from_grids(
@@ -380,8 +442,8 @@ def moment_series_from_grids(
     if t_max < 0:
         raise ValueError(f"horizon must be nonnegative, got {t_max}")
     rho_vec = coin_state(coin)
-    first, cross, jsum = _accumulate(grids, rho_vec, t_max, naive)
-    return _finalize(first, cross, jsum, len(grids.ks), label, rho_vec)
+    first, cross, jsum, residue = _accumulate(grids, rho_vec, t_max, naive)
+    return _finalize(first, cross, jsum, len(grids.ks), label, rho_vec, residue)
 
 
 def first_moment(channel: WalkChannel, coin, t: int, **kwargs) -> float:
@@ -412,10 +474,8 @@ def j_term(
     if n_k is None:
         n_k = default_node_count(channel, t)
     _check_node_count(channel, t, n_k)
-    _, _, jsum = _series_sums(channel, rho_vec, t, n_k, naive=False)
-    val = jsum[t] / n_k
-    _imag_residue(val, "dispersion term")
-    return float(val.real)
+    _, _, jsum, _ = _series_sums(channel, rho_vec, t, n_k, naive=False)
+    return float(jsum[t] / n_k)
 
 
 def second_moment_coin_specialized(
@@ -445,23 +505,21 @@ def second_moment_coin_specialized(
     if n_k is None:
         n_k = default_node_count(channel, t)
     _check_node_count(channel, t, n_k)
-    ks = momentum_grid(n_k)
-    step = transfer_grids(channel, ks).step
-    n = len(ks)
-    b = _mv(step, np.tile(np.asarray(rho_vec, dtype=complex), (n, 1)))
-    u = np.zeros((n, 4), dtype=complex)
-    acc = 0.0 + 0.0j
+    grids = transfer_grids(channel, momentum_grid(n_k))
+    _grid_residue(grids)
+    step = _nodes_last(grids.step.real)
+    b = _mv(step, np.repeat(rho_vec[:, None], n_k, axis=1))
+    u = np.zeros((4, n_k))
+    acc = 0.0
     for _ in range(1, t + 1):
-        acc += 2.0 * u[:, 3].sum()  # Tr{Z u} = 2 u_3
+        acc += 2.0 * u[3].sum()  # Tr{Z u} = 2 u_3
         # anticommutator {Z, b} in Pauli coordinates: swaps components 0 and 3
         y = np.zeros_like(u)
-        y[:, 0] = 2.0 * b[:, 3]
-        y[:, 3] = 2.0 * b[:, 0]
+        y[0] = 2.0 * b[3]
+        y[3] = 2.0 * b[0]
         u = _mv(step, u + y)
         b = _mv(step, b)
-    val = acc / n
-    _imag_residue(val, "second moment")
-    return float(t + val.real)
+    return float(t + acc / n_k)
 
 
 # --- long-time behaviour ----------------------------------------------------
@@ -485,6 +543,7 @@ def asymptotic_first_moment(channel: WalkChannel, coin, n_k: int = 512) -> float
     rho_vec = coin_state(coin)
     ks = momentum_grid(n_k)
     grids = transfer_grids(channel, ks)
+    _grid_residue(grids)
     block = grids.step[:, 1:, 1:]
     radius = np.abs(np.linalg.eigvals(block)).max(axis=1)
     worst = int(np.argmax(radius))

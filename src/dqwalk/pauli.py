@@ -53,7 +53,8 @@ def sandwich_superop(lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
     lefts = np.asarray(lefts, dtype=complex)
     rights = np.asarray(rights, dtype=complex)
     return 0.5 * np.einsum(
-        "iab,m...bc,jcd,m...ad->...ij", PAULI, lefts, PAULI, rights.conj()
+        "iab,m...bc,jcd,m...ad->...ij", PAULI, lefts, PAULI, rights.conj(),
+        optimize=True,
     )
 
 

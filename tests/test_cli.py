@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dqwalk.cli import RunConfig, _parse_coin, main
+from dqwalk.errors import QuadratureTooCoarseWarning
 
 
 def read_csv(path):
@@ -200,6 +201,15 @@ def test_moments_asymptotic_zero_nodes_exits_2(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "node count" in captured.err
+
+
+@pytest.mark.parametrize("nk", ["0", "-4"])
+def test_moments_nonpositive_nodes_exit_2_without_warning(nk, capsys, recwarn):
+    assert main(["moments", "--coin", "R", "--t", "3", "--nk", nk]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "node count" in captured.err
+    assert not [w for w in recwarn if w.category is QuadratureTooCoarseWarning]
 
 
 def test_unparseable_coin_is_an_argparse_error():

@@ -8,6 +8,7 @@ closed forms in ``dqwalk.brokenline``; moments are pinned against the
 direct simulator.
 """
 
+import dataclasses
 import io
 import json
 
@@ -25,6 +26,7 @@ from dqwalk.channels import (
     build_coin_channel,
     coin_matrix_at_k,
     dephasing_channel,
+    validate_completeness,
 )
 from dqwalk.errors import (
     NonRealMomentError,
@@ -59,6 +61,35 @@ def broken_line(p):
 
 
 HAD = build_coherent(HADAMARD)
+
+
+def random_hop2_channel(seed=2003, num_kraus=3):
+    """C_n(k) = S(k) V S(k) U_n with S = diag(e^{-ik}, e^{ik}): max_hop 2.
+
+    V is a random unitary and the U_n are cut from a random isometry, so
+    sum_n C_n^dag C_n = sum_n U_n^dag U_n = I holds by construction.
+    """
+    gen = np.random.default_rng(seed)
+
+    def gaussian(rows, cols):
+        return gen.normal(size=(rows, cols)) + 1j * gen.normal(size=(rows, cols))
+
+    v, _ = np.linalg.qr(gaussian(2, 2))
+    iso, _ = np.linalg.qr(gaussian(2 * num_kraus, 2))
+    # hop of the (output i, middle j) entry of S V S
+    hops = {(0, 0): 2, (0, 1): 0, (1, 0): 0, (1, 1): -2}
+    terms = []
+    for n in range(num_kraus):
+        u_n = iso[2 * n:2 * n + 2]
+        for (i, j), hop in hops.items():
+            for j_in in range(2):
+                amp = complex(v[i, j] * u_n[j, j_in])
+                terms.append(KrausTerm(n, hop, "RL"[i], "RL"[j_in], amp))
+    channel = WalkChannel("random-hop2", tuple(terms))
+    validate_completeness(channel)
+    assert channel.max_hop == 2
+    return channel
+
 
 P_GRID = (0.0, 0.3, 0.7, 1.0)
 K_GRID = (0.0, 0.5, 1.0, 2.0, -2.5, np.pi)
@@ -215,8 +246,10 @@ def test_coherent_first_step_matches_oracle():
         (broken_line(0.5), "mixed"),
         (broken_line(0.9), "symmetric"),
         (dephasing_channel(0.3), "R"),
+        (random_hop2_channel(), "symmetric"),
     ],
-    ids=["coherent-R", "bl05-mixed", "bl09-symmetric", "dephasing03-R"],
+    ids=["coherent-R", "bl05-mixed", "bl09-symmetric", "dephasing03-R",
+         "hop2-symmetric"],
 )
 def test_engine_matches_oracle(channel, coin):
     t = 12
@@ -392,8 +425,6 @@ def test_series_from_prebuilt_grids_matches(t, n_k, atol):
 def test_corrupted_grids_poison_the_moments():
     # mutation sanity: a sign flip on the drift grid must visibly change the
     # result (this is what the CLI cross-check's corruption hook exercises)
-    import dataclasses
-
     ch = broken_line(0.4)
     grids = transfer_grids(ch, momentum_grid(64))
     bad = dataclasses.replace(grids, drift=-grids.drift)
@@ -401,6 +432,35 @@ def test_corrupted_grids_poison_the_moments():
     poisoned = moment_series_from_grids(bad, "R", 8)
     assert np.max(np.abs(clean.second - poisoned.second)) > 0.1
     assert np.max(np.abs(clean.first - poisoned.first)) > 0.1
+
+
+def _imaginary_step(grids):
+    return dataclasses.replace(grids, step=grids.step + 1e-6j)
+
+
+def _real_drift_top_row(grids):
+    drift = grids.drift.copy()
+    drift[:, 0, :] += 1e-6
+    return dataclasses.replace(grids, drift=drift)
+
+
+@pytest.mark.parametrize("corrupt", [_imaginary_step, _real_drift_top_row])
+def test_grid_structure_check_bites(corrupt):
+    # the real sweep discards these parts, so it must refuse grids that have them
+    grids = transfer_grids(broken_line(0.4), momentum_grid(64))
+    assert moment_series_from_grids(grids, "R", 8).max_imag_residue <= 1e-14
+    with pytest.raises(NonRealMomentError):
+        moment_series_from_grids(corrupt(grids), "R", 8)
+
+
+@pytest.mark.parametrize("n_k", [0, -4])
+@pytest.mark.parametrize(
+    "route", [moment_series, j_term, second_moment_coin_specialized]
+)
+def test_nonpositive_node_count_rejected_without_warning(route, n_k, recwarn):
+    with pytest.raises(ValueError, match="node count must be positive"):
+        route(dephasing_channel(0.3), "R", 3, n_k=n_k)
+    assert not [w for w in recwarn if w.category is QuadratureTooCoarseWarning]
 
 
 def _nan_coherent_channel():
@@ -420,7 +480,7 @@ def test_nan_channel_data_fail_closed():
         j_term(ch, "R", 4)
     with pytest.raises(NonRealMomentError):
         second_moment_coin_specialized(ch, "R", 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(NonRealMomentError):
         asymptotic_first_moment(ch, "R")
 
 
