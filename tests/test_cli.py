@@ -64,6 +64,16 @@ def test_walk_to_stdout(capsys):
     assert len(lines) == 3  # x = -1 and x = +1
 
 
+def test_walk_prints_only_sites_of_the_right_parity(capsys):
+    # After t coherent steps only sites with x = t (mod 2) are reachable; the
+    # others come out of the oracle as exact zeros and their rows are dropped.
+    assert main(["walk", "--channel", "coherent", "--t", "40", "--coin", "R"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "x,prob"
+    xs = [int(line.split(",")[0]) for line in lines[1:]]
+    assert xs == list(range(-40, 41, 2))
+
+
 def test_walk_rejects_bad_channel_file(tmp_path, capsys):
     bad = tmp_path / "chan.json"
     bad.write_text(json.dumps({

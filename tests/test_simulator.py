@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from dqwalk.channels import (
+    COIN_INDEX,
     HADAMARD,
     BrokenLineParams,
     KrausTerm,
@@ -21,6 +22,7 @@ from dqwalk.channels import (
     dephasing_channel,
 )
 from dqwalk.simulator import (
+    DensityState,
     evolve,
     init_state,
     moment_direct,
@@ -29,6 +31,7 @@ from dqwalk.simulator import (
     step,
     variance_direct,
 )
+from test_moments import random_hop2_channel
 
 
 def broken_line(p):
@@ -41,6 +44,40 @@ def dist_dict(state):
 
 
 HAD = build_coherent(HADAMARD)
+
+MEASURE = WalkChannel(
+    label="coin-measurement",
+    terms=(KrausTerm(0, 0, "R", "R", 1.0), KrausTerm(1, 0, "L", "L", 1.0)),
+)
+
+
+def reference_step(state, channel):
+    """Test-only reference: one step applied literally, term by term.
+
+    For each Kraus operator E_n this forms E_n rho one amplitude at a time,
+    then (E_n rho) E_n^dag the same way; ``step`` must agree with it.
+    """
+    hop = channel.max_hop
+    n_old = state.n_sites
+    n_new = n_old + 2 * hop
+    new = np.zeros((n_new, 2, n_new, 2), dtype=complex)
+    for n in channel.kraus_indices:
+        terms = channel.terms_for(n)
+        half = np.zeros((n_new, 2, n_old, 2), dtype=complex)
+        for t in terms:  # E_n rho
+            i, j = COIN_INDEX[t.i], COIN_INDEX[t.j]
+            lo = hop + t.l
+            half[lo:lo + n_old, i, :, :] += t.amp * state.rho[:, j, :, :]
+        for t in terms:  # (E_n rho) E_n^dag
+            i, j = COIN_INDEX[t.i], COIN_INDEX[t.j]
+            lo = hop + t.l
+            new[:, :, lo:lo + n_old, i] += np.conj(t.amp) * half[:, :, :, j]
+    return DensityState(
+        t=state.t + 1,
+        x_min=state.x_min - hop,
+        x_max=state.x_max + hop,
+        rho=new,
+    )
 
 
 def test_initial_state():
@@ -182,13 +219,55 @@ def test_measurement_collapse_matches_classical_walk():
     # Alternating a Hadamard step with a position-basis coin measurement
     # (the q=1 dephasing channel with no shift) must reproduce the classical
     # random walk exactly: var = number of shift steps.
-    measure = WalkChannel(
-        label="coin-measurement",
-        terms=(KrausTerm(0, 0, "R", "R", 1.0), KrausTerm(1, 0, "L", "L", 1.0)),
-    )
     state = init_state("R")
     for _ in range(12):
         state = step(state, HAD)
-        state = step(state, measure)
+        state = step(state, MEASURE)
     assert variance_direct(state) == pytest.approx(12.0, abs=1e-10)
     assert moment_direct(state, 1) == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "channel, coin",
+    [
+        (HAD, "R"),
+        (dephasing_channel(0.4), "symmetric"),
+        (broken_line(0.3), "mixed"),
+        (broken_line(1.0), "symmetric"),
+        (random_hop2_channel(), "symmetric"),
+        (MEASURE, "symmetric"),
+    ],
+    ids=["coherent", "dephasing-0.4", "broken-0.3", "broken-1", "hop2", "measurement"],
+)
+def test_step_matches_term_by_term_reference(channel, coin):
+    fast = ref = init_state(coin)
+    for _ in range(15):
+        fast, ref = step(fast, channel), reference_step(ref, channel)
+        assert (fast.t, fast.x_min, fast.x_max) == (ref.t, ref.x_min, ref.x_max)
+        assert fast.rho.shape == ref.rho.shape
+        np.testing.assert_allclose(fast.rho, ref.rho, rtol=0, atol=1e-14)
+        # unreachable sites (parity, light cone) get exactly zero probability
+        # on both routes; ``walk`` drops its rows by that test
+        _, p_fast = position_distribution(fast)
+        _, p_ref = position_distribution(ref)
+        np.testing.assert_array_equal(p_fast == 0.0, p_ref == 0.0)
+
+
+def test_fold_is_keyed_by_channel_value():
+    # Two channels under one label: each must be stepped with its own Kraus
+    # terms, not with the fold cached for the other.
+    a = WalkChannel("custom", broken_line(0.3).terms)
+    b = WalkChannel("custom", random_hop2_channel().terms)
+    for channel in (a, b, a, b):
+        state = init_state("symmetric")
+        for _ in range(4):
+            state, ref = step(state, channel), reference_step(state, channel)
+            np.testing.assert_allclose(state.rho, ref.rho, rtol=0, atol=1e-14)
+
+
+def test_step_leaves_input_untouched_and_returns_fresh_array():
+    state = evolve(init_state("symmetric"), broken_line(0.3), 5)
+    before = state.rho.copy()
+    after = step(state, broken_line(0.3))
+    np.testing.assert_array_equal(state.rho, before)
+    assert not np.shares_memory(after.rho, state.rho)
