@@ -378,8 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--coin", type=_parse_coin, default="R",
         help="initial coin: preset name or four comma-separated Pauli coordinates",
     )
-    channel_parent.add_argument("--nk", type=int, default=None, dest="n_k",
-                                help="momentum node count override")
     channel_parent.add_argument("--out", default=None,
                                 help="output path ('-' or omitted = stdout)")
 
@@ -393,6 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mom = sub.add_parser("moments", parents=[channel_parent],
                            help="run the momentum-space moment engine")
     p_mom.add_argument("--t", type=int, default=20, help="horizon")
+    p_mom.add_argument("--nk", type=int, default=None, dest="n_k",
+                       help="momentum node count override")
     p_mom.add_argument("--naive", action="store_true",
                        help="use the literal double sum for the second moment")
     p_mom.add_argument("--asymptotic", action="store_true",

@@ -29,8 +29,14 @@ parts are checked to be negligible on every grid (``NonRealMomentError``
 otherwise); that residue is ``MomentSeries.max_imag_residue``.
 
 The k-integral is evaluated on a uniform grid, which is *exact* once the
-node count exceeds the trigonometric degree of the integrand
-(4 * max_hop * t), not merely approximate.
+node count exceeds the trigonometric degree of the integrand, not merely
+approximate.  One step at momentum k has degree 2 * max_hop: the entries of
+C_n(k) (x) conj(C_n(k)) carry only the frequencies l - l' with
+|l|, |l'| <= max_hop.  The derivative maps carry the same frequencies
+(d/dk turns e^{ilk} into i*l*e^{ilk}), so every term of the integrand at
+horizon t, a product of at most t such maps, has degree <= 2 * max_hop * t.
+A uniform n-node rule integrates e^{ijk} exactly for every |j| < n, so
+n_k = 2 * max_hop * t + 1 nodes suffice (``exact_node_bound``).
 """
 
 from __future__ import annotations
@@ -75,12 +81,18 @@ def momentum_grid(n_k: int) -> np.ndarray:
 
 def default_node_count(channel: WalkChannel, t_max: int) -> int:
     """Node count that makes the uniform rule exact, with a little headroom."""
-    return 4 * channel.max_hop * max(t_max, 1) + 8
+    return 2 * channel.max_hop * max(t_max, 1) + 8
 
 
 def exact_node_bound(channel: WalkChannel, t_max: int) -> int:
-    """Minimum node count for which the uniform rule is exact at horizon t."""
-    return 4 * channel.max_hop * t_max + 1
+    """Minimum node count for which the uniform rule is exact at horizon t.
+
+    Every term of the moment integrand up to horizon t is a trigonometric
+    polynomial in k of degree <= 2 * max_hop * t (each step map has degree
+    2 * max_hop; see the module docstring), and an n-node uniform rule
+    integrates every frequency |j| < n exactly.
+    """
+    return 2 * channel.max_hop * t_max + 1
 
 
 # --- transfer matrices ------------------------------------------------------
@@ -244,37 +256,41 @@ def _accumulate(
     residue = _grid_residue(grids)
     n_k = len(grids.ks)
     step = _nodes_last(grids.step.real)
-    # G - G^dag' is i times a real map (its real part is zero for consistent
-    # grids and is dropped), so w = i * w_r below.
-    drive = _nodes_last((grids.drift - grids.drift_adj).imag)
+    # The running vectors are stacked as v = (w_r, a) and advanced by one
+    # block map [[L, drive], [0, L]] per step.  G - G^dag' is i times a real
+    # map (its real part is zero for consistent grids and is dropped), so
+    # w = i * w_r below.
+    block = np.zeros((8, 8, n_k))
+    block[:4, :4] = step
+    block[:4, 4:] = _nodes_last((grids.drift - grids.drift_adj).imag)
+    block[4:, 4:] = step
     # Tr{A O} = 2 * (row 0 of A) . (Pauli vector of O).  The drift rows are i
     # times a real row and meet one more factor i (the i of <x>, or that of
-    # w), so their real coefficient is -2 * Im.
-    g_row = _nodes_last(-2.0 * grids.drift[:, 0, :].imag).ravel()
-    gd_row = _nodes_last(-2.0 * grids.drift_adj[:, 0, :].imag).ravel()
-    j_row = _nodes_last(2.0 * grids.dispersion[:, 0, :].real).ravel()
+    # w), so their real coefficient is -2 * Im.  Row 0 of the readout gives
+    # the first-moment sum (from a), row 1 the cross sum (from w_r), row 2 the
+    # dispersion sum (from a).
+    readout = np.zeros((3, 8, n_k))
+    readout[0, 4:] = _nodes_last(-2.0 * grids.drift[:, 0, :].imag)
+    readout[1, :4] = _nodes_last(-2.0 * grids.drift_adj[:, 0, :].imag)
+    readout[2, 4:] = _nodes_last(2.0 * grids.dispersion[:, 0, :].real)
+    readout = readout.reshape(3, 8 * n_k)
 
-    s_first = np.zeros(t_max + 1)
-    s_cross = np.zeros(t_max + 1)
-    s_j = np.zeros(t_max + 1)
-    a = np.repeat(rho_vec[:, None], n_k, axis=1)
+    sums = np.zeros((3, t_max + 1))
+    v = np.zeros((8, n_k))
+    v[4:] = rho_vec[:, None]
     # w_m = sum_{m'<m} [ L^{m-m'-1} (G - G^dag') a_{m'} ]; then the double sum
     # collapses to sum_m Tr{ G^dag' w_m } because for each inner pair the G
     # term and the G^dag' term differ only in which factor carries the
     # derivative, and the remaining imbalance telescopes.
-    w_r = np.zeros((4, n_k))
     for m in range(1, t_max + 1):
-        s_first[m] = g_row @ a.ravel()
-        s_cross[m] = gd_row @ w_r.ravel()
-        s_j[m] = j_row @ a.ravel()
-        w_r = _mv(step, w_r) + _mv(drive, a)
-        a = _mv(step, a)
-    cross = np.cumsum(s_cross)
+        sums[:, m] = readout @ v.ravel()
+        v = np.einsum("ijn,jn->in", block, v)
+    s_first, s_cross, s_j = np.cumsum(sums, axis=1)
     if naive:
         cross_c = np.cumsum(_naive_cross(grids, rho_vec, t_max))
         residue = max(residue, _imag_residue(cross_c / n_k, "naive cross term"))
-        cross = cross_c.real
-    return np.cumsum(s_first), cross, np.cumsum(s_j), residue
+        s_cross = cross_c.real
+    return s_first, s_cross, s_j, residue
 
 
 def _series_sums(
@@ -410,8 +426,9 @@ def moment_series(
 
     The walker starts as a point mass at the origin with the given coin
     state (any form accepted by ``pauli.coin_state``).  ``n_k`` defaults to
-    the smallest grid that integrates the moments exactly (plus headroom);
-    smaller values are allowed but trigger ``QuadratureTooCoarseWarning``.
+    2 * max_hop * t_max + 8 nodes: the exactness bound
+    2 * max_hop * t_max + 1 (``exact_node_bound``) plus headroom.  Smaller
+    values are allowed but trigger ``QuadratureTooCoarseWarning``.
     ``naive`` switches the second moment to the literal double sum.  The
     momentum grid is swept in fixed 512-node chunks summed in order, so the
     result depends only on the arguments.

@@ -228,6 +228,14 @@ def test_unparseable_coin_is_an_argparse_error():
     assert err.value.code == 2
 
 
+def test_walk_rejects_node_count_flag(capsys):
+    # the oracle has no momentum grid, so --nk would be silently ignored
+    with pytest.raises(SystemExit) as err:
+        main(["walk", "--t", "3", "--nk", "-7"])
+    assert err.value.code == 2
+    assert "--nk" in capsys.readouterr().err
+
+
 def test_unknown_channel_is_an_argparse_error():
     with pytest.raises(SystemExit) as err:
         main(["walk", "--channel", "teleporter"])

@@ -14,6 +14,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dqwalk import brokenline
 from dqwalk.channels import (
@@ -63,10 +65,11 @@ def broken_line(p):
 HAD = build_coherent(HADAMARD)
 
 
-def random_hop2_channel(seed=2003, num_kraus=3):
-    """C_n(k) = S(k) V S(k) U_n with S = diag(e^{-ik}, e^{ik}): max_hop 2.
+def random_layered_channel(seed, num_kraus, layers):
+    """C_n(k) = S(k) V_layers ... S(k) V_2 S(k) U_n: max_hop = layers.
 
-    V is a random unitary and the U_n are cut from a random isometry, so
+    S(k) moves the R component by +1 and the L component by -1, the V_i are
+    random unitaries and the U_n are cut from a random isometry, so
     sum_n C_n^dag C_n = sum_n U_n^dag U_n = I holds by construction.
     """
     gen = np.random.default_rng(seed)
@@ -74,21 +77,39 @@ def random_hop2_channel(seed=2003, num_kraus=3):
     def gaussian(rows, cols):
         return gen.normal(size=(rows, cols)) + 1j * gen.normal(size=(rows, cols))
 
-    v, _ = np.linalg.qr(gaussian(2, 2))
+    shift = {1: np.diag([1.0, 0.0]), -1: np.diag([0.0, 1.0])}
+
+    def times(a, b):
+        # product of Laurent polynomials in e^{ik}: {hop: 2x2 coefficient}
+        out = {}
+        for la, ma in a.items():
+            for lb, mb in b.items():
+                out[la + lb] = out.get(la + lb, 0) + ma @ mb
+        return out
+
+    unitaries = [np.linalg.qr(gaussian(2, 2))[0] for _ in range(layers - 1)]
     iso, _ = np.linalg.qr(gaussian(2 * num_kraus, 2))
-    # hop of the (output i, middle j) entry of S V S
-    hops = {(0, 0): 2, (0, 1): 0, (1, 0): 0, (1, 1): -2}
+    walk = shift
+    for v in unitaries:
+        walk = times(times(walk, {0: v}), shift)
     terms = []
     for n in range(num_kraus):
-        u_n = iso[2 * n:2 * n + 2]
-        for (i, j), hop in hops.items():
-            for j_in in range(2):
-                amp = complex(v[i, j] * u_n[j, j_in])
-                terms.append(KrausTerm(n, hop, "RL"[i], "RL"[j_in], amp))
-    channel = WalkChannel("random-hop2", tuple(terms))
+        for hop, mat in sorted(times(walk, {0: iso[2 * n:2 * n + 2]}).items()):
+            for i in range(2):
+                for j_in in range(2):
+                    if mat[i, j_in] != 0:
+                        terms.append(
+                            KrausTerm(n, hop, "RL"[i], "RL"[j_in], complex(mat[i, j_in]))
+                        )
+    channel = WalkChannel(f"random-layers{layers}", tuple(terms))
     validate_completeness(channel)
-    assert channel.max_hop == 2
+    assert channel.max_hop == layers
     return channel
+
+
+def random_hop2_channel(seed=2003, num_kraus=3):
+    """The seeded max_hop-2 channel C_n(k) = S(k) V S(k) U_n."""
+    return random_layered_channel(seed, num_kraus, layers=2)
 
 
 P_GRID = (0.0, 0.3, 0.7, 1.0)
@@ -227,6 +248,26 @@ def oracle_moments(channel, coin, t):
     return moment_direct(state, 1), moment_direct(state, 2)
 
 
+def oracle_prefix(channel, coin, t_max):
+    """<x>_m and <x^2>_m for m = 0..t_max from the density-matrix oracle."""
+    state = init_state(coin)
+    first, second = [0.0], [0.0]
+    for _ in range(t_max):
+        state = evolve(state, channel, 1)
+        first.append(moment_direct(state, 1))
+        second.append(moment_direct(state, 2))
+    return np.array(first), np.array(second)
+
+
+def deviation_at_nodes(channel, coin, t, n_k, oracle):
+    series = moment_series(channel, coin, t, n_k=n_k)
+    first, second = oracle
+    # one np.max over both columns, so a NaN anywhere propagates
+    return np.max(np.abs(np.concatenate(
+        [series.first - first[:t + 1], series.second - second[:t + 1]]
+    )))
+
+
 def test_moments_start_at_zero():
     series = moment_series(broken_line(0.5), "R", 0)
     assert series.first[0] == 0.0 and series.second[0] == 0.0
@@ -253,12 +294,8 @@ def test_coherent_first_step_matches_oracle():
 )
 def test_engine_matches_oracle(channel, coin):
     t = 12
-    series = moment_series(channel, coin, t)
-    state = init_state(coin)
-    for m in range(1, t + 1):
-        state = evolve(state, channel, 1)
-        assert abs(series.first[m] - moment_direct(state, 1)) <= 1e-9
-        assert abs(series.second[m] - moment_direct(state, 2)) <= 1e-9
+    oracle = oracle_prefix(channel, coin, t)
+    assert deviation_at_nodes(channel, coin, t, None, oracle) <= 1e-9
 
 
 def test_naive_double_sum_agrees_with_recursion():
@@ -401,6 +438,52 @@ def test_coarse_grid_warns():
     ch = broken_line(0.3)
     with pytest.warns(QuadratureTooCoarseWarning):
         moment_series(ch, "R", 10, n_k=exact_node_bound(ch, 10) - 2)
+
+
+GENERIC_COIN = np.array([0.5, 0.1, 0.2, -0.3])
+
+
+@pytest.mark.parametrize(
+    "channel",
+    [broken_line(0.3), broken_line(1.0), dephasing_channel(0.4), HAD,
+     random_hop2_channel()],
+    ids=["bl03", "bl1", "dephasing04", "coherent", "hop2"],
+)
+def test_exact_node_bound_is_exact(channel):
+    # the degree argument: 2 * max_hop * t + 1 nodes integrate every moment
+    # up to horizon t without error, on each horizon's own grid
+    oracle = oracle_prefix(channel, GENERIC_COIN, 10)
+    for t in range(1, 11):
+        n_k = exact_node_bound(channel, t)
+        assert deviation_at_nodes(channel, GENERIC_COIN, t, n_k, oracle) <= 1e-9
+
+
+def test_grid_below_exact_node_bound_aliases():
+    # the bound is tight enough to matter: two nodes fewer and the top
+    # frequencies of the broken-line integrand alias onto the mean
+    ch = broken_line(0.3)
+    t = 7
+    n_k = exact_node_bound(ch, t) - 2
+    assert n_k == 13
+    with pytest.warns(QuadratureTooCoarseWarning):
+        dev = deviation_at_nodes(ch, GENERIC_COIN, t, n_k,
+                                 oracle_prefix(ch, GENERIC_COIN, t))
+    assert dev > 1e-6
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_kraus=st.integers(1, 3),
+    layers=st.integers(1, 2),
+    coin=st.sampled_from(["R", "L", "symmetric", "mixed"]),
+    t=st.integers(1, 6),
+)
+def test_engine_matches_oracle_on_random_channels(seed, num_kraus, layers, coin, t):
+    channel = random_layered_channel(seed, num_kraus, layers)
+    n_k = exact_node_bound(channel, t)
+    oracle = oracle_prefix(channel, coin, t)
+    assert deviation_at_nodes(channel, coin, t, n_k, oracle) <= 1e-9
 
 
 @pytest.mark.parametrize(
