@@ -65,18 +65,12 @@ from .moments import (
     asymptotic_first_moment,
     default_node_count,
     diffusion_from_slope,
-    dispersion_matrix,
-    drift_matrix,
-    drift_matrix_adjoint,
-    first_moment,
     j_term,
     moment_series,
     moment_series_from_grids,
     momentum_grid,
-    second_moment,
     second_moment_coin_specialized,
     transfer_grids,
-    transfer_matrix,
 )
 from .pauli import COIN_PRESETS, PAULI, coin_state, from_pauli, to_pauli
 from .simulator import (

@@ -55,6 +55,7 @@ from .pauli import COIN_PRESETS
 from .simulator import init_state, moment_direct, position_distribution, step
 
 _BUILTIN_CHANNELS = ("coherent", "broken-line", "coin-dephasing")
+_MAX_SWEEP_ROWS = 10**6
 
 
 @dataclass(frozen=True)
@@ -215,9 +216,16 @@ def cmd_diffusion(config: RunConfig) -> int:
         with _out_stream(config.out) as fh:
             fh.write(f"{value:.17g}\n")
         return 0
-    if not (config.p_step > 0 and config.p_max >= config.p_min):  # NaN fails
-        raise ValueError("need p_step > 0 and p_max >= p_min")
-    count = int(round((config.p_max - config.p_min) / config.p_step)) + 1
+    bounds = (config.p_min, config.p_max, config.p_step)
+    if not (all(map(math.isfinite, bounds))
+            and config.p_step > 0 and config.p_max >= config.p_min):
+        raise ValueError("need p_step > 0 and p_max >= p_min, all finite")
+    intervals = (config.p_max - config.p_min) / config.p_step  # may overflow to inf
+    if not intervals <= _MAX_SWEEP_ROWS - 1:
+        raise ValueError(
+            f"sweep would have more than {_MAX_SWEEP_ROWS} rows; raise --p-step"
+        )
+    count = int(round(intervals)) + 1
     ps = [config.p_min + i * config.p_step for i in range(count)]
     ps = [p for p in ps if p <= config.p_max + 1e-12]
     results = []

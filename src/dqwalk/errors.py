@@ -63,7 +63,8 @@ class NotContractingError(DQWalkError, ValueError):
 
 
 class BallisticRegimeError(DQWalkError, ValueError):
-    """The diffusion constant diverges (coherent limit p -> 0)."""
+    """Ballistic spreading: the diffusion constant diverges (coherent limit
+    p -> 0) or the walker drifts at a nonzero stationary velocity."""
 
 
 class SingularDenominatorError(DQWalkError, ArithmeticError):

@@ -36,7 +36,10 @@ C_n(k) (x) conj(C_n(k)) carry only the frequencies l - l' with
 (d/dk turns e^{ilk} into i*l*e^{ilk}), so every term of the integrand at
 horizon t, a product of at most t such maps, has degree <= 2 * max_hop * t.
 A uniform n-node rule integrates e^{ijk} exactly for every |j| < n, so
-n_k = 2 * max_hop * t + 1 nodes suffice (``exact_node_bound``).
+n_k = 2 * max_hop * t + 1 nodes suffice (``exact_node_bound``).  The same
+frequencies build the grids: ``transfer_grids`` folds the channel's terms
+into one Fourier coefficient per frequency l - l' and map, and evaluates
+them with a single matrix product per grid.
 """
 
 from __future__ import annotations
@@ -47,14 +50,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (
-    WalkChannel,
-    coin_matrix_at_k,
-    coin_matrix_derivative_at_k,
-    is_coin_channel,
-)
+from .channels import COIN_INDEX, WalkChannel, is_coin_channel
 from .errors import (
-    DomainError,
+    BallisticRegimeError,
     NonRealMomentError,
     NotACoinChannelError,
     NotContractingError,
@@ -97,47 +95,6 @@ def exact_node_bound(channel: WalkChannel, t_max: int) -> int:
 
 # --- transfer matrices ------------------------------------------------------
 
-def _coin_stacks(channel: WalkChannel, k) -> tuple[np.ndarray, np.ndarray]:
-    """Stack C_n(k) and dC_n/dk over the Kraus index: shapes (m, ..., 2, 2)."""
-    cs = np.stack([coin_matrix_at_k(channel, n, k) for n in channel.kraus_indices])
-    ds = np.stack(
-        [coin_matrix_derivative_at_k(channel, n, k) for n in channel.kraus_indices]
-    )
-    return cs, ds
-
-
-def transfer_matrix(channel: WalkChannel, k) -> np.ndarray:
-    """One-step map at momentum k: O -> sum_n C_n O C_n^dag (Pauli basis).
-
-    Trace preservation makes its top row (1, 0, 0, 0).
-    """
-    cs, _ = _coin_stacks(channel, k)
-    return sandwich_superop(cs, cs)
-
-
-def drift_matrix(channel: WalkChannel, k) -> np.ndarray:
-    """Momentum derivative on the left factor: O -> sum_n C_n' O C_n^dag."""
-    cs, ds = _coin_stacks(channel, k)
-    return sandwich_superop(ds, cs)
-
-
-def drift_matrix_adjoint(channel: WalkChannel, k) -> np.ndarray:
-    """The map O -> sum_n C_n O C_n'^dag.
-
-    Its Pauli matrix is the entrywise conjugate of ``drift_matrix``: in this
-    basis (sum_n C_n' sigma_i C_n^dag)^dag = conj of the same expansion,
-    because the sigma_i are Hermitian.
-    """
-    cs, ds = _coin_stacks(channel, k)
-    return sandwich_superop(cs, ds)
-
-
-def dispersion_matrix(channel: WalkChannel, k) -> np.ndarray:
-    """Both factors differentiated: O -> sum_n C_n' O C_n'^dag."""
-    _, ds = _coin_stacks(channel, k)
-    return sandwich_superop(ds, ds)
-
-
 @dataclass(frozen=True)
 class TransferGrids:
     """The four superoperator grids evaluated on a momentum grid.
@@ -152,12 +109,49 @@ class TransferGrids:
     dispersion: np.ndarray
 
 
-def transfer_grids(channel: WalkChannel, ks: np.ndarray) -> TransferGrids:
-    """Evaluate step/drift/dispersion maps on a whole momentum grid at once."""
-    cs, ds = _coin_stacks(channel, ks)
-    step = sandwich_superop(cs, cs)
-    drift = sandwich_superop(ds, cs)
-    dispersion = sandwich_superop(ds, ds)
+def _fourier_coefficients(channel: WalkChannel) -> tuple[np.ndarray, np.ndarray]:
+    """Frequencies d and Fourier coefficients of the step, drift and dispersion maps.
+
+    With C_n(k) = sum_l M_{n,l} e^{-ilk} and S_{l,l'} the Pauli matrix of
+    O -> sum_n M_{n,l} O M_{n,l'}^dag, each map is sum_{l,l'} w S_{l,l'}
+    e^{-i(l-l')k} with weight w = 1 (step), -i*l (drift: C_n' on the left)
+    or l*l' (dispersion: C_n' on both sides).  Returns the distinct
+    frequencies d = l - l' (at most 4 * max_hop + 1) and the (48, n_d) array
+    whose column d stacks the three 4x4 coefficients of e^{-idk}.
+    """
+    kraus = {n: i for i, n in enumerate(channel.kraus_indices)}
+    hops = sorted({t.l for t in channel.terms})
+    mats = np.zeros((len(kraus), len(hops), 2, 2), dtype=complex)
+    for t in channel.terms:
+        mats[kraus[t.n], hops.index(t.l), COIN_INDEX[t.i], COIN_INDEX[t.j]] += t.amp
+    shape = (len(kraus), len(hops), len(hops), 2, 2)
+    pairs = sandwich_superop(
+        np.broadcast_to(mats[:, :, None], shape), np.broadcast_to(mats[:, None], shape)
+    ).reshape(-1, 16)
+    left, right = (a.ravel() for a in np.meshgrid(hops, hops, indexing="ij"))
+    weights = np.stack([np.ones(len(left)), -1j * left, left * right])
+    freqs, slot = np.unique(left - right, return_inverse=True)
+    # weights (3, P) spread over the frequency columns, then summed over pairs P
+    fold = weights[:, :, None] * (slot[:, None] == np.arange(len(freqs)))
+    return freqs, np.einsum("wpd,px->wxd", fold, pairs).reshape(48, -1)
+
+
+def transfer_grids(
+    channel: WalkChannel,
+    ks: np.ndarray,
+    coefficients: tuple[np.ndarray, np.ndarray] | None = None,
+) -> TransferGrids:
+    """Evaluate step/drift/dispersion maps on a whole momentum grid at once.
+
+    One (48, n_d) @ (n_d, n_k) product of the channel's Fourier coefficients
+    with e^{-idk}.  ``coefficients`` (from ``_fourier_coefficients(channel)``)
+    lets a caller evaluating several chunks of one grid build them once.
+    """
+    if coefficients is None:
+        coefficients = _fourier_coefficients(channel)
+    freqs, coef = coefficients
+    grid = (coef @ np.exp(-1j * np.multiply.outer(freqs, ks))).reshape(3, 4, 4, -1)
+    step, drift, dispersion = np.moveaxis(grid, -1, 1)
     return TransferGrids(
         ks=ks,
         step=step,
@@ -302,10 +296,11 @@ def _series_sums(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Sweep the full momentum grid chunk by chunk, summing in order."""
     ks = momentum_grid(n_k)
+    coefficients = _fourier_coefficients(channel)
     first = cross = jsum = 0.0
     residue = 0.0
     for i in range(0, n_k, _CHUNK):
-        grids = transfer_grids(channel, ks[i:i + _CHUNK])
+        grids = transfer_grids(channel, ks[i:i + _CHUNK], coefficients)
         part_first, part_cross, part_j, part_res = _accumulate(
             grids, rho_vec, t_max, naive
         )
@@ -463,16 +458,6 @@ def moment_series_from_grids(
     return _finalize(first, cross, jsum, len(grids.ks), label, rho_vec, residue)
 
 
-def first_moment(channel: WalkChannel, coin, t: int, **kwargs) -> float:
-    """<x>_t; see ``moment_series`` for keyword arguments."""
-    return float(moment_series(channel, coin, t, **kwargs).first[t])
-
-
-def second_moment(channel: WalkChannel, coin, t: int, **kwargs) -> float:
-    """<x^2>_t; see ``moment_series`` for keyword arguments."""
-    return float(moment_series(channel, coin, t, **kwargs).second[t])
-
-
 def j_term(
     channel: WalkChannel,
     coin,
@@ -551,17 +536,21 @@ def asymptotic_first_moment(channel: WalkChannel, coin, n_k: int = 512) -> float
         lim_t <x>_t = i * Int dk/2pi  2 gamma(k) . (I - M_k)^{-1} (r_init - r*(k))
 
     provided the k-average of the stationary drift vanishes (it must, or no
-    limit exists and a DomainError is raised).
+    limit exists).  Everything runs in real arithmetic: M_k and c_k are real,
+    and the drift top row gamma is i times a real row (module docstring).
 
     Raises:
         NotContractingError: if some momentum block has spectral radius
             within 1e-9 of 1 (e.g. the fully coherent walk).
+        BallisticRegimeError: if the stationary drift is nonzero, so the
+            first moment grows linearly.
     """
     rho_vec = coin_state(coin)
     ks = momentum_grid(n_k)
     grids = transfer_grids(channel, ks)
     _grid_residue(grids)
-    block = grids.step[:, 1:, 1:]
+    step = grids.step.real
+    block = step[:, 1:, 1:]
     radius = np.abs(np.linalg.eigvals(block)).max(axis=1)
     worst = int(np.argmax(radius))
     if radius[worst] >= 1.0 - 1e-9:
@@ -572,23 +561,21 @@ def asymptotic_first_moment(channel: WalkChannel, coin, n_k: int = 512) -> float
             spectral_radius=float(radius[worst]),
         )
     r0 = rho_vec[0]
-    r_init = np.asarray(rho_vec, dtype=complex)[1:]
-    inhom = grids.step[:, 1:, 0] * r0
-    eye3 = np.eye(3, dtype=complex)
-    r_star = np.linalg.solve(eye3 - block, inhom[..., None])[..., 0]
-    gamma0 = grids.drift[:, 0, 0]
-    gamma = grids.drift[:, 0, 1:]
-    stationary = 2.0 * (gamma0 * r0 + np.einsum("ni,ni->n", gamma, r_star))
-    drift = 1j * stationary.mean()
+    relax = np.eye(3) - block
+    r_star = np.linalg.solve(relax, step[:, 1:, 0:1] * r0)[..., 0]
+    # i * 2 * (i g) . r = -2 g . r with g = Im of the drift top row
+    gamma = grids.drift[:, 0, :].imag
+    stationary = gamma[:, 0] * r0 + np.einsum("ni,ni->n", gamma[:, 1:], r_star)
+    drift = -2.0 * float(stationary.mean())
     if not abs(drift) <= _IMAG_TOL:
-        raise DomainError(
-            f"channel has nonzero stationary drift {drift!r}; "
+        raise BallisticRegimeError(
+            f"channel has nonzero stationary drift {drift:.6g}; "
             "the first moment grows linearly and has no limit"
         )
-    transient = np.linalg.solve(eye3 - block, (r_init - r_star)[..., None])[..., 0]
-    val = 1j * (2.0 * np.einsum("ni,ni->n", gamma, transient)).mean()
+    transient = np.linalg.solve(relax, (rho_vec[1:] - r_star)[..., None])[..., 0]
+    val = -2.0 * np.einsum("ni,ni->n", gamma[:, 1:], transient).mean()
     _imag_residue(val, "asymptotic first moment")
-    return float(val.real)
+    return float(val)
 
 
 def diffusion_from_slope(

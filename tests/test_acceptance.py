@@ -23,12 +23,10 @@ from dqwalk.channels import (
 from dqwalk.errors import PhaseConstraintError
 from dqwalk.moments import (
     default_node_count,
-    dispersion_matrix,
-    drift_matrix,
     j_term,
     moment_series,
     second_moment_coin_specialized,
-    transfer_matrix,
+    transfer_grids,
 )
 from dqwalk.simulator import evolve, init_state, moment_direct
 
@@ -173,18 +171,18 @@ def test_criterion_7_structural_matrices():
     for p in (0.1, 0.3, 0.5, 0.7, 0.9):
         channel = broken_line(p)
         for k in np.linspace(-np.pi, np.pi, 9):
+            grids = transfer_grids(channel, np.array([k]))
             worst = max(worst, float(np.max(np.abs(
-                transfer_matrix(channel, k)
-                - brokenline.transfer_matrix_closed_form(p, k)))))
+                grids.step[0] - brokenline.transfer_matrix_closed_form(p, k)))))
             worst = max(worst, float(np.max(np.abs(
-                dispersion_matrix(channel, k)
+                grids.dispersion[0]
                 - brokenline.dispersion_matrix_closed_form(p, k)))))
     for p in (0.3, 0.7):
         channel = broken_line(p)
         for k in (0.0, 1.0, 2.0):
+            grids = transfer_grids(channel, np.array([k]))
             worst = max(worst, float(np.max(np.abs(
-                drift_matrix(channel, k)
-                - brokenline.drift_matrix_closed_form(p, k)))))
+                grids.drift[0] - brokenline.drift_matrix_closed_form(p, k)))))
 
     good_phase = True
     try:

@@ -1,6 +1,7 @@
 """End-to-end CLI tests; every invocation goes through ``cli.main`` in-process."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,6 +157,20 @@ def test_moments_asymptotic_coherent_exits_3(capsys):
     assert "spectral radius" in capsys.readouterr().err
 
 
+def test_moments_asymptotic_drifting_channel_exits_3(tmp_path, capsys):
+    # every step moves the walker one site right: ballistic, not a stationary limit
+    chan = tmp_path / "right.json"
+    chan.write_text(json.dumps({"label": "always-right", "terms": [
+        {"n": 0, "l": 1, "i": "R", "j": "R", "re": 1.0, "im": 0.0},
+        {"n": 1, "l": 1, "i": "R", "j": "L", "re": 1.0, "im": 0.0},
+    ]}))
+    code = main(["moments", "--channel-file", str(chan), "--asymptotic"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "nonzero stationary drift 1;" in err
+    assert "complex" not in err
+
+
 def test_moments_invalid_coin_exits_2(capsys):
     # parses as four reals but lies outside the Bloch ball
     code = main(["moments", "--channel", "coherent", "--coin", "0.5,0.9,0,0",
@@ -284,9 +299,29 @@ def test_diffusion_with_slope_column(tmp_path):
 def test_diffusion_bad_grid_exits_2(capsys):
     assert main(["diffusion", "--p-min", "0.8", "--p-max", "0.2"]) == 2
     assert "error" in capsys.readouterr().err
-    for flag in ("--p-min", "--p-max", "--p-step"):
-        assert main(["diffusion", flag, "nan"]) == 2
-        assert "need p_step > 0" in capsys.readouterr().err
+    for flags in (["--p-min", "nan"], ["--p-max", "nan"], ["--p-step", "nan"],
+                  ["--p-max", "inf"], ["--p-step", "inf"], ["--p-min=-inf"]):
+        assert main(["diffusion", *flags]) == 2
+        captured = capsys.readouterr()
+        assert "need p_step > 0" in captured.err and captured.out == "", flags
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--p-step", "1e-300"], ["--p-min", "0", "--p-max", "1", "--p-step", "1e-6"],
+     ["--p-min=-1e308", "--p-max", "1e308"]],
+    ids=["tiny-step", "one-row-too-many", "span-overflows"],
+)
+def test_diffusion_rejects_oversized_sweep_before_building_it(flags, capsys):
+    tracemalloc.start()
+    try:
+        code = main(["diffusion", *flags])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "more than 1000000 rows" in capsys.readouterr().err
+    assert peak < 1_000_000  # bytes: the rejected grid was never allocated
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Momentum-space moment engine tests.
 
-Covers the affine superoperator builders (transfer, drift, dispersion),
+Covers the affine superoperator grids (transfer, drift, dispersion),
 the finite-time moment recursions and their naive double-sum twin, the
 coin-noise specialization, the asymptotic first moment, and quadrature
 exactness.  Structural matrices are pinned against the independently coded
-closed forms in ``dqwalk.brokenline``; moments are pinned against the
-direct simulator.
+closed forms in ``dqwalk.brokenline`` and against the node-by-node route
+kept here as ``reference_grids``; moments are pinned against the direct
+simulator.
 """
 
 import dataclasses
@@ -27,34 +28,31 @@ from dqwalk.channels import (
     build_coherent,
     build_coin_channel,
     coin_matrix_at_k,
+    coin_matrix_derivative_at_k,
     dephasing_channel,
     validate_completeness,
 )
 from dqwalk.errors import (
+    BallisticRegimeError,
     NonRealMomentError,
     NotACoinChannelError,
     NotContractingError,
     QuadratureTooCoarseWarning,
 )
 from dqwalk.moments import (
+    TransferGrids,
     asymptotic_first_moment,
     default_node_count,
     diffusion_from_slope,
-    dispersion_matrix,
-    drift_matrix,
-    drift_matrix_adjoint,
     exact_node_bound,
-    first_moment,
     j_term,
     moment_series,
     moment_series_from_grids,
     momentum_grid,
-    second_moment,
     second_moment_coin_specialized,
     transfer_grids,
-    transfer_matrix,
 )
-from dqwalk.pauli import sandwich_superop
+from dqwalk.pauli import coin_state, sandwich_superop
 from dqwalk.simulator import evolve, init_state, moment_direct
 
 
@@ -63,6 +61,54 @@ def broken_line(p):
 
 
 HAD = build_coherent(HADAMARD)
+
+# hop 0: the coin is measured in the walk basis and the walker never moves
+MEASURE = WalkChannel(
+    label="coin-measurement",
+    terms=(KrausTerm(0, 0, "R", "R", 1.0), KrausTerm(1, 0, "L", "L", 1.0)),
+)
+
+
+def at_k(channel, k):
+    """The four transfer grids at the single momentum k."""
+    return transfer_grids(channel, np.array([k]))
+
+
+def reference_grids(channel, ks):
+    """Test-only reference: the grids built node by node from C_n(k).
+
+    Stacks C_n(k) and C_n'(k) per Kraus operator and contracts each map with
+    ``sandwich_superop``; ``transfer_grids`` must agree with it.
+    """
+    cs = np.stack([coin_matrix_at_k(channel, n, ks) for n in channel.kraus_indices])
+    ds = np.stack(
+        [coin_matrix_derivative_at_k(channel, n, ks) for n in channel.kraus_indices]
+    )
+    return TransferGrids(
+        ks=ks,
+        step=sandwich_superop(cs, cs),
+        drift=sandwich_superop(ds, cs),
+        drift_adj=sandwich_superop(cs, ds),
+        dispersion=sandwich_superop(ds, ds),
+    )
+
+
+def reference_asymptotic(channel, coin, n_k=512):
+    """Test-only reference: the limit of <x>_t in complex arithmetic.
+
+    Complex eigenvalues and solves on the node-by-node grids; the checks of
+    ``asymptotic_first_moment`` are left out.
+    """
+    rho_vec = coin_state(coin)
+    grids = reference_grids(channel, momentum_grid(n_k))
+    block = grids.step[:, 1:, 1:]
+    r0 = rho_vec[0]
+    r_init = np.asarray(rho_vec, dtype=complex)[1:]
+    eye3 = np.eye(3, dtype=complex)
+    r_star = np.linalg.solve(eye3 - block, (grids.step[:, 1:, 0] * r0)[..., None])[..., 0]
+    transient = np.linalg.solve(eye3 - block, (r_init - r_star)[..., None])[..., 0]
+    gamma = grids.drift[:, 0, 1:]
+    return 1j * (2.0 * np.einsum("ni,ni->n", gamma, transient)).mean()
 
 
 def random_layered_channel(seed, num_kraus, layers):
@@ -124,21 +170,21 @@ K_GRID = (0.0, 0.5, 1.0, 2.0, -2.5, np.pi)
 @pytest.mark.parametrize("p", P_GRID)
 @pytest.mark.parametrize("k", K_GRID)
 def test_transfer_matrix_matches_closed_form(p, k):
-    got = transfer_matrix(broken_line(p), k)
+    got = at_k(broken_line(p), k).step[0]
     assert np.max(np.abs(got - brokenline.transfer_matrix_closed_form(p, k))) <= 1e-12
 
 
 @pytest.mark.parametrize("p", (0.3, 0.7))
 @pytest.mark.parametrize("k", (0.0, 1.0, 2.0))
 def test_drift_matrix_matches_closed_form(p, k):
-    got = drift_matrix(broken_line(p), k)
+    got = at_k(broken_line(p), k).drift[0]
     assert np.max(np.abs(got - brokenline.drift_matrix_closed_form(p, k))) <= 1e-12
 
 
 @pytest.mark.parametrize("p", P_GRID)
 @pytest.mark.parametrize("k", K_GRID)
 def test_dispersion_matrix_matches_closed_form(p, k):
-    got = dispersion_matrix(broken_line(p), k)
+    got = at_k(broken_line(p), k).dispersion[0]
     assert np.max(np.abs(got - brokenline.dispersion_matrix_closed_form(p, k))) <= 1e-12
     assert got[0, 0] == pytest.approx(1 - p)  # printed top-left entry
 
@@ -154,7 +200,7 @@ def test_transfer_matrix_coherent_limit_at_k0():
         ],
         dtype=complex,
     )
-    assert np.allclose(transfer_matrix(broken_line(0.0), 0.0), want, atol=1e-14)
+    assert np.allclose(at_k(broken_line(0.0), 0.0).step[0], want, atol=1e-14)
 
 
 @pytest.mark.parametrize(
@@ -164,7 +210,7 @@ def test_transfer_matrix_coherent_limit_at_k0():
 )
 def test_transfer_matrix_is_trace_preserving(channel):
     for k in K_GRID:
-        mat = transfer_matrix(channel, k)
+        mat = at_k(channel, k).step[0]
         assert np.allclose(mat[0], [1, 0, 0, 0], atol=1e-13)
 
 
@@ -172,7 +218,7 @@ def test_trace_preserved_under_iteration():
     ch = broken_line(0.3)
     for k in (0.0, 0.9, -1.7):
         vec = np.array([0.5, 0.1, -0.2, 0.3], dtype=complex)
-        step = transfer_matrix(ch, k)
+        step = at_k(ch, k).step[0]
         for _ in range(50):
             vec = step @ vec
             assert abs(2 * vec[0] - 1.0) <= 1e-12
@@ -180,7 +226,7 @@ def test_trace_preserved_under_iteration():
 
 def test_coherent_transfer_has_unit_modulus_spectrum():
     for k in K_GRID:
-        eig = np.linalg.eigvals(transfer_matrix(HAD, k))
+        eig = np.linalg.eigvals(at_k(HAD, k).step[0])
         assert np.allclose(np.abs(eig), 1.0, atol=1e-12)
 
 
@@ -193,7 +239,9 @@ def test_noisy_transfer_contracts_bloch_block():
 def test_drift_adjoint_is_conjugate():
     ch = broken_line(0.45)
     for k in K_GRID:
-        assert np.allclose(drift_matrix_adjoint(ch, k), drift_matrix(ch, k).conj())
+        # the literal map O -> sum_n C_n O C_n'^dag, not the stored conjugate
+        adjoint = reference_grids(ch, np.array([k])).drift_adj[0]
+        assert np.allclose(adjoint, at_k(ch, k).drift[0].conj())
 
 
 def test_drift_matches_mixed_momentum_finite_difference():
@@ -208,7 +256,7 @@ def test_drift_matches_mixed_momentum_finite_difference():
     for ch in (HAD, broken_line(0.35), dephasing_channel(0.25)):
         for k in (0.0, 1.1):
             fd = (mixed(ch, k + h, k) - mixed(ch, k - h, k)) / (2 * h)
-            assert np.max(np.abs(fd - drift_matrix(ch, k))) < 1e-7
+            assert np.max(np.abs(fd - at_k(ch, k).drift[0])) < 1e-7
 
 
 def test_coin_channel_drift_is_minus_iz_after_transfer():
@@ -226,16 +274,33 @@ def test_coin_channel_drift_is_minus_iz_after_transfer():
     )
     for ch in (HAD, dephasing_channel(0.7)):
         for k in (0.0, 0.8, -1.9):
-            assert np.allclose(drift_matrix(ch, k), z_left @ transfer_matrix(ch, k), atol=1e-13)
+            grids = at_k(ch, k)
+            assert np.allclose(grids.drift[0], z_left @ grids.step[0], atol=1e-13)
 
 
 def test_coin_channel_dispersion_is_z_sandwich_of_transfer():
     z_conj = np.diag([1.0, -1.0, -1.0, 1.0])
     for ch in (HAD, dephasing_channel(0.3)):
         for k in (0.0, 2.2):
-            assert np.allclose(
-                dispersion_matrix(ch, k), z_conj @ transfer_matrix(ch, k), atol=1e-13
-            )
+            grids = at_k(ch, k)
+            assert np.allclose(grids.dispersion[0], z_conj @ grids.step[0], atol=1e-13)
+
+
+@pytest.mark.parametrize("n_k", [1, 7, 512, 1200])
+@pytest.mark.parametrize(
+    "channel",
+    [HAD, dephasing_channel(0.4), broken_line(0.3), broken_line(1.0),
+     build_broken_line(BrokenLineParams(p=0.3, theta1=0.7, theta4=-1.2)),
+     random_layered_channel(2003, 3, layers=2), MEASURE],
+    ids=["coherent", "dephasing04", "bl03", "bl1", "bl03-phases", "hop2", "measure"],
+)
+def test_transfer_grids_match_per_node_reference(channel, n_k):
+    ks = momentum_grid(n_k)
+    got, want = transfer_grids(channel, ks), reference_grids(channel, ks)
+    for name in ("step", "drift", "drift_adj", "dispersion"):
+        np.testing.assert_allclose(
+            getattr(got, name), getattr(want, name), rtol=0.0, atol=1e-14, err_msg=name
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +340,9 @@ def test_moments_start_at_zero():
 
 def test_coherent_first_step_matches_oracle():
     m1, m2 = oracle_moments(HAD, "R", 1)
-    assert first_moment(HAD, "R", 1) == pytest.approx(m1, abs=1e-12)
-    assert second_moment(HAD, "R", 1) == pytest.approx(m2, abs=1e-12)
+    series = moment_series(HAD, "R", 1)
+    assert series.first[1] == pytest.approx(m1, abs=1e-12)
+    assert series.second[1] == pytest.approx(m2, abs=1e-12)
     assert m2 == pytest.approx(1.0)
 
 
@@ -348,7 +414,7 @@ def test_specialized_second_moment_matches_generic():
     for q in (0.0, 0.2, 0.5, 1.0):
         ch = dephasing_channel(q)
         for t in (1, 5, 13, 20):
-            generic = second_moment(ch, "R", t)
+            generic = moment_series(ch, "R", t).second[t]
             special = second_moment_coin_specialized(ch, "R", t)
             assert abs(generic - special) <= 1e-10, (q, t)
 
@@ -369,8 +435,9 @@ def test_phase_flip_coin_noise_cross_checked():
     sigma_z = np.diag([1.0, -1.0])
     ch = build_coin_channel(HADAMARD, [(0.45, np.eye(2)), (0.55, sigma_z)], label="phase-flip")
     m1, m2 = oracle_moments(ch, "symmetric", 15)
-    assert first_moment(ch, "symmetric", 15) == pytest.approx(m1, abs=1e-9)
-    assert second_moment(ch, "symmetric", 15) == pytest.approx(m2, abs=1e-9)
+    series = moment_series(ch, "symmetric", 15)
+    assert series.first[15] == pytest.approx(m1, abs=1e-9)
+    assert series.second[15] == pytest.approx(m2, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +448,7 @@ def test_phase_flip_coin_noise_cross_checked():
 def test_asymptotic_first_moment_matches_large_t():
     ch = broken_line(0.5)
     limit = asymptotic_first_moment(ch, "R")
-    assert abs(limit - first_moment(ch, "R", 200)) <= 1e-6
+    assert abs(limit - moment_series(ch, "R", 200).first[200]) <= 1e-6
 
 
 def test_asymptotic_first_moment_symmetric_coin_vanishes():
@@ -392,6 +459,34 @@ def test_asymptotic_rejects_coherent_walk():
     with pytest.raises(NotContractingError) as err:
         asymptotic_first_moment(broken_line(0.0), "R")
     assert err.value.spectral_radius >= 1 - 1e-9
+    assert err.value.k in momentum_grid(512)
+    assert f"k = {err.value.k:.6f}" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "channel",
+    [broken_line(0.1), broken_line(0.3), broken_line(0.8),
+     dephasing_channel(0.2), dephasing_channel(0.6)],
+    ids=["bl01", "bl03", "bl08", "dephasing02", "dephasing06"],
+)
+def test_asymptotic_matches_complex_reference(channel):
+    for coin in ("R", "L", "symmetric", "mixed"):
+        want = reference_asymptotic(channel, coin)
+        assert abs(want.imag) <= 1e-13
+        assert abs(asymptotic_first_moment(channel, coin) - want.real) <= 1e-13, coin
+
+
+# every step moves the walker one site right, whatever the coin
+DRIFTING = WalkChannel(
+    label="always-right",
+    terms=(KrausTerm(0, 1, "R", "R", 1.0), KrausTerm(1, 1, "R", "L", 1.0)),
+)
+
+
+def test_asymptotic_drifting_channel_is_ballistic():
+    validate_completeness(DRIFTING)
+    with pytest.raises(BallisticRegimeError, match=r"nonzero stationary drift 1;"):
+        asymptotic_first_moment(DRIFTING, "R")
 
 
 def test_slope_diffusion_estimate_brackets():

@@ -14,7 +14,6 @@ from dqwalk.channels import (
     COIN_INDEX,
     HADAMARD,
     BrokenLineParams,
-    KrausTerm,
     WalkChannel,
     build_broken_line,
     build_coherent,
@@ -31,7 +30,7 @@ from dqwalk.simulator import (
     step,
     variance_direct,
 )
-from test_moments import random_hop2_channel
+from test_moments import MEASURE, random_hop2_channel
 
 
 def broken_line(p):
@@ -44,12 +43,6 @@ def dist_dict(state):
 
 
 HAD = build_coherent(HADAMARD)
-
-MEASURE = WalkChannel(
-    label="coin-measurement",
-    terms=(KrausTerm(0, 0, "R", "R", 1.0), KrausTerm(1, 0, "L", "L", 1.0)),
-)
-
 
 def reference_step(state, channel):
     """Test-only reference: one step applied literally, term by term.
