@@ -12,7 +12,6 @@ plus closed-form diffusion constants for the broken-line noise model in
 
 from .brokenline import (
     DiffusionResult,
-    contraction_block_closed_form,
     critical_p,
     diffusion_closed_form,
     diffusion_integral,
@@ -20,7 +19,6 @@ from .brokenline import (
     diffusion_slope_estimate,
     dispersion_matrix_closed_form,
     drift_matrix_closed_form,
-    sweep,
     transfer_matrix_closed_form,
     write_sweep_csv,
 )
@@ -34,8 +32,6 @@ from .channels import (
     build_coin_channel,
     channel_from_dict,
     channel_to_dict,
-    coin_matrix_at_k,
-    coin_matrix_derivative_at_k,
     completeness_residual,
     dephasing_channel,
     is_coin_channel,

@@ -19,7 +19,6 @@ test suite plays the two against each other.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +31,6 @@ from .errors import (
     SingularDenominatorError,
 )
 from .moments import diffusion_from_slope, momentum_grid
-
-#: Fixed phase choice used throughout (theta2 = pi, others 0).
-DEFAULT_PARAMS = dict(theta1=0.0, theta2=math.pi, theta3=0.0, theta4=0.0)
-
 
 def _check_p(p: float) -> float:
     p = float(p)
@@ -103,14 +98,9 @@ def dispersion_matrix_closed_form(p: float, k) -> np.ndarray:
     return out
 
 
-def contraction_block_closed_form(p: float, k) -> np.ndarray:
-    """Bloch-part 3x3 block of the transfer matrix (rows/cols 1..3)."""
-    return transfer_matrix_closed_form(p, k)[..., 1:, 1:]
-
-
 def default_channel(p: float):
-    """The broken-line channel with the standard phase choice."""
-    return build_broken_line(BrokenLineParams(p=p, **DEFAULT_PARAMS))
+    """The broken-line channel at the default phases of ``BrokenLineParams``."""
+    return build_broken_line(BrokenLineParams(p=p))
 
 
 # --- diffusion constant -----------------------------------------------------
@@ -269,11 +259,6 @@ def critical_p(tol: float = 1e-10) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def sweep(p_values) -> list[DiffusionResult]:
-    """Closed-form diffusion constants for each p, in the given order."""
-    return [diffusion_closed_form(p) for p in p_values]
 
 
 def write_sweep_csv(results, fh, slopes=None) -> None:

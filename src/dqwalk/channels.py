@@ -13,7 +13,10 @@ collapses to a 2x2 coin matrix
     C_n(k) = sum_{l,i,j} a^(n)_{l,i,j} e^{-i l k} |i><j|,
 
 and trace preservation is equivalent to sum_n C_n(k)^dag C_n(k) = I at every
-momentum.  Builders for the standard models live here:
+momentum.  ``_coin_blocks`` decodes the term list once into the Fourier blocks
+M_{n,l} of C_n(k) = sum_l M_{n,l} e^{-ilk}; the completeness certificate and
+the transfer grids of ``moments`` both read them.  Builders for the standard
+models live here:
 
 * ``build_coherent`` -- noiseless coined walk for any unitary coin,
 * ``build_broken_line`` -- each lattice link next to the walker fails
@@ -45,6 +48,9 @@ COIN_LABELS = ("R", "L")
 COIN_INDEX = {"R": 0, "L": 1}
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+
+# Largest completeness residual a channel may have and still be accepted.
+_COMPLETENESS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -86,9 +92,6 @@ class WalkChannel:
     def max_hop(self) -> int:
         """Largest |l| over all terms; the light cone grows this fast."""
         return max(abs(t.l) for t in self.terms)
-
-    def terms_for(self, n: int) -> tuple[KrausTerm, ...]:
-        return tuple(t for t in self.terms if t.n == n)
 
 
 def _renumbered(groups: Sequence[Sequence[KrausTerm]]) -> tuple[KrausTerm, ...]:
@@ -293,70 +296,52 @@ def is_coin_channel(channel: WalkChannel) -> bool:
     return all(t.l == (+1 if t.i == "R" else -1) for t in channel.terms)
 
 
-def coin_matrix_at_k(channel: WalkChannel, n: int, k) -> np.ndarray:
-    """Momentum-space coin matrix C_n(k); ``k`` may be a scalar or an array.
+def _coin_blocks(channel: WalkChannel) -> tuple[np.ndarray, np.ndarray]:
+    """Hops l and Fourier blocks M_{n,l} of C_n(k) = sum_l M_{n,l} e^{-ilk}.
 
-    Returns an array of shape k.shape + (2, 2).
+    Returns the sorted distinct hops, shape (num_hops,), and the blocks,
+    shape (num_kraus, num_hops, 2, 2), with Kraus operators in
+    ``kraus_indices`` order.
     """
-    if n not in channel.kraus_indices:
-        raise DomainError(f"channel has no Kraus operator {n}")
-    k = np.asarray(k, dtype=float)
-    out = np.zeros(k.shape + (2, 2), dtype=complex)
-    for t in channel.terms_for(n):
-        out[..., COIN_INDEX[t.i], COIN_INDEX[t.j]] += t.amp * np.exp(-1j * t.l * k)
-    return out
+    kraus = {n: i for i, n in enumerate(channel.kraus_indices)}
+    hops = sorted({t.l for t in channel.terms})
+    blocks = np.zeros((len(kraus), len(hops), 2, 2), dtype=complex)
+    for t in channel.terms:
+        blocks[kraus[t.n], hops.index(t.l), COIN_INDEX[t.i], COIN_INDEX[t.j]] += t.amp
+    return np.array(hops), blocks
 
 
-def coin_matrix_derivative_at_k(channel: WalkChannel, n: int, k) -> np.ndarray:
-    """d C_n / d k: each term picks up a factor -i l."""
-    if n not in channel.kraus_indices:
-        raise DomainError(f"channel has no Kraus operator {n}")
-    k = np.asarray(k, dtype=float)
-    out = np.zeros(k.shape + (2, 2), dtype=complex)
-    for t in channel.terms_for(n):
-        out[..., COIN_INDEX[t.i], COIN_INDEX[t.j]] += (
-            -1j * t.l * t.amp * np.exp(-1j * t.l * k)
-        )
-    return out
-
-
-def completeness_residual(
-    channel: WalkChannel, num_k_samples: int | None = None
-) -> tuple[float, float]:
+def completeness_residual(channel: WalkChannel) -> tuple[float, float]:
     """Worst deviation of sum_n C_n(k)^dag C_n(k) from the identity.
 
-    The residual is a trigonometric polynomial of degree 2*max_hop in k, so
-    sampling 4*max_hop + 1 equispaced momenta (the default) certifies it
-    exactly: a degree-d trig polynomial vanishing on 2d+1 equispaced points
-    vanishes identically.
+    The sum is sum_{l,l'} G_{l,l'} e^{i(l-l')k} with Gram coefficients
+    G_{l,l'} = sum_n M_{n,l}^dag M_{n,l'}: a trigonometric polynomial of
+    degree 2*max_hop in k.  Evaluating it on 4*max_hop + 1 equispaced momenta
+    certifies it exactly, since a degree-d trig polynomial vanishing on
+    2d+1 equispaced points vanishes identically.
 
     Returns:
         (worst_k, residual): the momentum of the largest deviation and its
         max-norm.
     """
-    if num_k_samples is None:
-        num_k_samples = 4 * channel.max_hop + 1
-    ks = -math.pi + 2.0 * math.pi * np.arange(num_k_samples) / num_k_samples
-    total = np.zeros(ks.shape + (2, 2), dtype=complex)
-    for n in channel.kraus_indices:
-        c = coin_matrix_at_k(channel, n, ks)
-        total += np.einsum("...ba,...bc->...ac", c.conj(), c)
+    hops, blocks = _coin_blocks(channel)
+    n_k = 4 * channel.max_hop + 1
+    ks = -math.pi + 2.0 * math.pi * np.arange(n_k) / n_k
+    gram = np.einsum("nlba,nmbc->lmac", blocks.conj(), blocks)
+    phases = np.exp(1j * np.multiply.outer(np.subtract.outer(hops, hops), ks))
+    total = np.einsum("lmac,lmk->kac", gram, phases)
     dev = np.max(np.abs(total - np.eye(2)), axis=(-2, -1))
     worst = int(np.argmax(dev))
     return float(ks[worst]), float(dev[worst])
 
 
-def validate_completeness(
-    channel: WalkChannel,
-    tol: float = 1e-10,
-    num_k_samples: int | None = None,
-) -> None:
-    """Raise CompletenessError if the channel is not trace preserving.
+def validate_completeness(channel: WalkChannel) -> None:
+    """Raise CompletenessError unless the channel is trace preserving to 1e-10.
 
     A NaN residual (from a NaN amplitude) fails the check too.
     """
-    worst_k, residual = completeness_residual(channel, num_k_samples)
-    if not residual <= tol:
+    worst_k, residual = completeness_residual(channel)
+    if not residual <= _COMPLETENESS_TOL:
         raise CompletenessError(
             f"channel {channel.label!r} violates Kraus completeness: "
             f"residual {residual:.3g} at k = {worst_k:.6f}",

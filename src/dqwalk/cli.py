@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -56,6 +57,8 @@ from .simulator import init_state, moment_direct, position_distribution, step
 
 _BUILTIN_CHANNELS = ("coherent", "broken-line", "coin-dephasing")
 _MAX_SWEEP_ROWS = 10**6
+# A token that starts like a negative number: a digit, ".digit", inf or nan.
+_NEGATIVE_VALUE = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
 
 @dataclass(frozen=True)
@@ -67,10 +70,10 @@ class RunConfig:
     channel_file: str | None = None
     p: float = 0.5
     q: float = 0.5
-    theta1: float = 0.0
-    theta2: float = math.pi
-    theta3: float = 0.0
-    theta4: float = 0.0
+    theta1: float = BrokenLineParams.theta1
+    theta2: float = BrokenLineParams.theta2
+    theta3: float = BrokenLineParams.theta3
+    theta4: float = BrokenLineParams.theta4
     coin: str | tuple = "R"
     x0: int = 0
     t: int = 20
@@ -193,8 +196,8 @@ def cmd_moments(config: RunConfig) -> int:
     channel = _resolve_channel(config)
     coin = _coin_arg(config)
     if config.asymptotic:
-        n_k = 512 if config.n_k is None else config.n_k
-        value = asymptotic_first_moment(channel, coin, n_k=n_k)
+        nodes = {} if config.n_k is None else {"n_k": config.n_k}
+        value = asymptotic_first_moment(channel, coin, **nodes)
         with _out_stream(config.out) as fh:
             fh.write(f"{value:.17g}\n")
         return 0
@@ -225,6 +228,9 @@ def cmd_diffusion(config: RunConfig) -> int:
         raise ValueError(
             f"sweep would have more than {_MAX_SWEEP_ROWS} rows; raise --p-step"
         )
+    if not (0.0 <= config.p_min and config.p_max <= 1.0):
+        raise DomainError("link-failure probabilities must be in [0, 1], got "
+                          f"--p-min {config.p_min!r} --p-max {config.p_max!r}")
     count = int(round(intervals)) + 1
     ps = [config.p_min + i * config.p_step for i in range(count)]
     ps = [p for p in ps if p <= config.p_max + 1e-12]
@@ -379,9 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--q", type=float, default=0.5,
                        help="coin-dephasing measurement probability")
     for i in (1, 2, 3, 4):
-        group.add_argument(f"--theta{i}", type=float,
-                           default=math.pi if i == 2 else 0.0,
-                           help=argparse.SUPPRESS)
+        group.add_argument(f"--theta{i}", type=float, help=argparse.SUPPRESS)
     channel_parent.add_argument(
         "--coin", type=_parse_coin, default="R",
         help="initial coin: preset name or four comma-separated Pauli coordinates",
@@ -447,9 +451,28 @@ _DISPATCH = {
 }
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--flag -1e-3`` as ``--flag=-1e-3``.
+
+    argparse takes a token after a flag for its value only if it looks like
+    ``-<digits>[.<digits>]``, and reads any other negative number ("-1e-3",
+    "-inf", "-0.5,0,0,0.5") as an unknown option.  No option name starts
+    like a number, so the join cannot capture one.
+    """
+    out: list[str] = []
+    for token in argv:
+        prev = out[-1] if out else ""
+        if prev.startswith("--") and "=" not in prev and _NEGATIVE_VALUE.match(token):
+            out[-1] = f"{prev}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_attach_negative_values(argv))
     config = config_from_args(args)
     try:
         return _DISPATCH[config.subcommand](config)

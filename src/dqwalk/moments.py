@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import COIN_INDEX, WalkChannel, is_coin_channel
+from .channels import WalkChannel, _coin_blocks, is_coin_channel
 from .errors import (
     BallisticRegimeError,
     NonRealMomentError,
@@ -119,12 +119,8 @@ def _fourier_coefficients(channel: WalkChannel) -> tuple[np.ndarray, np.ndarray]
     frequencies d = l - l' (at most 4 * max_hop + 1) and the (48, n_d) array
     whose column d stacks the three 4x4 coefficients of e^{-idk}.
     """
-    kraus = {n: i for i, n in enumerate(channel.kraus_indices)}
-    hops = sorted({t.l for t in channel.terms})
-    mats = np.zeros((len(kraus), len(hops), 2, 2), dtype=complex)
-    for t in channel.terms:
-        mats[kraus[t.n], hops.index(t.l), COIN_INDEX[t.i], COIN_INDEX[t.j]] += t.amp
-    shape = (len(kraus), len(hops), len(hops), 2, 2)
+    hops, mats = _coin_blocks(channel)
+    shape = (mats.shape[0], len(hops), len(hops), 2, 2)
     pairs = sandwich_superop(
         np.broadcast_to(mats[:, :, None], shape), np.broadcast_to(mats[:, None], shape)
     ).reshape(-1, 16)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from dqwalk import channels
 from dqwalk.channels import (
     HADAMARD,
     BrokenLineParams,
@@ -15,8 +16,6 @@ from dqwalk.channels import (
     build_coin_channel,
     channel_from_dict,
     channel_to_dict,
-    coin_matrix_at_k,
-    coin_matrix_derivative_at_k,
     completeness_residual,
     dephasing_channel,
     is_coin_channel,
@@ -31,6 +30,7 @@ from dqwalk.errors import (
     NonUnitaryCoinError,
     PhaseConstraintError,
 )
+from test_moments import random_layered_channel, reference_coin_matrices
 
 SQ2 = np.sqrt(2.0)
 
@@ -67,28 +67,22 @@ def test_coherent_rejects_nonunitary():
 def test_coherent_coin_matrix_and_derivative():
     ch = build_coherent(HADAMARD)
     k = 0.7
-    c = coin_matrix_at_k(ch, 0, k)
+    c = reference_coin_matrices(ch, k)[0]
     phase = np.diag([np.exp(-1j * k), np.exp(1j * k)])
     assert np.allclose(c, phase @ HADAMARD)
     # derivative picks up -i l per term
-    d = coin_matrix_derivative_at_k(ch, 0, k)
+    d = reference_coin_matrices(ch, k, derivative=True)[0]
     h = 1e-6
-    fd = (coin_matrix_at_k(ch, 0, k + h) - coin_matrix_at_k(ch, 0, k - h)) / (2 * h)
-    assert np.allclose(d, fd, atol=1e-8)
+    fd = (reference_coin_matrices(ch, k + h) - reference_coin_matrices(ch, k - h)) / (2 * h)
+    assert np.allclose(d, fd[0], atol=1e-8)
 
 
 def test_coin_matrix_vectorized_over_k():
     ch = broken_line(0.35)
     ks = np.linspace(-np.pi, np.pi, 9)
-    stacked = coin_matrix_at_k(ch, 2, ks)
+    stacked = reference_coin_matrices(ch, ks)[2]
     assert stacked.shape == (9, 2, 2)
-    assert np.allclose(stacked[4], coin_matrix_at_k(ch, 2, ks[4]))
-
-
-def test_coin_matrix_bad_kraus_index():
-    ch = build_coherent(HADAMARD)
-    with pytest.raises(DomainError):
-        coin_matrix_at_k(ch, 5, 0.0)
+    assert np.allclose(stacked[4], reference_coin_matrices(ch, ks[4])[2])
 
 
 # ---------------------------------------------------------------------------
@@ -128,19 +122,19 @@ def test_broken_line_both_links_broken_operator():
     p = 0.45
     ch = broken_line(p)
     for k in (0.0, 1.3, -2.0):
-        c = coin_matrix_at_k(ch, 3, k)
+        c = reference_coin_matrices(ch, k)[3]
         assert np.allclose(c, p / SQ2 * np.array([[1.0, -1.0], [1.0, 1.0]]))
 
 
 def test_broken_line_surviving_link_operator_at_k0():
     # The (1-p)-weighted operator is the coherent Hadamard step.
-    c = coin_matrix_at_k(broken_line(0.3), 0, 0.0)
+    c = reference_coin_matrices(broken_line(0.3), 0.0)[0]
     assert np.allclose(c, 0.7 / SQ2 * np.array([[1.0, 1.0], [1.0, -1.0]]))
 
 
 def test_stationary_operator_has_zero_derivative():
     # every term of the both-broken operator has hop l = 0
-    d = coin_matrix_derivative_at_k(broken_line(0.45), 3, 0.9)
+    d = reference_coin_matrices(broken_line(0.45), 0.9, derivative=True)[3]
     assert np.allclose(d, 0.0)
 
 
@@ -239,16 +233,73 @@ def test_is_coin_channel_false_for_broken_line():
 # ---------------------------------------------------------------------------
 
 
-def test_completeness_flags_lossy_channel():
-    lossy = WalkChannel(
-        label="lossy",
-        terms=(KrausTerm(0, 1, "R", "R", 0.9), KrausTerm(0, -1, "L", "L", 0.9)),
+LOSSY = WalkChannel(
+    label="lossy",
+    terms=(KrausTerm(0, 1, "R", "R", 0.9), KrausTerm(0, -1, "L", "L", 0.9)),
+)
+
+
+def sampled_completeness_residual(channel):
+    """Test-only reference: the certificate sampled one Kraus operator at a time.
+
+    Sums C_n(k)^dag C_n(k) from ``reference_coin_matrices`` on the
+    4*max_hop + 1 equispaced momenta; ``completeness_residual`` must agree.
+    """
+    n_k = 4 * channel.max_hop + 1
+    ks = -np.pi + 2.0 * np.pi * np.arange(n_k) / n_k
+    total = sum(
+        np.einsum("...ba,...bc->...ac", c.conj(), c)
+        for c in reference_coin_matrices(channel, ks)
     )
-    worst_k, residual = completeness_residual(lossy)
+    dev = np.max(np.abs(total - np.eye(2)), axis=(-2, -1))
+    worst = int(np.argmax(dev))
+    return float(ks[worst]), float(dev[worst])
+
+
+def unchecked_broken_line(p, **phases):
+    """The broken-line channel without the phase and completeness checks."""
+    params = BrokenLineParams(p=p, **phases)
+    terms = channels._renumbered(channels._broken_line_groups(params))
+    return WalkChannel("unchecked", terms)
+
+
+@pytest.mark.parametrize(
+    "channel",
+    [
+        broken_line(0.0),
+        broken_line(0.3),
+        broken_line(1.0),
+        unchecked_broken_line(0.4, theta2=1.0),
+        build_coherent(HADAMARD),
+        dephasing_channel(0.4),
+        random_layered_channel(2003, 3, layers=2),
+        random_layered_channel(11, 2, layers=3),
+        LOSSY,
+        WalkChannel(
+            "nan", (KrausTerm(0, 0, "R", "R", 1.0), KrausTerm(0, 0, "L", "L", np.nan))
+        ),
+    ],
+    ids=["broken-line-p0", "broken-line-p0.3", "broken-line-p1", "phase-violating",
+         "coherent", "dephasing", "layers2", "layers3", "lossy", "nan-amplitude"],
+)
+def test_certificate_matches_sampled_reference(channel):
+    worst_k, residual = completeness_residual(channel)
+    ref_k, ref_residual = sampled_completeness_residual(channel)
+    if np.isnan(ref_residual):
+        assert np.isnan(residual)
+        return
+    assert abs(residual - ref_residual) <= 1e-14
+    if ref_residual > 1e-12:
+        # below that the worst node is a rounding-level tie
+        assert worst_k == ref_k
+
+
+def test_completeness_flags_lossy_channel():
+    worst_k, residual = completeness_residual(LOSSY)
     assert residual > 0.1
     assert -np.pi <= worst_k < np.pi
     with pytest.raises(CompletenessError) as err:
-        validate_completeness(lossy)
+        validate_completeness(LOSSY)
     assert err.value.residual == pytest.approx(residual)
 
 

@@ -195,6 +195,29 @@ def test_nan_inputs_exit_2(argv, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, flag, value, code",
+    [
+        (["moments", "--t", "6"], "--theta1", "-1e-1", 0),
+        (["moments", "--t", "6"], "--theta4", "-2.5E-1", 0),
+        (["moments", "--t", "3"], "--p", "-1e-3", 2),
+        (["moments", "--channel", "coin-dephasing", "--t", "3"], "--q", "-1e-3", 2),
+        (["walk", "--t", "3"], "--p", "-inf", 2),
+        (["diffusion"], "--p-min", "-1e-3", 2),
+        (["diffusion", "--p-max", "0.5"], "--p-min", "-5e-2", 2),
+    ],
+    ids=["theta1", "theta4", "p", "q", "walk-p-inf", "p-min", "p-min-in-sweep"],
+)
+def test_negative_float_literal_is_a_flag_value(argv, flag, value, code, capsys):
+    # "--flag -1e-3" must mean the same as "--flag=-1e-3", not an unknown option
+    assert main([*argv, flag, value]) == code
+    spaced = capsys.readouterr()
+    assert main([*argv, f"{flag}={value}"]) == code
+    assert capsys.readouterr() == spaced
+    if code == 2:
+        assert "must be in [0, 1]" in spaced.err and spaced.out == ""
+
+
 @pytest.mark.parametrize("sub", ["walk", "moments"])
 def test_nan_channel_file_exits_2(sub, tmp_path, capsys):
     s = 0.5 ** 0.5

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from dqwalk import brokenline
 from dqwalk.channels import (
+    COIN_INDEX,
     HADAMARD,
     BrokenLineParams,
     KrausTerm,
@@ -27,8 +28,6 @@ from dqwalk.channels import (
     build_broken_line,
     build_coherent,
     build_coin_channel,
-    coin_matrix_at_k,
-    coin_matrix_derivative_at_k,
     dephasing_channel,
     validate_completeness,
 )
@@ -74,16 +73,33 @@ def at_k(channel, k):
     return transfer_grids(channel, np.array([k]))
 
 
+def reference_coin_matrices(channel, k, derivative=False):
+    """Test-only reference: C_n(k), or dC_n/dk, summed term by term.
+
+    ``k`` may be a scalar or an array; the result has shape
+    (num_kraus,) + k.shape + (2, 2), Kraus operators in ``kraus_indices``
+    order.  The derivative gives each term a factor -i l.  This reads the
+    term list directly, not the Fourier blocks the package decodes.
+    """
+    k = np.asarray(k, dtype=float)
+    slot = {n: i for i, n in enumerate(channel.kraus_indices)}
+    out = np.zeros((len(slot),) + k.shape + (2, 2), dtype=complex)
+    for t in channel.terms:
+        weight = -1j * t.l if derivative else 1.0
+        out[slot[t.n], ..., COIN_INDEX[t.i], COIN_INDEX[t.j]] += (
+            weight * t.amp * np.exp(-1j * t.l * k)
+        )
+    return out
+
+
 def reference_grids(channel, ks):
     """Test-only reference: the grids built node by node from C_n(k).
 
     Stacks C_n(k) and C_n'(k) per Kraus operator and contracts each map with
     ``sandwich_superop``; ``transfer_grids`` must agree with it.
     """
-    cs = np.stack([coin_matrix_at_k(channel, n, ks) for n in channel.kraus_indices])
-    ds = np.stack(
-        [coin_matrix_derivative_at_k(channel, n, ks) for n in channel.kraus_indices]
-    )
+    cs = reference_coin_matrices(channel, ks)
+    ds = reference_coin_matrices(channel, ks, derivative=True)
     return TransferGrids(
         ks=ks,
         step=sandwich_superop(cs, cs),
@@ -232,7 +248,7 @@ def test_coherent_transfer_has_unit_modulus_spectrum():
 
 def test_noisy_transfer_contracts_bloch_block():
     for p in (0.1, 0.5, 0.9):
-        block = brokenline.contraction_block_closed_form(p, 1.3)
+        block = brokenline.transfer_matrix_closed_form(p, 1.3)[1:, 1:]
         assert np.abs(np.linalg.eigvals(block)).max() < 1.0
 
 
@@ -248,9 +264,9 @@ def test_drift_matches_mixed_momentum_finite_difference():
     # drift = d/dk' of the two-momentum transfer map with the right factor
     # frozen at k: L(k', k) rho = sum_n C_n(k') rho C_n(k)^dag
     def mixed(ch, k_left, k_right):
-        lefts = np.stack([coin_matrix_at_k(ch, n, k_left) for n in ch.kraus_indices])
-        rights = np.stack([coin_matrix_at_k(ch, n, k_right) for n in ch.kraus_indices])
-        return sandwich_superop(lefts, rights)
+        return sandwich_superop(
+            reference_coin_matrices(ch, k_left), reference_coin_matrices(ch, k_right)
+        )
 
     h = 1e-6
     for ch in (HAD, broken_line(0.35), dephasing_channel(0.25)):

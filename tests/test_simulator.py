@@ -55,7 +55,7 @@ def reference_step(state, channel):
     n_new = n_old + 2 * hop
     new = np.zeros((n_new, 2, n_new, 2), dtype=complex)
     for n in channel.kraus_indices:
-        terms = channel.terms_for(n)
+        terms = [t for t in channel.terms if t.n == n]
         half = np.zeros((n_new, 2, n_old, 2), dtype=complex)
         for t in terms:  # E_n rho
             i, j = COIN_INDEX[t.i], COIN_INDEX[t.j]
