@@ -241,7 +241,7 @@ def build_coin_channel(
         )
     if not abs(weights.sum() - 1.0) <= 1e-12:
         raise InvalidCoinKrausError(
-            f"coin Kraus weights sum to {weights.sum()!r}, expected 1"
+            f"coin Kraus weights sum to {float(weights.sum())}, expected 1"
         )
     total = np.zeros((2, 2), dtype=complex)
     for p_n, d_n in coin_kraus:

@@ -43,6 +43,7 @@ from .errors import (
     NotContractingError,
 )
 from .moments import (
+    _BLOCK_FROM_T,
     asymptotic_first_moment,
     default_node_count,
     j_term,
@@ -303,6 +304,12 @@ def _xcheck_rows(config: RunConfig) -> list[tuple[str, float, float]]:
     )
     engine_vs_oracle(
         "coin-dephasing q=0.5, symmetric coin", dephasing_channel(0.5), "symmetric", 12
+    )
+    # past the horizon from which the sweep advances several steps at once
+    t_blocked = _BLOCK_FROM_T + 1
+    engine_vs_oracle(
+        f"broken-line p=0.3, coin R, t={t_blocked}",
+        brokenline.default_channel(0.3), "R", t_blocked,
     )
 
     bl = brokenline.default_channel(0.3)

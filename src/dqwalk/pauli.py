@@ -82,7 +82,7 @@ def coin_state(coin) -> np.ndarray:
     if arr.shape == (2,):
         norm = np.linalg.norm(arr)
         if not abs(norm - 1.0) <= 1e-12:
-            raise UnnormalizedCoinError(f"amplitude norm is {norm!r}, expected 1")
+            raise UnnormalizedCoinError(f"amplitude norm is {float(norm)}, expected 1")
         vec = to_pauli(np.outer(arr, arr.conj()))
     elif arr.shape == (4,):
         vec = arr
@@ -108,7 +108,7 @@ def validate_coin_state(vec: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         raise UnnormalizedCoinError("coin density has non-real Pauli coordinates")
     real = vec.real.copy()
     if not abs(real[0] - 0.5) <= tol:
-        raise UnnormalizedCoinError(f"coin trace is {2 * real[0]!r}, expected 1")
+        raise UnnormalizedCoinError(f"coin trace is {float(2 * real[0])}, expected 1")
     bloch_sq = float(np.dot(real[1:], real[1:]))
     if not bloch_sq <= 0.25 + 1e-9:
         raise UnnormalizedCoinError("coin density is not positive semidefinite")

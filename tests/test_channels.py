@@ -195,8 +195,9 @@ def test_dephasing_domain():
 
 def test_coin_channel_weight_validation():
     ident = np.eye(2)
-    with pytest.raises(InvalidCoinKrausError):
+    with pytest.raises(InvalidCoinKrausError) as err:
         build_coin_channel(HADAMARD, [(0.6, ident), (0.6, ident)])
+    assert str(err.value) == "coin Kraus weights sum to 1.2, expected 1"
     with pytest.raises(InvalidCoinKrausError):
         build_coin_channel(HADAMARD, [(-0.5, ident), (1.5, ident)])
     # weights fine but sum_n p_n D_n^dag D_n != I

@@ -8,6 +8,7 @@ import pytest
 
 from dqwalk.cli import RunConfig, _parse_coin, main
 from dqwalk.errors import QuadratureTooCoarseWarning
+from dqwalk.moments import _BLOCK_FROM_T
 
 
 def read_csv(path):
@@ -177,6 +178,20 @@ def test_moments_invalid_coin_exits_2(capsys):
                  "--t", "3"])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "coin, message",
+    [
+        ("-0.5,0,0,0.5", "coin trace is -1.0, expected 1"),
+        ("0.6,0,0,0", "coin trace is 1.2, expected 1"),
+    ],
+)
+def test_invalid_coin_message_prints_plain_floats(coin, message, capsys):
+    assert main(["moments", f"--coin={coin}", "--t", "2"]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "np.float64" not in err
 
 
 @pytest.mark.parametrize(
@@ -357,7 +372,7 @@ def test_xcheck_clean_build_passes(tmp_path):
     assert main(["xcheck", "--out", str(out)]) == 0
     report = out.read_text()
     assert "FAIL" not in report
-    assert report.strip().endswith("11/11 checks passed")
+    assert report.strip().endswith("13/13 checks passed")
 
 
 def test_xcheck_detects_drift_corruption(tmp_path):
@@ -367,13 +382,18 @@ def test_xcheck_detects_drift_corruption(tmp_path):
     # the mutation must be caught by the second-moment rows
     assert any("second moment vs oracle" in line and line.endswith("FAIL")
                for line in report.splitlines())
+    # including the row whose sweep advances several steps at once
+    blocked = [line for line in report.splitlines()
+               if line.startswith(f"broken-line p=0.3, coin R, t={_BLOCK_FROM_T + 1}:")]
+    assert len(blocked) == 2
+    assert all(line.endswith("FAIL") for line in blocked)
 
 
 def test_xcheck_coin_reduction_suite(tmp_path):
     out = tmp_path / "xcheck.txt"
     assert main(["xcheck", "--coin-reduction", "--out", str(out)]) == 0
     report = out.read_text()
-    assert "19/19 checks passed" in report
+    assert "21/21 checks passed" in report
     assert "q=1: generic vs coin-specialized" in report
 
 

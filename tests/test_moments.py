@@ -39,6 +39,9 @@ from dqwalk.errors import (
     QuadratureTooCoarseWarning,
 )
 from dqwalk.moments import (
+    _BLOCK,
+    _BLOCK_FROM_T,
+    _CHUNK,
     TransferGrids,
     asymptotic_first_moment,
     default_node_count,
@@ -107,6 +110,51 @@ def reference_grids(channel, ks):
         drift_adj=sandwich_superop(cs, ds),
         dispersion=sandwich_superop(ds, ds),
     )
+
+
+def reference_series(channel, coin, t_max, n_k=None):
+    """Test-only reference: the moment sweep advanced one step at a time.
+
+    Per chunk of ``_CHUNK`` nodes, horizon m reads R v_m and then advances
+    v_{m+1} = B v_m, with the block map B and readout R of ``_accumulate``.
+    This is that sweep's arithmetic below ``_BLOCK_FROM_T``, so there the two
+    must agree bit for bit.  Returns (first, second, variance).
+    """
+    rho_vec = coin_state(coin)
+    if n_k is None:
+        n_k = default_node_count(channel, t_max)
+    ks = momentum_grid(n_k)
+
+    def nodes_last(mats):
+        return np.ascontiguousarray(np.moveaxis(mats, 0, -1))
+
+    first = cross = jsum = 0.0
+    for i in range(0, n_k, _CHUNK):
+        grids = transfer_grids(channel, ks[i:i + _CHUNK])
+        n = len(grids.ks)
+        step = nodes_last(grids.step.real)
+        block = np.zeros((8, 8, n))
+        block[:4, :4] = step
+        block[:4, 4:] = nodes_last((grids.drift - grids.drift_adj).imag)
+        block[4:, 4:] = step
+        readout = np.zeros((3, 8, n))
+        readout[0, 4:] = nodes_last(-2.0 * grids.drift[:, 0, :].imag)
+        readout[1, :4] = nodes_last(-2.0 * grids.drift_adj[:, 0, :].imag)
+        readout[2, 4:] = nodes_last(2.0 * grids.dispersion[:, 0, :].real)
+        readout = readout.reshape(3, 8 * n)
+        sums = np.zeros((3, t_max + 1))
+        v = np.zeros((8, n))
+        v[4:] = rho_vec[:, None]
+        for m in range(1, t_max + 1):
+            sums[:, m] = readout @ v.ravel()
+            v = np.einsum("ijn,jn->in", block, v)
+        part_first, part_cross, part_j = np.cumsum(sums, axis=1)
+        first = first + part_first
+        cross = cross + part_cross
+        jsum = jsum + part_j
+    first = first / n_k
+    second = (cross + jsum) / n_k
+    return first, second, second - first**2
 
 
 def reference_asymptotic(channel, coin, n_k=512):
@@ -380,12 +428,56 @@ def test_engine_matches_oracle(channel, coin):
     assert deviation_at_nodes(channel, coin, t, None, oracle) <= 1e-9
 
 
+# One horizon past the first whose sweep advances _BLOCK steps at a time.
+PAST_BLOCK_THRESHOLD = _BLOCK_FROM_T + 1
+# (horizon, nodes): a one-step sweep, and a blocked one on the broken line's
+# exact grid
+SWEEP_CASES = [(8, 64), (PAST_BLOCK_THRESHOLD, 2 * PAST_BLOCK_THRESHOLD + 1)]
+
+
+@pytest.mark.parametrize(
+    "channel,coin",
+    [(broken_line(0.3), "mixed"), (random_hop2_channel(), "symmetric")],
+    ids=["bl03-mixed", "hop2-symmetric"],
+)
+def test_engine_matches_oracle_past_block_threshold(channel, coin):
+    t = PAST_BLOCK_THRESHOLD
+    n_k = exact_node_bound(channel, t)
+    oracle = oracle_prefix(channel, coin, t)
+    assert deviation_at_nodes(channel, coin, t, n_k, oracle) <= 1e-9
+
+
 def test_naive_double_sum_agrees_with_recursion():
     ch = broken_line(0.3)
-    fast = moment_series(ch, "R", 12)
-    slow = moment_series(ch, "R", 12, naive=True)
-    assert np.max(np.abs(fast.second - slow.second)) <= 1e-11
-    assert np.array_equal(fast.first, slow.first)  # same code path
+    for t, n_k in [(12, None), SWEEP_CASES[-1]]:
+        fast = moment_series(ch, "R", t, n_k=n_k)
+        slow = moment_series(ch, "R", t, n_k=n_k, naive=True)
+        assert np.max(np.abs(fast.second - slow.second)) <= 1e-11
+        assert np.array_equal(fast.first, slow.first)  # same code path
+
+
+BLOCK_HORIZONS = sorted({
+    0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+    _BLOCK_FROM_T - 1, _BLOCK_FROM_T, _BLOCK_FROM_T + 1, 203,
+})
+
+
+@pytest.mark.parametrize(
+    "channel",
+    [broken_line(0.3), dephasing_channel(0.4), random_hop2_channel()],
+    ids=["bl03", "dephasing04", "hop2"],
+)
+def test_blocked_sweep_matches_one_step_reference(channel):
+    assert 203 % _BLOCK  # a last block cut short
+    for t in BLOCK_HORIZONS:
+        series = moment_series(channel, GENERIC_COIN, t)
+        got = (series.first, series.second, series.variance)
+        want = reference_series(channel, GENERIC_COIN, t)
+        for g, w in zip(got, want):
+            if t < _BLOCK_FROM_T:
+                assert np.array_equal(g, w), t
+            else:
+                assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w)), t
 
 
 def test_series_health_fields():
@@ -620,12 +712,13 @@ def test_corrupted_grids_poison_the_moments():
     # mutation sanity: a sign flip on the drift grid must visibly change the
     # result (this is what the CLI cross-check's corruption hook exercises)
     ch = broken_line(0.4)
-    grids = transfer_grids(ch, momentum_grid(64))
-    bad = dataclasses.replace(grids, drift=-grids.drift)
-    clean = moment_series_from_grids(grids, "R", 8)
-    poisoned = moment_series_from_grids(bad, "R", 8)
-    assert np.max(np.abs(clean.second - poisoned.second)) > 0.1
-    assert np.max(np.abs(clean.first - poisoned.first)) > 0.1
+    for t, n_k in SWEEP_CASES:
+        grids = transfer_grids(ch, momentum_grid(n_k))
+        bad = dataclasses.replace(grids, drift=-grids.drift)
+        clean = moment_series_from_grids(grids, "R", t)
+        poisoned = moment_series_from_grids(bad, "R", t)
+        assert np.max(np.abs(clean.second - poisoned.second)) > 0.1
+        assert np.max(np.abs(clean.first - poisoned.first)) > 0.1
 
 
 def _imaginary_step(grids):
@@ -641,10 +734,11 @@ def _real_drift_top_row(grids):
 @pytest.mark.parametrize("corrupt", [_imaginary_step, _real_drift_top_row])
 def test_grid_structure_check_bites(corrupt):
     # the real sweep discards these parts, so it must refuse grids that have them
-    grids = transfer_grids(broken_line(0.4), momentum_grid(64))
-    assert moment_series_from_grids(grids, "R", 8).max_imag_residue <= 1e-14
-    with pytest.raises(NonRealMomentError):
-        moment_series_from_grids(corrupt(grids), "R", 8)
+    for t, n_k in SWEEP_CASES:
+        grids = transfer_grids(broken_line(0.4), momentum_grid(n_k))
+        assert moment_series_from_grids(grids, "R", t).max_imag_residue <= 1e-14
+        with pytest.raises(NonRealMomentError):
+            moment_series_from_grids(corrupt(grids), "R", t)
 
 
 @pytest.mark.parametrize("n_k", [0, -4])

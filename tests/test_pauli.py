@@ -128,6 +128,12 @@ def test_invalid_coins_rejected(bad):
         coin_state(bad)
 
 
+def test_amplitude_norm_message_prints_a_plain_float():
+    with pytest.raises(UnnormalizedCoinError) as err:
+        coin_state(np.array([0.6, 0.6]))
+    assert str(err.value) == "amplitude norm is 0.848528137423857, expected 1"
+
+
 def test_validate_returns_real_array():
     out = validate_coin_state(np.array([0.5 + 0j, 0.1, 0.2, 0.3]))
     assert out.dtype.kind == "f"
