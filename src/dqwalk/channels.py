@@ -370,6 +370,24 @@ def channel_to_dict(channel: WalkChannel) -> dict:
     }
 
 
+def _json_number(raw: dict, key: str) -> float:
+    """The JSON number ``raw[key]``; bools and strings are not numbers."""
+    value = raw[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"field {key!r} must be a number, got {value!r}")
+    return float(value)
+
+
+def _json_integer(raw: dict, key: str) -> int:
+    """The integral JSON number ``raw[key]`` (``1`` or ``1.0``, not ``1.5``)."""
+    value = raw[key]
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"field {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def channel_from_dict(data: dict) -> WalkChannel:
     """Inverse of ``channel_to_dict``.  Performs schema checks only."""
     try:
@@ -379,15 +397,19 @@ def channel_from_dict(data: dict) -> WalkChannel:
         raise ValueError(f"channel dict is missing field {exc}") from None
     if not isinstance(label, str):
         raise ValueError("channel label must be a string")
+    if not isinstance(raw_terms, list):
+        raise ValueError(f"channel terms must be a list, got {raw_terms!r}")
     terms = []
     for raw in raw_terms:
+        if not isinstance(raw, dict):
+            raise ValueError(f"channel term must be an object, got {raw!r}")
         try:
-            n, l = int(raw["n"]), int(raw["l"])
+            n, l = _json_integer(raw, "n"), _json_integer(raw, "l")
             i, j = raw["i"], raw["j"]
-            amp = complex(float(raw["re"]), float(raw["im"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            amp = complex(_json_number(raw, "re"), _json_number(raw, "im"))
+        except (KeyError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed channel term {raw!r}: {exc}") from None
-        if i not in COIN_INDEX or j not in COIN_INDEX:
+        if not all(isinstance(c, str) and c in COIN_INDEX for c in (i, j)):
             raise ValueError(f"coin labels must be 'R' or 'L', got {i!r}, {j!r}")
         terms.append(KrausTerm(n, l, i, j, amp))
     if not terms:

@@ -54,7 +54,7 @@ from .moments import (
     transfer_grids,
 )
 from .pauli import COIN_PRESETS
-from .simulator import init_state, moment_direct, position_distribution, step
+from .simulator import init_state, position_distribution, step
 
 _BUILTIN_CHANNELS = ("coherent", "broken-line", "coin-dephasing")
 _MAX_SWEEP_ROWS = 10**6
@@ -164,12 +164,15 @@ def _oracle_run(channel: WalkChannel, coin, t_max: int, x0: int = 0):
     if t_max < 0:
         raise ValueError(f"horizon must be nonnegative, got {t_max}")
     state = init_state(coin, x0=x0)
-    firsts = [moment_direct(state, 1)]
-    seconds = [moment_direct(state, 2)]
-    for _ in range(t_max):
-        state = step(state, channel)
-        firsts.append(moment_direct(state, 1))
-        seconds.append(moment_direct(state, 2))
+    firsts, seconds = [], []
+    for t in range(t_max + 1):
+        if t:
+            state = step(state, channel)
+        # one diagonal read per step; the sums are moment_direct's
+        xs, probs = position_distribution(state)
+        xs = xs.astype(float)
+        firsts.append(float(np.sum(xs ** 1 * probs)))
+        seconds.append(float(np.sum(xs ** 2 * probs)))
     return state, firsts, seconds
 
 

@@ -330,11 +330,37 @@ def test_dict_schema_rejections():
         lambda d: d["terms"][0].__setitem__("l", "one"),
         lambda d: d.__setitem__("terms", []),
         lambda d: d.__setitem__("label", 3),
+        # ill-typed fields: a fractional or boolean index or hop, a
+        # non-list term list, a non-object term, non-number amplitudes and
+        # non-string coin labels
+        lambda d: d["terms"][0].__setitem__("l", 1.5),
+        lambda d: d["terms"][0].__setitem__("l", True),
+        lambda d: d["terms"][0].__setitem__("n", True),
+        lambda d: d["terms"][0].__setitem__("n", 0.5),
+        lambda d: d.__setitem__("terms", 5),
+        lambda d: d.__setitem__("terms", None),
+        lambda d: d.__setitem__("terms", {"0": d["terms"][0]}),
+        lambda d: d["terms"].__setitem__(0, 3),
+        lambda d: d["terms"][0].__setitem__("re", True),
+        lambda d: d["terms"][0].__setitem__("re", "0.5"),
+        lambda d: d["terms"][0].__setitem__("im", None),
+        lambda d: d["terms"][0].__setitem__("i", ["R"]),
+        lambda d: d["terms"][0].__setitem__("j", {"R": 1}),
     ):
         bad = json.loads(json.dumps(good))
         mutate(bad)
         with pytest.raises(ValueError):
             channel_from_dict(bad)
+
+
+def test_dict_schema_accepts_integral_floats():
+    # JSON has one number type: 1.0 is the integer 1, as json.dumps(1.0) reads
+    data = channel_to_dict(build_coherent(HADAMARD))
+    for raw in data["terms"]:
+        raw["n"], raw["l"] = float(raw["n"]), float(raw["l"])
+    back = channel_from_dict(data)
+    assert back.terms == build_coherent(HADAMARD).terms
+    assert all(type(t.n) is int and type(t.l) is int for t in back.terms)
 
 
 def test_load_rejects_incomplete_channel(tmp_path):

@@ -87,6 +87,41 @@ def test_walk_rejects_bad_channel_file(tmp_path, capsys):
     assert "residual" in capsys.readouterr().err
 
 
+def _hand_rolled_hadamard():
+    s = 0.5 ** 0.5
+    return [
+        {"n": 0, "l": 1, "i": "R", "j": "R", "re": s, "im": 0.0},
+        {"n": 0, "l": 1, "i": "R", "j": "L", "re": s, "im": 0.0},
+        {"n": 0, "l": -1, "i": "L", "j": "R", "re": s, "im": 0.0},
+        {"n": 0, "l": -1, "i": "L", "j": "L", "re": -s, "im": 0.0},
+    ]
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda terms: [dict(t, l=1.5) if t["l"] == 1 else t for t in terms],
+        lambda terms: [dict(t, l=True) if t["l"] == 1 else t for t in terms],
+        lambda terms: [dict(t, n=True) for t in terms],
+        lambda terms: 5,
+        lambda terms: None,
+        lambda terms: [dict(terms[0], i=["R"]), *terms[1:]],
+        lambda terms: [dict(t, re=repr(t["re"])) for t in terms],
+    ],
+    ids=["fractional-hop", "bool-hop", "bool-index", "terms-number", "terms-null",
+         "list-label", "string-amplitude"],
+)
+def test_ill_typed_channel_file_exits_2(mutate, tmp_path, capsys):
+    # every +1 hop written as 1.5 used to load as a different channel (exit 0);
+    # a non-list term list or a list coin label used to crash with a traceback
+    chan = tmp_path / "chan.json"
+    chan.write_text(json.dumps({"label": "ill-typed", "terms": mutate(_hand_rolled_hadamard())}))
+    assert main(["moments", "--channel-file", str(chan), "--t", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
 def test_walk_accepts_good_channel_file(tmp_path):
     chan = tmp_path / "chan.json"
     # the coherent Hadamard walk, written out by hand

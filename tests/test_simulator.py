@@ -10,6 +10,7 @@ against, so it gets its own independent scrutiny here.
 import numpy as np
 import pytest
 
+from dqwalk import simulator
 from dqwalk.channels import (
     COIN_INDEX,
     HADAMARD,
@@ -244,6 +245,67 @@ def test_step_matches_term_by_term_reference(channel, coin):
         _, p_fast = position_distribution(fast)
         _, p_ref = position_distribution(ref)
         np.testing.assert_array_equal(p_fast == 0.0, p_ref == 0.0)
+
+
+# Step sequences long enough that ``step`` splits its product into several
+# ket tiles (n_old > simulator._TILE_FLOOR rows per tile); the last case ends
+# on wide states stepped by the hop-0 measurement, whose coin pairs RL and
+# LR no row targets.
+TILED_RUNS = {
+    "broken-0.3-t80": ("mixed", [(broken_line(0.3), 80)]),
+    "hop2-t40": ("symmetric", [(random_hop2_channel(), 40)]),
+    "measurement-wide": (
+        "symmetric",
+        [(broken_line(0.3), 40), (MEASURE, 1), (broken_line(0.3), 1), (MEASURE, 1)],
+    ),
+}
+
+
+def tile_count(state, channel):
+    """How many ket tiles ``step`` splits ``state``'s product into."""
+    k_max = max(len(rows) for rows, _ in simulator._fold(tuple(channel.terms)))
+    height = max(simulator._TILE_FLOOR, -(-state.n_sites // k_max))
+    return -(-state.n_sites // height)
+
+
+def assert_runs_like_reference(coin, run):
+    fast = ref = init_state(coin)
+    most_tiles = 0
+    for channel, steps in run:
+        for _ in range(steps):
+            most_tiles = max(most_tiles, tile_count(fast, channel))
+            fast, ref = step(fast, channel), reference_step(ref, channel)
+            assert (fast.t, fast.x_min, fast.x_max) == (ref.t, ref.x_min, ref.x_max)
+            np.testing.assert_allclose(fast.rho, ref.rho, rtol=0, atol=1e-13)
+            _, p_fast = position_distribution(fast)
+            _, p_ref = position_distribution(ref)
+            np.testing.assert_array_equal(p_fast == 0.0, p_ref == 0.0)
+    assert most_tiles >= 3  # the run really crossed tile boundaries
+
+
+@pytest.mark.parametrize("coin, run", TILED_RUNS.values(), ids=TILED_RUNS.keys())
+def test_tiled_step_matches_term_by_term_reference(coin, run):
+    assert_runs_like_reference(coin, run)
+
+
+class _NaNFilledEmpty:
+    """Stands in for ``numpy`` with an ``empty`` that fills with NaN."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(shape, dtype=float):
+        return np.full(shape, np.nan * (1 + 1j) if dtype is complex else np.nan, dtype=dtype)
+
+
+@pytest.mark.parametrize("coin, run", TILED_RUNS.values(), ids=TILED_RUNS.keys())
+def test_step_writes_every_entry_of_its_output(coin, run, monkeypatch):
+    # ``step`` allocates its output uninitialised and must write every entry:
+    # a skipped border or an untargeted coin pair would surface as NaN here
+    # (freshly mapped pages are zero, so np.empty alone would hide it)
+    monkeypatch.setattr(simulator, "np", _NaNFilledEmpty())
+    assert_runs_like_reference(coin, run)
 
 
 def test_fold_is_keyed_by_channel_value():
