@@ -46,6 +46,7 @@ from .errors import (
 
 COIN_LABELS = ("R", "L")
 COIN_INDEX = {"R": 0, "L": 1}
+_COIN_LABELS = tuple(COIN_INDEX)
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
@@ -370,22 +371,14 @@ def channel_to_dict(channel: WalkChannel) -> dict:
     }
 
 
-def _json_number(raw: dict, key: str) -> float:
-    """The JSON number ``raw[key]``; bools and strings are not numbers."""
-    value = raw[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"field {key!r} must be a number, got {value!r}")
-    return float(value)
+def _is_number(value) -> bool:
+    """A JSON number: int or float, not bool and not a numeric string."""
+    return type(value) is float or type(value) is int
 
 
-def _json_integer(raw: dict, key: str) -> int:
-    """The integral JSON number ``raw[key]`` (``1`` or ``1.0``, not ``1.5``)."""
-    value = raw[key]
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"field {key!r} must be an integer, got {value!r}")
-    return value
+def _is_integer(value) -> bool:
+    """An integral JSON number: ``1`` or ``1.0``, not ``1.5`` or ``true``."""
+    return type(value) is int or (type(value) is float and value.is_integer())
 
 
 def channel_from_dict(data: dict) -> WalkChannel:
@@ -404,14 +397,21 @@ def channel_from_dict(data: dict) -> WalkChannel:
         if not isinstance(raw, dict):
             raise ValueError(f"channel term must be an object, got {raw!r}")
         try:
-            n, l = _json_integer(raw, "n"), _json_integer(raw, "l")
-            i, j = raw["i"], raw["j"]
-            amp = complex(_json_number(raw, "re"), _json_number(raw, "im"))
-        except (KeyError, ValueError, OverflowError) as exc:
-            raise ValueError(f"malformed channel term {raw!r}: {exc}") from None
-        if not all(isinstance(c, str) and c in COIN_INDEX for c in (i, j)):
+            n, l, i, j, re, im = raw["n"], raw["l"], raw["i"], raw["j"], raw["re"], raw["im"]
+        except KeyError as exc:
+            raise ValueError(f"malformed channel term {raw!r}: missing {exc}") from None
+        if not (_is_integer(n) and _is_integer(l)):
+            raise ValueError(f"malformed channel term {raw!r}: n and l must be integers")
+        if not (_is_number(re) and _is_number(im)):
+            raise ValueError(f"malformed channel term {raw!r}: re and im must be numbers")
+        # tuple membership compares by ==, so unhashable labels are rejected too
+        if i not in _COIN_LABELS or j not in _COIN_LABELS:
             raise ValueError(f"coin labels must be 'R' or 'L', got {i!r}, {j!r}")
-        terms.append(KrausTerm(n, l, i, j, amp))
+        try:
+            amp = complex(re, im)
+        except OverflowError as exc:  # an integer too large for a float
+            raise ValueError(f"malformed channel term {raw!r}: {exc}") from None
+        terms.append(KrausTerm(int(n), int(l), i, j, amp))
     if not terms:
         raise ValueError("channel has no terms")
     return WalkChannel(label, tuple(terms))
