@@ -46,7 +46,6 @@ from .errors import (
 
 COIN_LABELS = ("R", "L")
 COIN_INDEX = {"R": 0, "L": 1}
-_COIN_LABELS = tuple(COIN_INDEX)
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
@@ -405,7 +404,7 @@ def channel_from_dict(data: dict) -> WalkChannel:
         if not (_is_number(re) and _is_number(im)):
             raise ValueError(f"malformed channel term {raw!r}: re and im must be numbers")
         # tuple membership compares by ==, so unhashable labels are rejected too
-        if i not in _COIN_LABELS or j not in _COIN_LABELS:
+        if i not in COIN_LABELS or j not in COIN_LABELS:
             raise ValueError(f"coin labels must be 'R' or 'L', got {i!r}, {j!r}")
         try:
             amp = complex(re, im)
