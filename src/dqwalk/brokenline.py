@@ -32,6 +32,12 @@ from .errors import (
 )
 from .moments import diffusion_from_slope, momentum_grid
 
+# Node doubling for I(x) stops once successive values differ by at most
+# _INTEGRAL_TOL, and gives up past _INTEGRAL_MAX_NODES nodes.
+_INTEGRAL_TOL = 1e-12
+_INTEGRAL_MAX_NODES = 1 << 22
+
+
 def _check_p(p: float) -> float:
     p = float(p)
     if not 0.0 <= p <= 1.0:
@@ -119,12 +125,12 @@ def _integrand_mean(x: float, n_nodes: int) -> float:
     return float(np.mean((c + x) / den))
 
 
-def diffusion_integral(x: float, tol: float = 1e-12, max_nodes: int = 1 << 22) -> float:
+def diffusion_integral(x: float) -> float:
     """I(x) by node doubling on a uniform grid until the value stops moving.
 
     The integrand is smooth and 2pi-periodic, so the uniform rule converges
     geometrically; doubling stops once successive values differ by at most
-    ``tol``.
+    ``_INTEGRAL_TOL``.
 
     Raises:
         DomainError: unless 0 < x <= 1 (the physical range of x = 1 - p).
@@ -134,14 +140,15 @@ def diffusion_integral(x: float, tol: float = 1e-12, max_nodes: int = 1 << 22) -
         raise DomainError(f"diffusion integral needs 0 < x <= 1, got {x!r}")
     n = 64
     prev = _integrand_mean(x, n)
-    while n < max_nodes:
+    while n < _INTEGRAL_MAX_NODES:
         n *= 2
         cur = _integrand_mean(x, n)
-        if abs(cur - prev) <= tol:
+        if abs(cur - prev) <= _INTEGRAL_TOL:
             return cur
         prev = cur
     raise ArithmeticError(
-        f"diffusion integral did not converge to {tol:g} within {max_nodes} nodes"
+        f"diffusion integral did not converge to {_INTEGRAL_TOL:g} "
+        f"within {_INTEGRAL_MAX_NODES} nodes"
     )
 
 
@@ -200,15 +207,15 @@ def diffusion_closed_form(p: float) -> DiffusionResult:
 
 def diffusion_slope_estimate(
     p: float,
-    coin="mixed",
     t_lo: int = 400,
     t_hi: int = 500,
     n_k: int | None = None,
 ) -> DiffusionResult:
     """D(p) from the finite-horizon variance slope of the generic engine.
 
-    This route never touches the closed forms above, which is what makes
-    comparing the two a meaningful check.
+    The walker starts from the mixed coin.  This route never touches the
+    closed forms above, which is what makes comparing the two a meaningful
+    check.
     """
     p = _check_p(p)
     if p == 0.0:
@@ -217,7 +224,7 @@ def diffusion_slope_estimate(
             "a variance slope does not converge"
         )
     diffusion = diffusion_from_slope(
-        default_channel(p), coin, t_lo=t_lo, t_hi=t_hi, n_k=n_k
+        default_channel(p), "mixed", t_lo=t_lo, t_hi=t_hi, n_k=n_k
     )
     if p < 1.0:
         prefactor = p / (1.0 - p) * diffusion

@@ -119,7 +119,7 @@ def _unitary_coin(coin: np.ndarray) -> np.ndarray:
     return coin
 
 
-def build_coherent(coin: np.ndarray, label: str = "coherent") -> WalkChannel:
+def build_coherent(coin: np.ndarray) -> WalkChannel:
     """Noiseless coined walk: flip the coin with a unitary, then shift.
 
     The single Kraus operator moves the |R> component one site right and the
@@ -134,7 +134,7 @@ def build_coherent(coin: np.ndarray, label: str = "coherent") -> WalkChannel:
     ] + [
         KrausTerm(0, -1, "L", j, coin[1, COIN_INDEX[j]]) for j in COIN_LABELS
     ]
-    return WalkChannel(label, _renumbered([group]))
+    return WalkChannel("coherent", _renumbered([group]))
 
 
 @dataclass(frozen=True)
@@ -264,10 +264,10 @@ def build_coin_channel(
     return WalkChannel(label, _renumbered(groups))
 
 
-def dephasing_channel(q: float, coin: np.ndarray | None = None) -> WalkChannel:
+def dephasing_channel(q: float) -> WalkChannel:
     """Coin measured in the walk basis with probability q before each flip.
 
-    q = 0 is the coherent walk; q = 1 destroys the coin coherences every step
+    The flip is the Hadamard coin.  q = 0 is the coherent walk; q = 1 destroys the coin coherences every step
     and the position variance grows exactly like the classical random walk.
 
     Raises:
@@ -275,8 +275,6 @@ def dephasing_channel(q: float, coin: np.ndarray | None = None) -> WalkChannel:
     """
     if not 0.0 <= q <= 1.0:
         raise DomainError(f"dephasing strength must be in [0, 1], got {q!r}")
-    if coin is None:
-        coin = HADAMARD
     proj_r = np.array([[1, 0], [0, 0]], dtype=complex)
     proj_l = np.array([[0, 0], [0, 1]], dtype=complex)
     sets = [
@@ -284,7 +282,7 @@ def dephasing_channel(q: float, coin: np.ndarray | None = None) -> WalkChannel:
         (q / 2.0, math.sqrt(2.0) * proj_r),
         (q / 2.0, math.sqrt(2.0) * proj_l),
     ]
-    return build_coin_channel(coin, sets, label=f"coin-dephasing(q={q:g})")
+    return build_coin_channel(HADAMARD, sets, label=f"coin-dephasing(q={q:g})")
 
 
 def is_coin_channel(channel: WalkChannel) -> bool:

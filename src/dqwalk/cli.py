@@ -43,7 +43,6 @@ from .errors import (
     NotContractingError,
 )
 from .moments import (
-    _BLOCK_FROM_T,
     asymptotic_first_moment,
     default_node_count,
     j_term,
@@ -157,28 +156,40 @@ def _out_stream(path: str | None):
 # --- subcommands -------------------------------------------------------------
 
 def _oracle_run(channel: WalkChannel, coin, t_max: int, x0: int = 0):
-    """Run the density-matrix oracle for ``t_max`` steps.
+    """Run the density-matrix oracle for ``t_max`` steps from site ``x0``.
 
-    Returns the final state and the lists of <x> and <x^2> after 0..t_max steps.
+    Returns the final state and the lists of <x>, <x^2> and the variance
+    after 0..t_max steps.  The variance is taken from the offsets x - x0, so
+    a far start does not cancel it away.
     """
     if t_max < 0:
         raise ValueError(f"horizon must be nonnegative, got {t_max}")
+    reach = channel.max_hop * t_max
+    sites = np.iinfo(np.int64)
+    if not (sites.min <= x0 - reach and x0 + reach <= sites.max):
+        raise ValueError(
+            f"start {x0} with {t_max} steps of up to {channel.max_hop} sites "
+            "leaves the 64-bit position range"
+        )
     state = init_state(coin, x0=x0)
-    firsts, seconds = [], []
+    firsts, seconds, variances = [], [], []
     for t in range(t_max + 1):
         if t:
             state = step(state, channel)
         # one diagonal read per step; the sums are moment_direct's
         xs, probs = position_distribution(state)
+        offsets = (xs - x0).astype(float)
         xs = xs.astype(float)
         firsts.append(float(np.sum(xs ** 1 * probs)))
         seconds.append(float(np.sum(xs ** 2 * probs)))
-    return state, firsts, seconds
+        shift = float(np.sum(offsets * probs))
+        variances.append(float(np.sum(offsets ** 2 * probs)) - shift * shift)
+    return state, firsts, seconds, variances
 
 
 def cmd_walk(config: RunConfig) -> int:
     channel = _resolve_channel(config)
-    state, firsts, seconds = _oracle_run(
+    state, firsts, seconds, variances = _oracle_run(
         channel, _coin_arg(config), config.t, x0=config.x0
     )
     xs, probs = position_distribution(state)
@@ -191,8 +202,8 @@ def cmd_walk(config: RunConfig) -> int:
     if config.moments_out is not None:
         with _out_stream(config.moments_out) as fh:
             fh.write("t,first,second,variance\n")
-            for t, (m1, m2) in enumerate(zip(firsts, seconds)):
-                fh.write(f"{t},{m1:.17g},{m2:.17g},{m2 - m1 * m1:.17g}\n")
+            for t, (m1, m2, var) in enumerate(zip(firsts, seconds, variances)):
+                fh.write(f"{t},{m1:.17g},{m2:.17g},{var:.17g}\n")
     return 0
 
 
@@ -279,7 +290,7 @@ def _xcheck_rows(config: RunConfig) -> list[tuple[str, float, float]]:
         )
         if config.corrupt_drift:
             grids = dataclasses.replace(grids, drift=-grids.drift)
-        _, first_ref, second_ref = _oracle_run(channel, coin, t_max)
+        _, first_ref, second_ref, _ = _oracle_run(channel, coin, t_max)
         try:
             series = moment_series_from_grids(grids, coin, t_max, label=channel.label)
         except NonRealMomentError:
@@ -308,11 +319,9 @@ def _xcheck_rows(config: RunConfig) -> list[tuple[str, float, float]]:
     engine_vs_oracle(
         "coin-dephasing q=0.5, symmetric coin", dephasing_channel(0.5), "symmetric", 12
     )
-    # past the horizon from which the sweep advances several steps at once
-    t_blocked = _BLOCK_FROM_T + 1
+    # eight full blocks of the moment sweep and one partial block
     engine_vs_oracle(
-        f"broken-line p=0.3, coin R, t={t_blocked}",
-        brokenline.default_channel(0.3), "R", t_blocked,
+        "broken-line p=0.3, coin R, t=65", brokenline.default_channel(0.3), "R", 65
     )
 
     bl = brokenline.default_channel(0.3)
@@ -387,54 +396,52 @@ def build_parser() -> argparse.ArgumentParser:
 
     channel_parent = argparse.ArgumentParser(add_help=False)
     group = channel_parent.add_argument_group("channel")
-    group.add_argument("--channel", choices=_BUILTIN_CHANNELS, default="broken-line")
+    group.add_argument("--channel", choices=_BUILTIN_CHANNELS)
     group.add_argument("--channel-file", metavar="PATH",
                        help="load a channel from JSON instead of --channel")
-    group.add_argument("--p", type=float, default=0.5,
+    group.add_argument("--p", type=float,
                        help="broken-line link-failure probability")
-    group.add_argument("--q", type=float, default=0.5,
+    group.add_argument("--q", type=float,
                        help="coin-dephasing measurement probability")
     for i in (1, 2, 3, 4):
         group.add_argument(f"--theta{i}", type=float, help=argparse.SUPPRESS)
     channel_parent.add_argument(
-        "--coin", type=_parse_coin, default="R",
+        "--coin", type=_parse_coin,
         help="initial coin: preset name or four comma-separated Pauli coordinates",
     )
-    channel_parent.add_argument("--out", default=None,
-                                help="output path ('-' or omitted = stdout)")
+    channel_parent.add_argument("--out", help="output path ('-' or omitted = stdout)")
 
     p_walk = sub.add_parser("walk", parents=[channel_parent],
                             help="run the brute-force density-matrix simulator")
-    p_walk.add_argument("--t", type=int, default=20, help="number of steps")
-    p_walk.add_argument("--x0", type=int, default=0, help="starting site")
+    p_walk.add_argument("--t", type=int, help="number of steps")
+    p_walk.add_argument("--x0", type=int, help="starting site")
     p_walk.add_argument("--moments-out", metavar="PATH",
                         help="also write the per-step moment table here")
 
     p_mom = sub.add_parser("moments", parents=[channel_parent],
                            help="run the momentum-space moment engine")
-    p_mom.add_argument("--t", type=int, default=20, help="horizon")
-    p_mom.add_argument("--nk", type=int, default=None, dest="n_k",
+    p_mom.add_argument("--t", type=int, help="horizon")
+    p_mom.add_argument("--nk", type=int, dest="n_k",
                        help="momentum node count override")
     p_mom.add_argument("--naive", action="store_true",
                        help="use the literal double sum for the second moment")
     p_mom.add_argument("--asymptotic", action="store_true",
                        help="print the long-time first moment instead of a series")
-    p_mom.add_argument("--format", choices=("csv", "json"), default="csv",
-                       dest="fmt")
+    p_mom.add_argument("--format", choices=("csv", "json"), dest="fmt")
 
     p_diff = sub.add_parser("diffusion",
                             help="broken-line diffusion-constant sweep")
-    p_diff.add_argument("--p-min", type=float, default=0.05)
-    p_diff.add_argument("--p-max", type=float, default=1.0)
-    p_diff.add_argument("--p-step", type=float, default=0.05)
+    p_diff.add_argument("--p-min", type=float)
+    p_diff.add_argument("--p-max", type=float)
+    p_diff.add_argument("--p-step", type=float)
     p_diff.add_argument("--critical", action="store_true",
                         help="print the p where D = 1/2 and exit")
     p_diff.add_argument("--with-slope", action="store_true",
                         help="add a D_slope column from the finite-horizon engine")
-    p_diff.add_argument("--t-lo", type=int, default=400)
-    p_diff.add_argument("--t-hi", type=int, default=500)
-    p_diff.add_argument("--nk", type=int, default=None, dest="n_k")
-    p_diff.add_argument("--out", default=None)
+    p_diff.add_argument("--t-lo", type=int)
+    p_diff.add_argument("--t-hi", type=int)
+    p_diff.add_argument("--nk", type=int, dest="n_k")
+    p_diff.add_argument("--out")
 
     p_x = sub.add_parser("xcheck",
                          help="cross-check the independent computation routes")
@@ -442,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="include the extended coin-noise reduction checks")
     p_x.add_argument("--corrupt-drift", action="store_true",
                      help=argparse.SUPPRESS)  # mutation hook for tests
-    p_x.add_argument("--out", default=None)
+    p_x.add_argument("--out")
 
     return parser
 

@@ -16,10 +16,10 @@ where L_k applies one step at fixed momentum, G_k is its derivative with the
 right (conjugated) factor frozen, and J_k carries the derivative on both
 sides.  The double sum telescopes into a second running vector, so the
 default path costs O(t) work per momentum node: both running vectors are
-advanced by one 8x8 block map B and read by a 3x8 readout R, and from
-horizon ``_BLOCK_FROM_T`` on the sweep reads ``_BLOCK`` horizons per advance
-from precomputed rows R B^j and advances by B^_BLOCK, about
-16 + 64/_BLOCK multiply-adds per node-step instead of 88 (``_accumulate``).
+advanced by one 8x8 block map B and read by a 3x8 readout R.  At every
+horizon the sweep reads ``_BLOCK`` horizons per advance from precomputed
+rows R B^j and advances by B^_BLOCK, about 16 + 64/_BLOCK multiply-adds per
+node-step instead of the 88 of one advance per horizon (``_accumulate``).
 ``naive=True`` keeps the literal complex double sum for cross-checking.
 
 The sweep runs in real arithmetic, which is exact rather than an
@@ -68,14 +68,11 @@ from .pauli import coin_state, sandwich_superop
 # the transfer grids and running vectors held in memory at once.
 _CHUNK = 512
 
-# From horizon _BLOCK_FROM_T on, the sweep reads _BLOCK horizons per advance
-# (see ``_accumulate``).  Shorter series take one step per advance, which
-# keeps their sums bit-identical to earlier versions; they are cheap either
-# way.  On a 2-vCPU Xeon (numpy 2.4), 8 and 16 tie at t = 1000 and 16 is
-# faster at t = 4000, but its row tables (1 MB per chunk) raise the peak
-# memory of a t = 1000 call by about 0.7 MB more; 4 is slower.
+# The sweep reads _BLOCK horizons per advance (see ``_accumulate``).  On a
+# 2-vCPU Xeon (numpy 2.4), 8 and 16 tie at t = 1000 and 16 is faster at
+# t = 4000, but its row tables (1 MB per chunk) raise the peak memory of a
+# t = 1000 call by about 0.7 MB more; 4 is slower.
 _BLOCK = 8  # a power of two: B^_BLOCK is formed by repeated squaring
-_BLOCK_FROM_T = 64
 
 # A grid part the real sweep discards, or the imaginary part of a moment
 # computed in complex arithmetic, above this is reported as an error rather
@@ -256,13 +253,14 @@ def _accumulate(
     with a_m = L^{m-1} rho0, followed by the grid residue.  The mean over
     momenta is taken by the caller.
 
-    Series shorter than ``_BLOCK_FROM_T`` steps read R v and advance v by B
-    once per horizon: 88 multiply-adds per node-step.  Longer series are
-    swept ``s = _BLOCK`` horizons per advance: the rows R B^j (j < s) and
-    the power B^s are built once per chunk, and each block of s horizons
-    takes two readout products and one B^s map, about 16 + 64/s
-    multiply-adds per node-step.  The blocked sweep rounds in another order
-    and agrees with the one-step sweep to about 1e-14 relative.
+    Every series is swept ``s = _BLOCK`` horizons per advance: the rows
+    R B^j (j < s) and the power B^s are built once per chunk, and each block
+    of s horizons takes two readout products and one B^s map, about
+    16 + 64/s multiply-adds per node-step instead of the 88 of reading R v
+    and advancing v by B once per horizon.  The blocked sweep rounds in
+    another order than the one-step sweep and agrees with it to about 1e-14
+    relative.  Earlier versions ran the one-step sweep below t = 64, so
+    series there differ from theirs by about 1e-15 relative.
     """
     residue = _grid_residue(grids)
     n_k = len(grids.ks)
@@ -287,63 +285,54 @@ def _accumulate(
     readout[:, 0, 4:] = -2.0 * grids.drift[:, 0, :].imag
     readout[:, 1, :4] = -2.0 * grids.drift_adj[:, 0, :].imag
     readout[:, 2, 4:] = 2.0 * grids.dispersion[:, 0, :].real
-    # The row tables of the blocked sweep are its largest arrays.  Dropping
-    # the grids here, and B once its rows are read, keeps the peak memory
-    # near that of the one-step sweep (the caller passes the chunk's grids
-    # as a temporary, so this releases them).
+    # The row tables are the sweep's largest arrays.  Dropping the grids
+    # here, and B once its rows are read, bounds the peak memory (the caller
+    # passes the chunk's grids as a temporary, so this releases them).
     del grids, step
 
-    sums = np.zeros((3, t_max + 1))
-    v = np.zeros((8, n_k))
-    v[4:] = rho_vec[:, None]
     # w_m = sum_{m'<m} [ L^{m-m'-1} (G - G^dag') a_{m'} ]; then the double sum
     # collapses to sum_m Tr{ G^dag' w_m } because for each inner pair the G
     # term and the G^dag' term differ only in which factor carries the
     # derivative, and the remaining imbalance telescopes.
-    if t_max < _BLOCK_FROM_T:
-        block = _nodes_last(block)
-        readout = _nodes_last(readout).reshape(3, 8 * n_k)
-        for m in range(1, t_max + 1):
-            sums[:, m] = readout @ v.ravel()
-            v = np.einsum("ijn,jn->in", block, v)
-    else:
-        # Horizon m reads R v_m with v_m = B^{m-1} v_1, so a block of s
-        # horizons starting at m reads the rows R B^j (j < s) against the
-        # same v_m, and the next block starts from B^s v_m.  B is block
-        # upper-triangular, so R B^j keeps R's zeros on the w_r half of v in
-        # the first-moment and dispersion rows: the rows are kept as an
-        # a-half table (s, 3, 4, n_k) for all three sums and a w_r-half
-        # table (s, 4, n_k) for the cross sum, nodes-last, so that each
-        # block reads them with one (3s, 4 n_k) @ (4 n_k) and one
-        # (s, 4 n_k) @ (4 n_k) product.
-        s = _BLOCK
-        rows_a = np.empty((s, 3, 4, n_k))
-        rows_w = np.empty((s, 4, n_k))
-        row = readout
-        for j in range(s):
-            if j:
-                row = row @ block
-            rows_a[j] = np.moveaxis(row[:, :, 4:], 0, -1)
-            rows_w[j] = row[:, 1, :4].T
-        rows_a = rows_a.reshape(3 * s, 4 * n_k)
-        rows_w = rows_w.reshape(s, 4 * n_k)
-        power = block
-        del block, readout, row
-        for _ in range(s.bit_length() - 1):
-            power = power @ power
-        power = _nodes_last(power)
+    v = np.zeros((8, n_k))
+    v[4:] = rho_vec[:, None]
+    # Horizon m reads R v_m with v_m = B^{m-1} v_1, so a block of s horizons
+    # starting at m reads the rows R B^j (j < s) against the same v_m, and
+    # the next block starts from B^s v_m.  B is block upper-triangular, so
+    # R B^j keeps R's zeros on the w_r half of v in the first-moment and
+    # dispersion rows: the rows are kept as an a-half table (s, 3, 4, n_k)
+    # for all three sums and a w_r-half table (s, 4, n_k) for the cross sum,
+    # nodes-last, so that each block reads them with one (3s, 4 n_k) @ (4 n_k)
+    # and one (s, 4 n_k) @ (4 n_k) product.
+    s = _BLOCK
+    rows_a = np.empty((s, 3, 4, n_k))
+    rows_w = np.empty((s, 4, n_k))
+    row = readout
+    for j in range(s):
+        if j:
+            row = row @ block
+        rows_a[j] = np.moveaxis(row[:, :, 4:], 0, -1)
+        rows_w[j] = row[:, 1, :4].T
+    rows_a = rows_a.reshape(3 * s, 4 * n_k)
+    rows_w = rows_w.reshape(s, 4 * n_k)
+    power = block
+    del block, readout, row
+    for _ in range(s.bit_length() - 1):
+        power = power @ power
+    power = _nodes_last(power)
 
-        n_blocks = -(-t_max // s)
-        out = np.empty((n_blocks, 3 * s))
-        out_w = np.empty((n_blocks, s))
-        for b in range(n_blocks):
-            if b:
-                v = np.einsum("ijn,jn->in", power, v)
-            out[b] = rows_a @ v[4:].ravel()
-            out_w[b] = rows_w @ v[:4].ravel()
-        out = out.reshape(n_blocks, s, 3)
-        out[:, :, 1] += out_w
-        sums[:, 1:] = out.reshape(n_blocks * s, 3)[:t_max].T
+    n_blocks = -(-t_max // s)
+    out = np.empty((n_blocks, 3 * s))
+    out_w = np.empty((n_blocks, s))
+    for b in range(n_blocks):
+        if b:
+            v = np.einsum("ijn,jn->in", power, v)
+        out[b] = rows_a @ v[4:].ravel()
+        out_w[b] = rows_w @ v[:4].ravel()
+    out = out.reshape(n_blocks, s, 3)
+    out[:, :, 1] += out_w
+    sums = np.zeros((3, t_max + 1))
+    sums[:, 1:] = out.reshape(n_blocks * s, 3)[:t_max].T
     s_first, s_cross, s_j = np.cumsum(sums, axis=1)
     if naive:
         s_cross = cross_c.real

@@ -38,6 +38,10 @@ COIN_PRESETS = {
 # to 512 momentum nodes); fixing it skips the search on every call.
 _SANDWICH_PATH = ["einsum_path", (1, 3), (0, 2), (0, 1)]
 
+# Largest imaginary Pauli coordinate, and deviation of the trace from 1,
+# that ``validate_coin_state`` accepts.
+_COIN_TOL = 1e-12
+
 
 def to_pauli(op: np.ndarray) -> np.ndarray:
     """Expand a (..., 2, 2) operator into Pauli coordinates r_i = Tr(sigma_i O) / 2."""
@@ -95,7 +99,7 @@ def coin_state(coin) -> np.ndarray:
     return validate_coin_state(vec)
 
 
-def validate_coin_state(vec: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def validate_coin_state(vec: np.ndarray) -> np.ndarray:
     """Check that ``vec`` encodes a unit-trace, Hermitian, positive coin density.
 
     Returns the vector as a real float array (the imaginary parts must be
@@ -104,10 +108,10 @@ def validate_coin_state(vec: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     vec = np.asarray(vec, dtype=complex)
     if vec.shape != (4,):
         raise UnnormalizedCoinError(f"coin state must be a 4-vector, got shape {vec.shape}")
-    if not np.max(np.abs(vec.imag)) <= tol:
+    if not np.max(np.abs(vec.imag)) <= _COIN_TOL:
         raise UnnormalizedCoinError("coin density has non-real Pauli coordinates")
     real = vec.real.copy()
-    if not abs(real[0] - 0.5) <= tol:
+    if not abs(real[0] - 0.5) <= _COIN_TOL:
         raise UnnormalizedCoinError(f"coin trace is {float(2 * real[0])}, expected 1")
     bloch_sq = float(np.dot(real[1:], real[1:]))
     if not bloch_sq <= 0.25 + 1e-9:

@@ -73,7 +73,8 @@ class DensityState:
 
     @property
     def positions(self) -> np.ndarray:
-        return np.arange(self.x_min, self.x_max + 1)
+        # offsets from x_min, so a window ending at the int64 maximum fits
+        return self.x_min + np.arange(self.n_sites)
 
 
 def init_state(coin, x0: int = 0) -> DensityState:

@@ -6,9 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dqwalk.cli import RunConfig, _parse_coin, main
+from dqwalk.cli import RunConfig, _parse_coin, build_parser, config_from_args, main
 from dqwalk.errors import QuadratureTooCoarseWarning
-from dqwalk.moments import _BLOCK_FROM_T
 
 
 def read_csv(path):
@@ -57,6 +56,32 @@ def test_walk_respects_start_site(tmp_path):
     assert len(rows) == 1
     assert int(rows[0][0]) == -7
     assert float(rows[0][1]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_walk_variance_does_not_depend_on_start_site(tmp_path, capsys):
+    # the variance column is taken about x0, so a far start cannot cancel it
+    columns = []
+    for x0 in ("0", "100000000"):
+        assert main(["walk", "--p", "0.3", "--t", "3", "--coin", "R", "--x0", x0,
+                     "--out", str(tmp_path / "dist.csv"), "--moments-out", "-"]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        columns.append([row.split(",")[3] for row in rows])
+    assert columns[0] == columns[1]
+
+
+@pytest.mark.parametrize("x0", ["9223372036854775807", "-9223372036854775808"])
+def test_walk_start_whose_light_cone_overflows_exits_2(x0, capsys):
+    assert main(["walk", "--x0", x0, "--t", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "64-bit position range" in captured.err
+
+
+def test_walk_light_cone_may_end_at_the_int64_maximum(capsys):
+    assert main(["walk", "--x0", "9223372036854775806", "--t", "1"]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == [
+        "9223372036854775805", "9223372036854775806", "9223372036854775807"]
 
 
 def test_walk_to_stdout(capsys):
@@ -417,9 +442,9 @@ def test_xcheck_detects_drift_corruption(tmp_path):
     # the mutation must be caught by the second-moment rows
     assert any("second moment vs oracle" in line and line.endswith("FAIL")
                for line in report.splitlines())
-    # including the row whose sweep advances several steps at once
+    # including the row whose sweep crosses eight full blocks and a partial one
     blocked = [line for line in report.splitlines()
-               if line.startswith(f"broken-line p=0.3, coin R, t={_BLOCK_FROM_T + 1}:")]
+               if line.startswith("broken-line p=0.3, coin R, t=65:")]
     assert len(blocked) == 2
     assert all(line.endswith("FAIL") for line in blocked)
 
@@ -443,6 +468,11 @@ def test_runconfig_round_trips_through_json():
                            q=0.25, coin=coin, t=17, n_k=64, naive=True)
         back = RunConfig.from_json_dict(json.loads(json.dumps(config.to_json_dict())))
         assert back == config
+
+
+@pytest.mark.parametrize("sub", ["walk", "moments", "diffusion", "xcheck"])
+def test_parser_defaults_are_runconfig_defaults(sub):
+    assert config_from_args(build_parser().parse_args([sub])) == RunConfig(subcommand=sub)
 
 
 def test_parse_coin_forms():
