@@ -17,9 +17,6 @@ from .brokenline import (
     diffusion_integral,
     diffusion_prefactor,
     diffusion_slope_estimate,
-    dispersion_matrix_closed_form,
-    drift_matrix_closed_form,
-    transfer_matrix_closed_form,
     write_sweep_csv,
 )
 from .channels import (
@@ -75,9 +72,7 @@ from .simulator import (
     init_state,
     moment_direct,
     position_distribution,
-    purity,
     step,
-    variance_direct,
 )
 
 __version__ = "0.1.0"

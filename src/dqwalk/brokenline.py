@@ -1,8 +1,7 @@
 """Closed forms for the broken-line model (Hadamard coin, failing links).
 
-For this channel the momentum-space transfer matrices have compact explicit
-entries in the Pauli basis, the long-time variance growth is exactly linear,
-and the diffusion constant reduces to a single elementary integral:
+For this channel the long-time variance growth is exactly linear, and the
+diffusion constant reduces to a single elementary integral:
 
     D(p) = (1 - p) / p * K(p),
     K(p) = (1 - (1 - p) * I(1 - p)) / 2,
@@ -43,65 +42,6 @@ def _check_p(p: float) -> float:
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"link-failure probability must be in [0, 1], got {p!r}")
     return p
-
-
-def _efgh(p: float, k):
-    """The four trigonometric building blocks of the closed-form matrices."""
-    p = _check_p(p)
-    k = np.asarray(k, dtype=float)
-    coherent = (1.0 - p) ** 2
-    mixed = p * (1.0 - p)
-    return (
-        coherent * np.sin(2 * k),
-        coherent * np.cos(2 * k),
-        mixed * np.sin(k),
-        mixed * np.cos(k),
-    )
-
-
-def transfer_matrix_closed_form(p: float, k) -> np.ndarray:
-    """One-step Pauli transfer matrix of the broken-line channel at momentum k."""
-    e, f, g, h = _efgh(p, k)
-    out = np.zeros(np.shape(e) + (4, 4), dtype=complex)
-    out[..., 0, 0] = 1.0
-    out[..., 1, 2] = e
-    out[..., 1, 3] = f + p * p
-    out[..., 2, 2] = -f + p * p
-    out[..., 2, 3] = e
-    out[..., 3, 1] = 1.0 - 2.0 * p
-    out[..., 3, 2] = -2.0 * g
-    out[..., 3, 3] = -2.0 * h
-    return out
-
-
-def drift_matrix_closed_form(p: float, k) -> np.ndarray:
-    """Closed form of the left-derivative map; its top row is pure imaginary."""
-    e, f, g, h = _efgh(p, k)
-    out = np.zeros(np.shape(e) + (4, 4), dtype=complex)
-    out[..., 0, 1] = 1j * (p - 1.0)
-    out[..., 0, 2] = 1j * g
-    out[..., 0, 3] = 1j * h
-    out[..., 1, 2] = f
-    out[..., 1, 3] = -e
-    out[..., 2, 2] = e
-    out[..., 2, 3] = f
-    out[..., 3, 0] = 1j * (p - 1.0)
-    out[..., 3, 2] = -h
-    out[..., 3, 3] = g
-    return out
-
-
-def dispersion_matrix_closed_form(p: float, k) -> np.ndarray:
-    """Closed form of the doubly-differentiated map; top row ((1-p), 0, 0, 0)."""
-    e, f, _, _ = _efgh(p, k)
-    out = np.zeros(np.shape(e) + (4, 4), dtype=complex)
-    out[..., 0, 0] = 1.0 - p
-    out[..., 1, 2] = -e
-    out[..., 1, 3] = -f
-    out[..., 2, 2] = f
-    out[..., 2, 3] = -e
-    out[..., 3, 1] = 1.0 - p
-    return out
 
 
 def default_channel(p: float):

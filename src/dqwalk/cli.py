@@ -99,14 +99,6 @@ class RunConfig:
             data["coin"] = [float(v) for v in self.coin]
         return data
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "RunConfig":
-        data = dict(data)
-        coin = data.get("coin")
-        if isinstance(coin, list):
-            data["coin"] = tuple(float(v) for v in coin)
-        return cls(**data)
-
 
 def _parse_coin(text: str):
     """A preset name, or four comma-separated Pauli coordinates."""

@@ -44,6 +44,21 @@ n_k = 2 * max_hop * t + 1 nodes suffice (``exact_node_bound``).  The same
 frequencies build the grids: ``transfer_grids`` folds the channel's terms
 into one Fourier coefficient per frequency l - l' and map, and evaluates
 them with a single matrix product per grid.
+
+Many channels need only half of that grid.  If every Kraus operator is real
+up to a global phase (the broken line at its default phases, coin dephasing
+with the Hadamard coin), the maps obey L(-k) = P conj(L(k)) P,
+G(-k) = -P conj(G(k)) P and J(-k) = P conj(J(k)) P, where
+P = diag(1, 1, -1, 1) is complex conjugation in the Pauli basis.  Node -k
+then carries the integrand of node k started from P rho0, and since the
+moments are linear in rho0 the pair sums to twice node k started from rho0
+with its sigma_y part removed.  ``_series_sums`` checks this once per call
+on the Fourier coefficients (``_conjugation_symmetric``) and then sweeps only
+nodes 0 .. n_k // 2, with weight 2 except at the self-paired nodes -pi and 0.
+The weights go into the start vector, so the sweep itself is unchanged.
+This is the same n_k-node rule, not a coarser one: ``n_k``, the exactness
+bound and the coarse-grid warning keep their meaning.  Any other channel
+sweeps all n_k nodes.
 """
 
 from __future__ import annotations
@@ -78,6 +93,13 @@ _BLOCK = 8  # a power of two: B^_BLOCK is formed by repeated squaring
 # computed in complex arithmetic, above this is reported as an error rather
 # than silently truncated.
 _IMAG_TOL = 1e-8
+
+# Largest deviation from conjugation symmetry, relative to the largest
+# Fourier coefficient, at which the sweep still folds the grid in half (see
+# ``_conjugation_symmetric``).  Symmetric channels built from rounded phases
+# such as e^{i pi} sit near 3e-17; a broken line with theta1 = 1e-12 sits at
+# 5e-13 and is swept in full.
+_FOLD_TOL = 1e-15
 
 
 def momentum_grid(n_k: int) -> np.ndarray:
@@ -167,6 +189,23 @@ def transfer_grids(
     )
 
 
+def _conjugation_symmetric(coef: np.ndarray) -> bool:
+    """Whether node -k of the maps mirrors node k under complex conjugation.
+
+    With P = diag(1, 1, -1, 1), the Pauli matrix of rho -> conj(rho), the
+    condition is L(-k) = P conj(L(k)) P, G(-k) = -P conj(G(k)) P and
+    J(-k) = P conj(J(k)) P for all k, i.e. A_d = +-P conj(A_d) P for every
+    Fourier coefficient of ``_fourier_coefficients`` (the drift's weight -i*l
+    flips sign under conjugation).  It holds when every Kraus operator is
+    real up to a global phase, e.g. the broken line at its default phases
+    and coin dephasing with the Hadamard coin.  A NaN fails the check.
+    """
+    flip = np.array((1.0, 1.0, -1.0, 1.0))
+    sign = np.multiply.outer((1.0, -1.0, 1.0), np.outer(flip, flip)).reshape(48, 1)
+    gap = np.abs(coef - sign * coef.conj()).max()
+    return bool(gap <= _FOLD_TOL * np.abs(coef).max())
+
+
 # --- the moment sweep -------------------------------------------------------
 
 def _grid_residue(grids: TransferGrids) -> float:
@@ -208,7 +247,7 @@ def _mv(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return np.einsum("ijn,jn->in", mats, vecs)
 
 
-def _naive_cross(grids: TransferGrids, rho_vec: np.ndarray, t_max: int) -> np.ndarray:
+def _naive_cross(grids: TransferGrids, start: np.ndarray, t_max: int) -> np.ndarray:
     """Literal complex double sum of the cross term, O(t^2) per momentum.
 
     Kept as an independent route to catch bookkeeping errors in the
@@ -222,7 +261,7 @@ def _naive_cross(grids: TransferGrids, rho_vec: np.ndarray, t_max: int) -> np.nd
     # Tr{A O} = 2 * (row 0 of A) . (Pauli vector of O); fold in the factor 2.
     g_row = 2.0 * grids.drift[:, 0, :]
     gd_row = 2.0 * grids.drift_adj[:, 0, :]
-    a_list = [np.tile(np.asarray(rho_vec, dtype=complex), (step.shape[0], 1))]
+    a_list = [start.T.astype(complex)]
     for _ in range(1, t_max):
         a_list.append(mv(step, a_list[-1]))
     inner = np.zeros(t_max + 1, dtype=complex)
@@ -239,7 +278,7 @@ def _naive_cross(grids: TransferGrids, rho_vec: np.ndarray, t_max: int) -> np.nd
 
 
 def _accumulate(
-    grids: TransferGrids, rho_vec: np.ndarray, t_max: int, naive: bool
+    grids: TransferGrids, start: np.ndarray, t_max: int, naive: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Per-chunk sweep in real arithmetic.
 
@@ -250,8 +289,10 @@ def _accumulate(
         cross:  the double sum over m' < m <= t (both orderings),
         jsum:   sum_{m<=t} Tr{ J a_m },
 
-    with a_m = L^{m-1} rho0, followed by the grid residue.  The mean over
-    momenta is taken by the caller.
+    with a_m = L^{m-1} rho0, followed by the grid residue.  ``start`` is
+    (4, n_nodes): rho0 at each node, already scaled by the node's quadrature
+    weight (the sums are linear in rho0).  The mean over momenta is taken by
+    the caller.
 
     Every series is swept ``s = _BLOCK`` horizons per advance: the rows
     R B^j (j < s) and the power B^s are built once per chunk, and each block
@@ -265,7 +306,7 @@ def _accumulate(
     residue = _grid_residue(grids)
     n_k = len(grids.ks)
     if naive:
-        cross_c = np.cumsum(_naive_cross(grids, rho_vec, t_max))
+        cross_c = np.cumsum(_naive_cross(grids, start, t_max))
         residue = max(residue, _imag_residue(cross_c / n_k, "naive cross term"))
     step = grids.step.real
     # The running vectors are stacked as v = (w_r, a) and advanced by the
@@ -295,7 +336,7 @@ def _accumulate(
     # term and the G^dag' term differ only in which factor carries the
     # derivative, and the remaining imbalance telescopes.
     v = np.zeros((8, n_k))
-    v[4:] = rho_vec[:, None]
+    v[4:] = start
     # Horizon m reads R v_m with v_m = B^{m-1} v_1, so a block of s horizons
     # starting at m reads the rows R B^j (j < s) against the same v_m, and
     # the next block starts from B^s v_m.  B is block upper-triangular, so
@@ -346,15 +387,29 @@ def _series_sums(
     n_k: int,
     naive: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Sweep the full momentum grid chunk by chunk, summing in order."""
+    """Sweep the n_k-node momentum grid chunk by chunk, summing in order.
+
+    A channel that passes ``_conjugation_symmetric`` is swept on the nodes
+    j = 0 .. n_k // 2 only, from rho0 without its sigma_y part, with weight 2
+    except at the self-paired nodes -pi and (for even n_k) 0 (see the module
+    docstring).  Any other channel sweeps every node with weight 1.
+    """
     ks = momentum_grid(n_k)
     coefficients = _fourier_coefficients(channel)
+    weights = np.ones(n_k)
+    if _conjugation_symmetric(coefficients[1]):
+        ks = ks[:n_k // 2 + 1]
+        weights = np.full(len(ks), 2.0)
+        weights[0] = 1.0
+        if n_k % 2 == 0:
+            weights[-1] = 1.0
+        rho_vec = rho_vec * (1.0, 1.0, 0.0, 1.0)
     first = cross = jsum = 0.0
     residue = 0.0
-    for i in range(0, n_k, _CHUNK):
+    for i in range(0, len(ks), _CHUNK):
         part_first, part_cross, part_j, part_res = _accumulate(
             transfer_grids(channel, ks[i:i + _CHUNK], coefficients),
-            rho_vec, t_max, naive,
+            np.multiply.outer(rho_vec, weights[i:i + _CHUNK]), t_max, naive,
         )
         first = first + part_first
         cross = cross + part_cross
@@ -386,12 +441,11 @@ class MomentSeries:
         return len(self.first) - 1
 
     def to_csv(self, fh) -> None:
-        fh.write("t,first,second,variance\n")
-        for t in range(self.t_max + 1):
-            fh.write(
-                f"{t},{self.first[t]:.17g},{self.second[t]:.17g},"
-                f"{self.variance[t]:.17g}\n"
-            )
+        rows = zip(self.first.tolist(), self.second.tolist(), self.variance.tolist())
+        fh.write("t,first,second,variance\n" + "".join(
+            f"{t},{first:.17g},{second:.17g},{var:.17g}\n"
+            for t, (first, second, var) in enumerate(rows)
+        ))
 
     def to_json_dict(self) -> dict:
         return {
@@ -400,9 +454,9 @@ class MomentSeries:
             "n_k": self.n_k,
             "max_imag_residue": self.max_imag_residue,
             "t": list(range(self.t_max + 1)),
-            "first": [float(v) for v in self.first],
-            "second": [float(v) for v in self.second],
-            "variance": [float(v) for v in self.variance],
+            "first": self.first.tolist(),
+            "second": self.second.tolist(),
+            "variance": self.variance.tolist(),
         }
 
 
@@ -506,7 +560,8 @@ def moment_series_from_grids(
     if t_max < 0:
         raise ValueError(f"horizon must be nonnegative, got {t_max}")
     rho_vec = coin_state(coin)
-    first, cross, jsum, residue = _accumulate(grids, rho_vec, t_max, naive)
+    start = np.multiply.outer(rho_vec, np.ones(len(grids.ks)))
+    first, cross, jsum, residue = _accumulate(grids, start, t_max, naive)
     return _finalize(first, cross, jsum, len(grids.ks), label, rho_vec, residue)
 
 

@@ -200,13 +200,3 @@ def moment_direct(state: DensityState, order: int) -> float:
         raise ValueError(f"moment order must be nonnegative, got {order}")
     xs, probs = position_distribution(state)
     return float(np.sum(xs.astype(float) ** order * probs))
-
-
-def variance_direct(state: DensityState) -> float:
-    """Position variance <x^2> - <x>^2."""
-    return moment_direct(state, 2) - moment_direct(state, 1) ** 2
-
-
-def purity(state: DensityState) -> float:
-    """Tr(rho^2); decreases (weakly) under any of these channels."""
-    return float(np.einsum("xayb,ybxa->", state.rho, state.rho).real)

@@ -29,6 +29,11 @@ from dqwalk.moments import (
     transfer_grids,
 )
 from dqwalk.simulator import evolve, init_state, moment_direct
+from test_moments import (
+    dispersion_matrix_closed_form,
+    drift_matrix_closed_form,
+    transfer_matrix_closed_form,
+)
 
 
 def broken_line(p):
@@ -173,16 +178,16 @@ def test_criterion_7_structural_matrices():
         for k in np.linspace(-np.pi, np.pi, 9):
             grids = transfer_grids(channel, np.array([k]))
             worst = max(worst, float(np.max(np.abs(
-                grids.step[0] - brokenline.transfer_matrix_closed_form(p, k)))))
+                grids.step[0] - transfer_matrix_closed_form(p, k)))))
             worst = max(worst, float(np.max(np.abs(
                 grids.dispersion[0]
-                - brokenline.dispersion_matrix_closed_form(p, k)))))
+                - dispersion_matrix_closed_form(p, k)))))
     for p in (0.3, 0.7):
         channel = broken_line(p)
         for k in (0.0, 1.0, 2.0):
             grids = transfer_grids(channel, np.array([k]))
             worst = max(worst, float(np.max(np.abs(
-                grids.drift[0] - brokenline.drift_matrix_closed_form(p, k)))))
+                grids.drift[0] - drift_matrix_closed_form(p, k)))))
 
     good_phase = True
     try:

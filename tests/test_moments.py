@@ -2,11 +2,13 @@
 
 Covers the affine superoperator grids (transfer, drift, dispersion),
 the finite-time moment recursions and their naive double-sum twin, the
-coin-noise specialization, the asymptotic first moment, and quadrature
-exactness.  Structural matrices are pinned against the independently coded
-closed forms in ``dqwalk.brokenline`` and against the node-by-node route
-kept here as ``reference_grids``; moments are pinned against the direct
-simulator.
+coin-noise specialization, the asymptotic first moment, quadrature
+exactness, and the half-grid sweep of conjugation-symmetric channels.
+Structural matrices are pinned against the independently coded broken-line
+closed forms and against the node-by-node route, both kept here as
+references (``transfer_matrix_closed_form`` ..., ``reference_grids``);
+moments are pinned against the direct simulator and the one-step,
+full-grid ``reference_series``.
 """
 
 import dataclasses
@@ -18,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqwalk import brokenline
+from dqwalk import moments
 from dqwalk.channels import (
     COIN_INDEX,
     HADAMARD,
@@ -42,6 +44,8 @@ from dqwalk.moments import (
     _BLOCK,
     _CHUNK,
     TransferGrids,
+    _conjugation_symmetric,
+    _fourier_coefficients,
     asymptotic_first_moment,
     default_node_count,
     diffusion_from_slope,
@@ -73,6 +77,64 @@ MEASURE = WalkChannel(
 def at_k(channel, k):
     """The four transfer grids at the single momentum k."""
     return transfer_grids(channel, np.array([k]))
+
+
+def _efgh(p, k):
+    """The four trigonometric building blocks of the closed-form matrices."""
+    k = np.asarray(k, dtype=float)
+    coherent = (1.0 - p) ** 2
+    mixed = p * (1.0 - p)
+    return (
+        coherent * np.sin(2 * k),
+        coherent * np.cos(2 * k),
+        mixed * np.sin(k),
+        mixed * np.cos(k),
+    )
+
+
+def transfer_matrix_closed_form(p, k):
+    """Test-only reference: the broken line's one-step Pauli transfer matrix."""
+    e, f, g, h = _efgh(p, k)
+    out = np.zeros(np.shape(e) + (4, 4), dtype=complex)
+    out[..., 0, 0] = 1.0
+    out[..., 1, 2] = e
+    out[..., 1, 3] = f + p * p
+    out[..., 2, 2] = -f + p * p
+    out[..., 2, 3] = e
+    out[..., 3, 1] = 1.0 - 2.0 * p
+    out[..., 3, 2] = -2.0 * g
+    out[..., 3, 3] = -2.0 * h
+    return out
+
+
+def drift_matrix_closed_form(p, k):
+    """Test-only reference: the left-derivative map; its top row is pure imaginary."""
+    e, f, g, h = _efgh(p, k)
+    out = np.zeros(np.shape(e) + (4, 4), dtype=complex)
+    out[..., 0, 1] = 1j * (p - 1.0)
+    out[..., 0, 2] = 1j * g
+    out[..., 0, 3] = 1j * h
+    out[..., 1, 2] = f
+    out[..., 1, 3] = -e
+    out[..., 2, 2] = e
+    out[..., 2, 3] = f
+    out[..., 3, 0] = 1j * (p - 1.0)
+    out[..., 3, 2] = -h
+    out[..., 3, 3] = g
+    return out
+
+
+def dispersion_matrix_closed_form(p, k):
+    """Test-only reference: the doubly-differentiated map; top row ((1-p), 0, 0, 0)."""
+    e, f, _, _ = _efgh(p, k)
+    out = np.zeros(np.shape(e) + (4, 4), dtype=complex)
+    out[..., 0, 0] = 1.0 - p
+    out[..., 1, 2] = -e
+    out[..., 1, 3] = -f
+    out[..., 2, 2] = f
+    out[..., 2, 3] = -e
+    out[..., 3, 1] = 1.0 - p
+    return out
 
 
 def reference_coin_matrices(channel, k, derivative=False):
@@ -234,21 +296,21 @@ K_GRID = (0.0, 0.5, 1.0, 2.0, -2.5, np.pi)
 @pytest.mark.parametrize("k", K_GRID)
 def test_transfer_matrix_matches_closed_form(p, k):
     got = at_k(broken_line(p), k).step[0]
-    assert np.max(np.abs(got - brokenline.transfer_matrix_closed_form(p, k))) <= 1e-12
+    assert np.max(np.abs(got - transfer_matrix_closed_form(p, k))) <= 1e-12
 
 
 @pytest.mark.parametrize("p", (0.3, 0.7))
 @pytest.mark.parametrize("k", (0.0, 1.0, 2.0))
 def test_drift_matrix_matches_closed_form(p, k):
     got = at_k(broken_line(p), k).drift[0]
-    assert np.max(np.abs(got - brokenline.drift_matrix_closed_form(p, k))) <= 1e-12
+    assert np.max(np.abs(got - drift_matrix_closed_form(p, k))) <= 1e-12
 
 
 @pytest.mark.parametrize("p", P_GRID)
 @pytest.mark.parametrize("k", K_GRID)
 def test_dispersion_matrix_matches_closed_form(p, k):
     got = at_k(broken_line(p), k).dispersion[0]
-    assert np.max(np.abs(got - brokenline.dispersion_matrix_closed_form(p, k))) <= 1e-12
+    assert np.max(np.abs(got - dispersion_matrix_closed_form(p, k))) <= 1e-12
     assert got[0, 0] == pytest.approx(1 - p)  # printed top-left entry
 
 
@@ -295,7 +357,7 @@ def test_coherent_transfer_has_unit_modulus_spectrum():
 
 def test_noisy_transfer_contracts_bloch_block():
     for p in (0.1, 0.5, 0.9):
-        block = brokenline.transfer_matrix_closed_form(p, 1.3)[1:, 1:]
+        block = transfer_matrix_closed_form(p, 1.3)[1:, 1:]
         assert np.abs(np.linalg.eigvals(block)).max() < 1.0
 
 
@@ -687,15 +749,18 @@ def test_engine_matches_oracle_on_random_channels(seed, num_kraus, layers, coin,
 
 
 @pytest.mark.parametrize(
-    "t, n_k, atol",
+    "ch, t, n_k, atol",
     [
-        (10, None, 0.0),  # one 512-node chunk: the same sums, bit for bit
-        (30, 1200, 1e-11),  # three chunks summed in order vs one pass
+        # one 512-node chunk on a channel swept in full: the same sums, bit for bit
+        (random_hop2_channel(), 10, None, 0.0),
+        # the same grid, but the channel folds: 24 of 48 nodes, weighted
+        (broken_line(0.25), 10, None, 1e-14),
+        # a half grid of 601 nodes in two chunks vs one pass over 1200
+        (broken_line(0.25), 30, 1200, 1e-11),
     ],
-    ids=["one-chunk", "three-chunks"],
+    ids=["one-chunk", "one-chunk-folded", "three-chunks"],
 )
-def test_series_from_prebuilt_grids_matches(t, n_k, atol):
-    ch = broken_line(0.25)
+def test_series_from_prebuilt_grids_matches(ch, t, n_k, atol):
     if n_k is None:
         n_k = default_node_count(ch, t)
     direct = moment_series(ch, "R", t, n_k=n_k)
@@ -757,6 +822,8 @@ def _nan_coherent_channel():
 
 def test_nan_channel_data_fail_closed():
     ch = _nan_coherent_channel()
+    # NaN fails the symmetry check, so the full grid runs and its check raises
+    assert not _conjugation_symmetric(_fourier_coefficients(ch)[1])
     with pytest.raises(NonRealMomentError):
         moment_series(ch, "R", 4)
     with pytest.raises(NonRealMomentError):
@@ -775,6 +842,102 @@ def test_negative_horizon_rejected():
 
 
 # ---------------------------------------------------------------------------
+# conjugation symmetry: the half-grid sweep
+# ---------------------------------------------------------------------------
+
+# rho -> conj(rho) in Pauli coordinates: conjugation flips sigma_y
+PAULI_FLIP = np.diag([1.0, 1.0, -1.0, 1.0])
+MIRROR_SIGNS = (("step", 1.0), ("drift", -1.0), ("dispersion", 1.0))
+
+
+def mirrored(mats, sign):
+    """sign * P conj(A) P: what a folding channel's map A(k) is at -k."""
+    return sign * (PAULI_FLIP @ mats.conj() @ PAULI_FLIP)
+
+
+def with_kraus_phases(channel, phases):
+    """The same channel with Kraus operator n multiplied by e^{i phases[n]}."""
+    return WalkChannel(f"{channel.label}-phased", tuple(
+        dataclasses.replace(t, amp=t.amp * np.exp(1j * phases[t.n]))
+        for t in channel.terms
+    ))
+
+
+BL_PHASED = with_kraus_phases(broken_line(0.3), (0.3, 1.7, -2.2, 2.9))
+BL_THETA1 = build_broken_line(BrokenLineParams(p=0.3, theta1=0.4))
+
+
+@pytest.mark.parametrize("p", P_GRID)
+def test_closed_forms_obey_mirror_relations(p):
+    # L(-k) = P conj(L(k)) P, G(-k) = -P conj(G(k)) P, J(-k) = P conj(J(k)) P
+    ks = np.array(K_GRID)
+    forms = (transfer_matrix_closed_form, drift_matrix_closed_form,
+             dispersion_matrix_closed_form)
+    for form, (name, sign) in zip(forms, MIRROR_SIGNS):
+        np.testing.assert_allclose(
+            form(p, -ks), mirrored(form(p, ks), sign), rtol=0.0, atol=1e-15, err_msg=name
+        )
+
+
+@pytest.mark.parametrize(
+    "channel, folds",
+    [(broken_line(0.3), True), (broken_line(1.0), True), (dephasing_channel(0.4), True),
+     (HAD, True), (BL_PHASED, True), (BL_THETA1, False),
+     (build_broken_line(BrokenLineParams(p=0.3, theta4=-1.2)), False),
+     (random_hop2_channel(), False)],
+    ids=["bl03", "bl1", "dephasing04", "coherent", "bl03-kraus-phases", "bl03-theta1",
+         "bl03-theta4", "hop2"],
+)
+def test_conjugation_symmetry_check_matches_grids(channel, folds):
+    ks = np.linspace(-3.0, 3.0, 13)
+    plus, minus = transfer_grids(channel, ks), transfer_grids(channel, -ks)
+    gap = max(
+        np.abs(getattr(minus, name) - mirrored(getattr(plus, name), sign)).max()
+        for name, sign in MIRROR_SIGNS
+    )
+    assert gap <= 1e-14 if folds else gap > 1e-2
+    assert _conjugation_symmetric(_fourier_coefficients(channel)[1]) == folds
+
+
+def test_symmetric_channel_sweeps_half_the_grid(monkeypatch):
+    swept = []
+
+    def spy(channel, ks, coefficients=None):
+        swept.append(len(ks))
+        return transfer_grids(channel, ks, coefficients)
+
+    monkeypatch.setattr(moments, "transfer_grids", spy)
+    # nodes 0 .. n_k // 2 in 512-node chunks; a channel that fails the check
+    # sweeps all of them
+    for channel, n_k, want in [(broken_line(0.3), 1208, [512, 93]),
+                               (broken_line(0.3), 1201, [512, 89]),
+                               (BL_THETA1, 48, [48])]:
+        swept.clear()
+        assert moment_series(channel, "R", 20, n_k=n_k).n_k == n_k
+        assert swept == want
+
+
+@pytest.mark.parametrize(
+    "channel, t, n_k",
+    [(broken_line(0.3), 40, "default"), (broken_line(0.3), 40, "exact"),
+     (broken_line(0.7), 600, "exact"), (dephasing_channel(0.4), 50, "default"),
+     (BL_PHASED, 40, "default")],
+    ids=["bl03-even", "bl03-odd", "bl07-two-chunks", "dephasing04-even",
+         "bl03-kraus-phases"],
+)
+@pytest.mark.parametrize("coin", [GENERIC_COIN, (0.6, 0.8j)], ids=["generic", "amplitude"])
+def test_half_grid_sweep_matches_full_grid_reference(channel, t, n_k, coin):
+    # both coins carry sigma_y, which the fold removes from the start vector
+    assert coin_state(coin)[2] != 0
+    n_k = default_node_count(channel, t) if n_k == "default" else exact_node_bound(channel, t)
+    series = moment_series(channel, coin, t, n_k=n_k)
+    assert series.n_k == n_k
+    want = reference_series(channel, coin, t, n_k=n_k)
+    for g, w in zip((series.first, series.second, series.variance), want):
+        assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
+
+
+# ---------------------------------------------------------------------------
 # exports
 # ---------------------------------------------------------------------------
 
@@ -789,6 +952,32 @@ def test_csv_export_shape():
     t, first, second, var = lines[3].split(",")
     assert int(t) == 2
     assert float(second) == pytest.approx(series.second[2])
+
+
+@pytest.mark.parametrize("kind", ["series", "edge-values"])
+def test_writers_match_row_by_row_format(kind):
+    series = moment_series(broken_line(0.3), GENERIC_COIN, 200)
+    if kind == "edge-values":
+        vals = np.array([0.0, -0.0, 5e-324, -1e300, 1 / 3, 0.1, 123456789.125])
+        series = dataclasses.replace(series, first=vals, second=-vals[::-1], variance=0.5 * vals)
+    buf = io.StringIO()
+    series.to_csv(buf)
+    want = "t,first,second,variance\n" + "".join(
+        f"{t},{series.first[t]:.17g},{series.second[t]:.17g},{series.variance[t]:.17g}\n"
+        for t in range(series.t_max + 1)
+    )
+    assert buf.getvalue() == want
+    want_json = {
+        "channel": series.channel_label,
+        "coin": list(series.coin),
+        "n_k": series.n_k,
+        "max_imag_residue": series.max_imag_residue,
+        "t": list(range(series.t_max + 1)),
+        "first": [float(v) for v in series.first],
+        "second": [float(v) for v in series.second],
+        "variance": [float(v) for v in series.variance],
+    }
+    assert json.dumps(series.to_json_dict()) == json.dumps(want_json)
 
 
 def test_json_export_round_trips():

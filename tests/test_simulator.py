@@ -27,9 +27,7 @@ from dqwalk.simulator import (
     init_state,
     moment_direct,
     position_distribution,
-    purity,
     step,
-    variance_direct,
 )
 from test_moments import MEASURE, random_hop2_channel
 
@@ -44,6 +42,17 @@ def dist_dict(state):
 
 
 HAD = build_coherent(HADAMARD)
+
+
+def variance_direct(state):
+    """Test-only reference: position variance <x^2> - <x>^2 from the oracle."""
+    return moment_direct(state, 2) - moment_direct(state, 1) ** 2
+
+
+def purity(state):
+    """Test-only reference: Tr(rho^2); decreases (weakly) under any channel."""
+    return float(np.einsum("xayb,ybxa->", state.rho, state.rho).real)
+
 
 def reference_step(state, channel):
     """Test-only reference: one step applied literally, term by term.
