@@ -60,7 +60,6 @@ from .moments import (
     diffusion_from_slope,
     j_term,
     moment_series,
-    moment_series_from_grids,
     momentum_grid,
     second_moment_coin_specialized,
     transfer_grids,

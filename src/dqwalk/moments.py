@@ -27,10 +27,12 @@ approximation.  In the Pauli basis a Hermiticity-preserving map has a real
 matrix, so L_k and J_k are real.  Differentiating completeness,
 sum_n C_n^dag C_n = I, makes sum_n C_n^dag C_n' anti-Hermitian, so the top
 rows of G_k and G*_k (the only rows a trace reads) are purely imaginary.
-G_k - G*_k is i times a real map, so the telescoping vector is i times a
-real vector, and the factors of i are put back analytically.  The discarded
-parts are checked to be negligible on every grid (``NonRealMomentError``
-otherwise); that residue is ``MomentSeries.max_imag_residue``.
+G*_k is the complex conjugate of G_k, so G_k - G*_k = 2i Im G_k and the
+telescoping vector is i times a real vector; the factors of i are put back
+analytically.  The discarded parts are checked to be negligible once per
+channel, on its Fourier coefficients, which bounds them at every k
+(``_coefficient_residue``; ``NonRealMomentError`` otherwise).  That residue
+is ``MomentSeries.max_imag_residue``.
 
 The k-integral is evaluated on a uniform grid, which is *exact* once the
 node count exceeds the trigonometric degree of the integrand, not merely
@@ -129,15 +131,16 @@ def exact_node_bound(channel: WalkChannel, t_max: int) -> int:
 
 @dataclass(frozen=True)
 class TransferGrids:
-    """The four superoperator grids evaluated on a momentum grid.
+    """The step, drift and dispersion maps evaluated on a momentum grid.
 
-    Arrays have shape (len(ks), 4, 4).
+    Arrays have shape (len(ks), 4, 4).  The partner map
+    O -> sum_n C_n O C_n'^dag of the drift is its complex conjugate, so it is
+    not stored.
     """
 
     ks: np.ndarray
     step: np.ndarray
     drift: np.ndarray
-    drift_adj: np.ndarray
     dispersion: np.ndarray
 
 
@@ -172,21 +175,47 @@ def transfer_grids(
     """Evaluate step/drift/dispersion maps on a whole momentum grid at once.
 
     One (48, n_d) @ (n_d, n_k) product of the channel's Fourier coefficients
-    with e^{-idk}.  ``coefficients`` (from ``_fourier_coefficients(channel)``)
-    lets a caller evaluating several chunks of one grid build them once.
+    with e^{-idk}, which are checked first (``_coefficient_residue``).
+    ``coefficients`` (from ``_fourier_coefficients(channel)``, already
+    checked) lets a caller evaluating several chunks of one grid build and
+    check them once.
     """
     if coefficients is None:
         coefficients = _fourier_coefficients(channel)
+        _coefficient_residue(coefficients[1])
     freqs, coef = coefficients
     grid = (coef @ np.exp(-1j * np.multiply.outer(freqs, ks))).reshape(3, 4, 4, -1)
     step, drift, dispersion = np.moveaxis(grid, -1, 1)
-    return TransferGrids(
-        ks=ks,
-        step=step,
-        drift=drift,
-        drift_adj=np.conj(drift),
-        dispersion=dispersion,
+    return TransferGrids(ks=ks, step=step, drift=drift, dispersion=dispersion)
+
+
+def _coefficient_residue(coef: np.ndarray) -> float:
+    """Worst deviation of the coefficients from the structure the real sweep assumes.
+
+    The sweep keeps only the real step map, the imaginary top row of the
+    drift map and the real top row of the dispersion map.  A map
+    sum_d A_d e^{-idk} is real at every k exactly when A_{-d} = conj(A_d),
+    and i times a real map when A_{-d} = -conj(A_d); the frequency set is
+    symmetric, so -d is the reversed column order.  Each discarded part is
+    at most n_d / 2 times this residue at any k.  Every coefficient must be
+    finite and the residue below tolerance, or the channel is rejected; a
+    NaN fails the check, so bad channel data cannot pass silently.
+    """
+    maps = coef.reshape(3, 4, 4, -1)
+    mirror = maps[..., ::-1].conj()
+    discarded = (
+        maps[0] - mirror[0],
+        maps[1, 0] + mirror[1, 0],
+        maps[2, 0] - mirror[2, 0],
     )
+    residue = max(float(np.abs(part).max()) for part in discarded)
+    if not (np.isfinite(coef).all() and residue <= _IMAG_TOL):
+        raise NonRealMomentError(
+            f"channel coefficients are not finite with the real/imaginary structure "
+            f"of a trace-preserving channel (residue {residue:.3g}); "
+            "the channel data are inconsistent"
+        )
+    return residue
 
 
 def _conjugation_symmetric(coef: np.ndarray) -> bool:
@@ -207,35 +236,6 @@ def _conjugation_symmetric(coef: np.ndarray) -> bool:
 
 
 # --- the moment sweep -------------------------------------------------------
-
-def _grid_residue(grids: TransferGrids) -> float:
-    """Worst deviation of the grids from the structure the real sweep assumes.
-
-    The sweep keeps only the real step map, the imaginary top rows of the two
-    drift maps and the real top row of the dispersion map; each discarded
-    part must be below tolerance and every entry finite, or the grids are
-    rejected.  A NaN fails the check, so bad channel data cannot pass
-    silently.
-    """
-    discarded = (
-        grids.step.imag,
-        grids.drift[:, 0, :].real,
-        grids.drift_adj[:, 0, :].real,
-        grids.dispersion[:, 0, :].imag,
-    )
-    residue = max(float(np.abs(part).max(initial=0.0)) for part in discarded)
-    finite = all(
-        np.isfinite(grid).all()
-        for grid in (grids.step, grids.drift, grids.drift_adj, grids.dispersion)
-    )
-    if not (finite and residue <= _IMAG_TOL):
-        raise NonRealMomentError(
-            f"transfer grids are not finite with the real/imaginary structure "
-            f"of a trace-preserving channel (residue {residue:.3g}); "
-            "the channel data are inconsistent"
-        )
-    return residue
-
 
 def _nodes_last(mats: np.ndarray) -> np.ndarray:
     """(n_k, 4, ...) -> contiguous (4, ..., n_k): the momentum axis innermost."""
@@ -259,15 +259,16 @@ def _naive_cross(grids: TransferGrids, start: np.ndarray, t_max: int) -> np.ndar
 
     step = grids.step
     # Tr{A O} = 2 * (row 0 of A) . (Pauli vector of O); fold in the factor 2.
+    partner = grids.drift.conj()  # G*: O -> sum_n C_n O C_n'^dag
     g_row = 2.0 * grids.drift[:, 0, :]
-    gd_row = 2.0 * grids.drift_adj[:, 0, :]
+    gd_row = 2.0 * partner[:, 0, :]
     a_list = [start.T.astype(complex)]
     for _ in range(1, t_max):
         a_list.append(mv(step, a_list[-1]))
     inner = np.zeros(t_max + 1, dtype=complex)
     for m_prime in range(1, t_max):
         y1 = mv(grids.drift, a_list[m_prime - 1])
-        y2 = mv(grids.drift_adj, a_list[m_prime - 1])
+        y2 = mv(partner, a_list[m_prime - 1])
         for m in range(m_prime + 1, t_max + 1):
             inner[m] += np.einsum("ni,ni->", gd_row, y1)
             inner[m] += np.einsum("ni,ni->", g_row, y2)
@@ -279,7 +280,7 @@ def _naive_cross(grids: TransferGrids, start: np.ndarray, t_max: int) -> np.ndar
 
 def _accumulate(
     grids: TransferGrids, start: np.ndarray, t_max: int, naive: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-chunk sweep in real arithmetic.
 
     Returns three float arrays of length t_max + 1 holding, for each
@@ -289,7 +290,8 @@ def _accumulate(
         cross:  the double sum over m' < m <= t (both orderings),
         jsum:   sum_{m<=t} Tr{ J a_m },
 
-    with a_m = L^{m-1} rho0, followed by the grid residue.  ``start`` is
+    with a_m = L^{m-1} rho0.  With ``naive`` the cross sum is the complex
+    literal double sum, whose imaginary part the caller checks.  ``start`` is
     (4, n_nodes): rho0 at each node, already scaled by the node's quadrature
     weight (the sums are linear in rho0).  The mean over momenta is taken by
     the caller.
@@ -300,31 +302,29 @@ def _accumulate(
     16 + 64/s multiply-adds per node-step instead of the 88 of reading R v
     and advancing v by B once per horizon.  The blocked sweep rounds in
     another order than the one-step sweep and agrees with it to about 1e-14
-    relative.  Earlier versions ran the one-step sweep below t = 64, so
-    series there differ from theirs by about 1e-15 relative.
+    relative.
     """
-    residue = _grid_residue(grids)
     n_k = len(grids.ks)
     if naive:
         cross_c = np.cumsum(_naive_cross(grids, start, t_max))
-        residue = max(residue, _imag_residue(cross_c / n_k, "naive cross term"))
     step = grids.step.real
     # The running vectors are stacked as v = (w_r, a) and advanced by the
     # block map B = [[L, drive], [0, L]] (node-first here, (n_k, 8, 8)).
-    # G - G^dag' is i times a real map (its real part is zero for consistent
-    # grids and is dropped), so w = i * w_r below.
+    # G - G^dag' = G - conj(G) is i times the real map 2 Im G, so w = i * w_r
+    # below.
     block = np.zeros((n_k, 8, 8))
     block[:, :4, :4] = step
-    block[:, :4, 4:] = (grids.drift - grids.drift_adj).imag
+    block[:, :4, 4:] = 2.0 * grids.drift.imag
     block[:, 4:, 4:] = step
     # Tr{A O} = 2 * (row 0 of A) . (Pauli vector of O).  The drift rows are i
     # times a real row and meet one more factor i (the i of <x>, or that of
-    # w), so their real coefficient is -2 * Im.  Row 0 of the readout R gives
-    # the first-moment sum (from a), row 1 the cross sum (from w_r), row 2 the
-    # dispersion sum (from a).
+    # w), so their real coefficient is -2 * Im, which is +2 * Im G for
+    # G^dag' = conj(G).  Row 0 of the readout R gives the first-moment sum
+    # (from a), row 1 the cross sum (from w_r), row 2 the dispersion sum
+    # (from a).
     readout = np.zeros((n_k, 3, 8))
     readout[:, 0, 4:] = -2.0 * grids.drift[:, 0, :].imag
-    readout[:, 1, :4] = -2.0 * grids.drift_adj[:, 0, :].imag
+    readout[:, 1, :4] = 2.0 * grids.drift[:, 0, :].imag
     readout[:, 2, 4:] = 2.0 * grids.dispersion[:, 0, :].real
     # The row tables are the sweep's largest arrays.  Dropping the grids
     # here, and B once its rows are read, bounds the peak memory (the caller
@@ -376,8 +376,8 @@ def _accumulate(
     sums[:, 1:] = out.reshape(n_blocks * s, 3)[:t_max].T
     s_first, s_cross, s_j = np.cumsum(sums, axis=1)
     if naive:
-        s_cross = cross_c.real
-    return s_first, s_cross, s_j, residue
+        s_cross = cross_c
+    return s_first, s_cross, s_j
 
 
 def _series_sums(
@@ -389,13 +389,18 @@ def _series_sums(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Sweep the n_k-node momentum grid chunk by chunk, summing in order.
 
-    A channel that passes ``_conjugation_symmetric`` is swept on the nodes
-    j = 0 .. n_k // 2 only, from rho0 without its sigma_y part, with weight 2
-    except at the self-paired nodes -pi and (for even n_k) 0 (see the module
-    docstring).  Any other channel sweeps every node with weight 1.
+    The channel's coefficients are built and checked once
+    (``_coefficient_residue``).  A channel that passes
+    ``_conjugation_symmetric`` is swept on the nodes j = 0 .. n_k // 2 only,
+    from rho0 without its sigma_y part, with weight 2 except at the
+    self-paired nodes -pi and (for even n_k) 0 (see the module docstring).
+    Any other channel sweeps every node with weight 1.  Returns the three
+    sums and the residue: the coefficients' and, with ``naive``, the
+    imaginary part of the literal double sum.
     """
     ks = momentum_grid(n_k)
     coefficients = _fourier_coefficients(channel)
+    residue = _coefficient_residue(coefficients[1])
     weights = np.ones(n_k)
     if _conjugation_symmetric(coefficients[1]):
         ks = ks[:n_k // 2 + 1]
@@ -405,27 +410,42 @@ def _series_sums(
             weights[-1] = 1.0
         rho_vec = rho_vec * (1.0, 1.0, 0.0, 1.0)
     first = cross = jsum = 0.0
-    residue = 0.0
     for i in range(0, len(ks), _CHUNK):
-        part_first, part_cross, part_j, part_res = _accumulate(
+        part_first, part_cross, part_j = _accumulate(
             transfer_grids(channel, ks[i:i + _CHUNK], coefficients),
             np.multiply.outer(rho_vec, weights[i:i + _CHUNK]), t_max, naive,
         )
         first = first + part_first
         cross = cross + part_cross
         jsum = jsum + part_j
-        residue = max(residue, part_res)
+    if naive:
+        residue = max(residue, _imag_residue(cross / n_k, "naive cross term"))
+        cross = cross.real
     return first, cross, jsum, residue
+
+
+def write_moment_csv(fh, first, second, variance) -> None:
+    """Write the ``t,first,second,variance`` table, one row per t from 0.
+
+    The columns are sequences of floats (``.tolist()`` of an array formats
+    fastest); every value is written with 17 significant digits.
+    """
+    rows = zip(first, second, variance)
+    fh.write("t,first,second,variance\n" + "".join(
+        f"{t},{m1:.17g},{m2:.17g},{var:.17g}\n"
+        for t, (m1, m2, var) in enumerate(rows)
+    ))
 
 
 @dataclass(frozen=True)
 class MomentSeries:
     """First and second position moments for t = 0 .. t_max.
 
-    ``max_imag_residue`` records the largest part of the transfer grids that
-    the real sweep discards (see ``_grid_residue``) and, with ``naive=True``,
-    the imaginary part of the literal double sum; it is a numerical health
-    indicator and is kept far below any physical scale by construction.
+    ``max_imag_residue`` records the largest deviation of the channel's
+    Fourier coefficients from the structure the real sweep assumes (see
+    ``_coefficient_residue``) and, with ``naive=True``, the imaginary part of
+    the literal double sum; it is a numerical health indicator and is kept
+    far below any physical scale by construction.
     """
 
     channel_label: str
@@ -441,11 +461,9 @@ class MomentSeries:
         return len(self.first) - 1
 
     def to_csv(self, fh) -> None:
-        rows = zip(self.first.tolist(), self.second.tolist(), self.variance.tolist())
-        fh.write("t,first,second,variance\n" + "".join(
-            f"{t},{first:.17g},{second:.17g},{var:.17g}\n"
-            for t, (first, second, var) in enumerate(rows)
-        ))
+        write_moment_csv(
+            fh, self.first.tolist(), self.second.tolist(), self.variance.tolist()
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -544,27 +562,6 @@ def moment_series(
     return _finalize(first, cross, jsum, n_k, channel.label, rho_vec, residue)
 
 
-def moment_series_from_grids(
-    grids: TransferGrids,
-    coin,
-    t_max: int,
-    naive: bool = False,
-    label: str = "custom-grids",
-) -> MomentSeries:
-    """Moment sweep over prebuilt transfer grids, in one pass over all nodes.
-
-    Exists so cross-check harnesses can perturb individual grids and watch
-    the comparison fail.  With more than 512 nodes its sums may differ from
-    ``moment_series`` in the last bits, because that sweeps in chunks.
-    """
-    if t_max < 0:
-        raise ValueError(f"horizon must be nonnegative, got {t_max}")
-    rho_vec = coin_state(coin)
-    start = np.multiply.outer(rho_vec, np.ones(len(grids.ks)))
-    first, cross, jsum, residue = _accumulate(grids, start, t_max, naive)
-    return _finalize(first, cross, jsum, len(grids.ks), label, rho_vec, residue)
-
-
 def j_term(
     channel: WalkChannel,
     coin,
@@ -615,7 +612,6 @@ def second_moment_coin_specialized(
         n_k = default_node_count(channel, t)
     _check_node_count(channel, t, n_k)
     grids = transfer_grids(channel, momentum_grid(n_k))
-    _grid_residue(grids)
     step = _nodes_last(grids.step.real)
     b = _mv(step, np.repeat(rho_vec[:, None], n_k, axis=1))
     u = np.zeros((4, n_k))
@@ -655,7 +651,6 @@ def asymptotic_first_moment(channel: WalkChannel, coin, n_k: int = 512) -> float
     rho_vec = coin_state(coin)
     ks = momentum_grid(n_k)
     grids = transfer_grids(channel, ks)
-    _grid_residue(grids)
     step = grids.step.real
     block = step[:, 1:, 1:]
     radius = np.abs(np.linalg.eigvals(block)).max(axis=1)

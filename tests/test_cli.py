@@ -1,12 +1,22 @@
 """End-to-end CLI tests; every invocation goes through ``cli.main`` in-process."""
 
+import dataclasses
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from dqwalk.cli import RunConfig, _parse_coin, build_parser, config_from_args, main
+from dqwalk import moments
+from dqwalk.channels import BrokenLineParams, build_broken_line
+from dqwalk.cli import (
+    RunConfig,
+    _oracle_run,
+    _parse_coin,
+    build_parser,
+    config_from_args,
+    main,
+)
 from dqwalk.errors import QuadratureTooCoarseWarning
 
 
@@ -67,6 +77,21 @@ def test_walk_variance_does_not_depend_on_start_site(tmp_path, capsys):
         rows = capsys.readouterr().out.strip().splitlines()[1:]
         columns.append([row.split(",")[3] for row in rows])
     assert columns[0] == columns[1]
+
+
+def test_walk_moment_table_bytes(tmp_path):
+    table = tmp_path / "moments.csv"
+    assert main(["walk", "--p", "0.3", "--t", "12", "--coin", "mixed", "--x0", "5",
+                 "--out", str(tmp_path / "dist.csv"), "--moments-out", str(table)]) == 0
+    _, firsts, seconds, variances = _oracle_run(
+        build_broken_line(BrokenLineParams(p=0.3)), "mixed", 12, x0=5
+    )
+    assert firsts[12] > 4.0  # the columns are about the origin, not x0
+    want = "t,first,second,variance\n" + "".join(
+        f"{t},{firsts[t]:.17g},{seconds[t]:.17g},{variances[t]:.17g}\n"
+        for t in range(13)
+    )
+    assert table.read_bytes() == want.encode()
 
 
 @pytest.mark.parametrize("x0", ["9223372036854775807", "-9223372036854775808"])
@@ -432,12 +457,23 @@ def test_xcheck_clean_build_passes(tmp_path):
     assert main(["xcheck", "--out", str(out)]) == 0
     report = out.read_text()
     assert "FAIL" not in report
-    assert report.strip().endswith("13/13 checks passed")
+    assert report.strip().endswith("15/15 checks passed")
+    # both the half-grid sweep and the full-grid one are played against the oracle
+    assert "theta1=0.4, coin R: second moment vs oracle" in report
 
 
-def test_xcheck_detects_drift_corruption(tmp_path):
+def test_xcheck_detects_drift_corruption(tmp_path, monkeypatch):
+    # doubling the drift grids keeps their structure, so only the
+    # comparisons can catch it
+    build = moments.transfer_grids
+
+    def doubled(*args, **kwargs):
+        grids = build(*args, **kwargs)
+        return dataclasses.replace(grids, drift=2.0 * grids.drift)
+
+    monkeypatch.setattr(moments, "transfer_grids", doubled)
     out = tmp_path / "xcheck.txt"
-    assert main(["xcheck", "--corrupt-drift", "--out", str(out)]) == 1
+    assert main(["xcheck", "--out", str(out)]) == 1
     report = out.read_text()
     # the mutation must be caught by the second-moment rows
     assert any("second moment vs oracle" in line and line.endswith("FAIL")
@@ -453,7 +489,7 @@ def test_xcheck_coin_reduction_suite(tmp_path):
     out = tmp_path / "xcheck.txt"
     assert main(["xcheck", "--coin-reduction", "--out", str(out)]) == 0
     report = out.read_text()
-    assert "21/21 checks passed" in report
+    assert "23/23 checks passed" in report
     assert "q=1: generic vs coin-specialized" in report
 
 

@@ -52,7 +52,6 @@ from dqwalk.moments import (
     exact_node_bound,
     j_term,
     moment_series,
-    moment_series_from_grids,
     momentum_grid,
     second_moment_coin_specialized,
     transfer_grids,
@@ -168,7 +167,6 @@ def reference_grids(channel, ks):
         ks=ks,
         step=sandwich_superop(cs, cs),
         drift=sandwich_superop(ds, cs),
-        drift_adj=sandwich_superop(cs, ds),
         dispersion=sandwich_superop(ds, ds),
     )
 
@@ -194,13 +192,14 @@ def reference_series(channel, coin, t_max, n_k=None):
         grids = transfer_grids(channel, ks[i:i + _CHUNK])
         n = len(grids.ks)
         step = nodes_last(grids.step.real)
+        drift_adj = grids.drift.conj()  # O -> sum_n C_n O C_n'^dag
         block = np.zeros((8, 8, n))
         block[:4, :4] = step
-        block[:4, 4:] = nodes_last((grids.drift - grids.drift_adj).imag)
+        block[:4, 4:] = nodes_last((grids.drift - drift_adj).imag)
         block[4:, 4:] = step
         readout = np.zeros((3, 8, n))
         readout[0, 4:] = nodes_last(-2.0 * grids.drift[:, 0, :].imag)
-        readout[1, :4] = nodes_last(-2.0 * grids.drift_adj[:, 0, :].imag)
+        readout[1, :4] = nodes_last(-2.0 * drift_adj[:, 0, :].imag)
         readout[2, 4:] = nodes_last(2.0 * grids.dispersion[:, 0, :].real)
         readout = readout.reshape(3, 8 * n)
         sums = np.zeros((3, t_max + 1))
@@ -362,10 +361,12 @@ def test_noisy_transfer_contracts_bloch_block():
 
 
 def test_drift_adjoint_is_conjugate():
+    # the sweep reads the partner map O -> sum_n C_n O C_n'^dag as conj(drift)
     ch = broken_line(0.45)
     for k in K_GRID:
-        # the literal map O -> sum_n C_n O C_n'^dag, not the stored conjugate
-        adjoint = reference_grids(ch, np.array([k])).drift_adj[0]
+        cs = reference_coin_matrices(ch, np.array([k]))
+        ds = reference_coin_matrices(ch, np.array([k]), derivative=True)
+        adjoint = sandwich_superop(cs, ds)[0]
         assert np.allclose(adjoint, at_k(ch, k).drift[0].conj())
 
 
@@ -422,7 +423,7 @@ def test_coin_channel_dispersion_is_z_sandwich_of_transfer():
 def test_transfer_grids_match_per_node_reference(channel, n_k):
     ks = momentum_grid(n_k)
     got, want = transfer_grids(channel, ks), reference_grids(channel, ks)
-    for name in ("step", "drift", "drift_adj", "dispersion"):
+    for name in ("step", "drift", "dispersion"):
         np.testing.assert_allclose(
             getattr(got, name), getattr(want, name), rtol=0.0, atol=1e-14, err_msg=name
         )
@@ -748,59 +749,73 @@ def test_engine_matches_oracle_on_random_channels(seed, num_kraus, layers, coin,
     assert deviation_at_nodes(channel, coin, t, n_k, oracle) <= 1e-9
 
 
-@pytest.mark.parametrize(
-    "ch, t, n_k, atol",
-    [
-        # one 512-node chunk on a channel swept in full: the same sums, bit for bit
-        (random_hop2_channel(), 10, None, 0.0),
-        # the same grid, but the channel folds: 24 of 48 nodes, weighted
-        (broken_line(0.25), 10, None, 1e-14),
-        # a half grid of 601 nodes in two chunks vs one pass over 1200
-        (broken_line(0.25), 30, 1200, 1e-11),
-    ],
-    ids=["one-chunk", "one-chunk-folded", "three-chunks"],
-)
-def test_series_from_prebuilt_grids_matches(ch, t, n_k, atol):
-    if n_k is None:
-        n_k = default_node_count(ch, t)
-    direct = moment_series(ch, "R", t, n_k=n_k)
-    grids = transfer_grids(ch, momentum_grid(n_k))
-    rebuilt = moment_series_from_grids(grids, "R", t)
-    np.testing.assert_allclose(rebuilt.first, direct.first, rtol=0.0, atol=atol)
-    np.testing.assert_allclose(rebuilt.second, direct.second, rtol=0.0, atol=atol)
+def _imaginary_step(freqs, coef):
+    """Adds 1e-6j to the step map at every k: to its d = 0 coefficient."""
+    coef = coef.copy()
+    coef[:16, freqs == 0] += 1e-6j
+    return freqs, coef
 
 
-def test_corrupted_grids_poison_the_moments():
-    # mutation sanity: a sign flip on the drift grid must visibly change the
-    # result (this is what the CLI cross-check's corruption hook exercises)
-    ch = broken_line(0.4)
-    for t, n_k in SWEEP_CASES:
-        grids = transfer_grids(ch, momentum_grid(n_k))
-        bad = dataclasses.replace(grids, drift=-grids.drift)
-        clean = moment_series_from_grids(grids, "R", t)
-        poisoned = moment_series_from_grids(bad, "R", t)
-        assert np.max(np.abs(clean.second - poisoned.second)) > 0.1
-        assert np.max(np.abs(clean.first - poisoned.first)) > 0.1
+def _real_drift_top_row(freqs, coef):
+    """Adds 1e-6 to the drift map's top row at every k."""
+    coef = coef.copy()
+    coef[16:20, freqs == 0] += 1e-6
+    return freqs, coef
 
 
-def _imaginary_step(grids):
-    return dataclasses.replace(grids, step=grids.step + 1e-6j)
-
-
-def _real_drift_top_row(grids):
-    drift = grids.drift.copy()
-    drift[:, 0, :] += 1e-6
-    return dataclasses.replace(grids, drift=drift)
+def _structure_routes():
+    """Every route that reads the transfer maps, as zero-argument calls."""
+    bl, deph = broken_line(0.4), dephasing_channel(0.4)
+    series = [lambda t=t, n_k=n_k: moment_series(bl, "R", t, n_k=n_k)
+              for t, n_k in SWEEP_CASES]
+    return series + [
+        lambda: moment_series(bl, "R", 6, naive=True),
+        lambda: j_term(bl, "R", 8),
+        lambda: second_moment_coin_specialized(deph, "R", 8),
+        lambda: asymptotic_first_moment(bl, "R"),
+    ]
 
 
 @pytest.mark.parametrize("corrupt", [_imaginary_step, _real_drift_top_row])
-def test_grid_structure_check_bites(corrupt):
-    # the real sweep discards these parts, so it must refuse grids that have them
-    for t, n_k in SWEEP_CASES:
-        grids = transfer_grids(broken_line(0.4), momentum_grid(n_k))
-        assert moment_series_from_grids(grids, "R", t).max_imag_residue <= 1e-14
+def test_grid_structure_check_bites(corrupt, monkeypatch):
+    # the real sweep discards these parts, so every route must refuse a
+    # channel whose coefficients have them
+    routes = _structure_routes()
+    for route in routes:
+        clean = route()
+        if isinstance(clean, moments.MomentSeries):
+            assert clean.max_imag_residue <= 1e-14
+    build = moments._fourier_coefficients
+    monkeypatch.setattr(
+        moments, "_fourier_coefficients", lambda channel: corrupt(*build(channel))
+    )
+    for route in routes:
         with pytest.raises(NonRealMomentError):
-            moment_series_from_grids(corrupt(grids), "R", t)
+            route()
+
+
+def test_structure_check_runs_once_per_call(monkeypatch):
+    checks, chunks = [], []
+    check, grids = moments._coefficient_residue, moments.transfer_grids
+
+    def check_spy(coef):
+        checks.append(1)
+        return check(coef)
+
+    def grids_spy(channel, ks, coefficients=None):
+        chunks.append(len(ks))
+        return grids(channel, ks, coefficients)
+
+    monkeypatch.setattr(moments, "_coefficient_residue", check_spy)
+    monkeypatch.setattr(moments, "transfer_grids", grids_spy)
+    # t = 600: a half grid of 605 of 1208 nodes, in two chunks
+    moment_series(broken_line(0.7), "R", 600)
+    assert chunks == [512, 93]
+    assert len(checks) == 1
+    for route in _structure_routes():
+        checks.clear()
+        route()
+        assert len(checks) == 1
 
 
 @pytest.mark.parametrize("n_k", [0, -4])
@@ -822,7 +837,7 @@ def _nan_coherent_channel():
 
 def test_nan_channel_data_fail_closed():
     ch = _nan_coherent_channel()
-    # NaN fails the symmetry check, so the full grid runs and its check raises
+    # NaN fails the symmetry check, and the structure check raises before any sweep
     assert not _conjugation_symmetric(_fourier_coefficients(ch)[1])
     with pytest.raises(NonRealMomentError):
         moment_series(ch, "R", 4)
