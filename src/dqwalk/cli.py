@@ -145,9 +145,9 @@ def _out_stream(path: str | None):
 def _oracle_run(channel: WalkChannel, coin, t_max: int, x0: int = 0):
     """Run the density-matrix oracle for ``t_max`` steps from site ``x0``.
 
-    Returns the final state and the lists of <x>, <x^2> and the variance
-    after 0..t_max steps.  The variance is taken from the offsets x - x0, so
-    a far start does not cancel it away.
+    Returns the final ``(positions, probabilities)`` and the lists of <x>,
+    <x^2> and the variance after 0..t_max steps.  The variance is taken from
+    the offsets x - x0, so a far start does not cancel it away.
     """
     if t_max < 0:
         raise ValueError(f"horizon must be nonnegative, got {t_max}")
@@ -166,26 +166,25 @@ def _oracle_run(channel: WalkChannel, coin, t_max: int, x0: int = 0):
         # one diagonal read per step; the sums are moment_direct's
         xs, probs = position_distribution(state)
         offsets = (xs - x0).astype(float)
-        xs = xs.astype(float)
-        firsts.append(float(np.sum(xs ** 1 * probs)))
-        seconds.append(float(np.sum(xs ** 2 * probs)))
+        xf = xs.astype(float)
+        firsts.append(float(np.sum(xf ** 1 * probs)))
+        seconds.append(float(np.sum(xf ** 2 * probs)))
         shift = float(np.sum(offsets * probs))
         variances.append(float(np.sum(offsets ** 2 * probs)) - shift * shift)
-    return state, firsts, seconds, variances
+    return (xs, probs), firsts, seconds, variances
 
 
 def cmd_walk(config: RunConfig) -> int:
     channel = _resolve_channel(config)
-    state, firsts, seconds, variances = _oracle_run(
+    (xs, probs), firsts, seconds, variances = _oracle_run(
         channel, _coin_arg(config), config.t, x0=config.x0
     )
-    xs, probs = position_distribution(state)
+    # parity / light-cone sites that were never touched are exact zeros
     with _out_stream(config.out) as fh:
-        fh.write("x,prob\n")
-        for x, prob in zip(xs, probs):
-            if prob == 0.0:
-                continue  # parity / light-cone sites that were never touched
-            fh.write(f"{x},{prob:.17g}\n")
+        fh.write("x,prob\n" + "".join(
+            f"{x},{prob:.17g}\n"
+            for x, prob in zip(xs.tolist(), probs.tolist()) if prob != 0.0
+        ))
     if config.moments_out is not None:
         with _out_stream(config.moments_out) as fh:
             write_moment_csv(fh, firsts, seconds, variances)
@@ -432,6 +431,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _ignored_channel_flag(args: argparse.Namespace) -> str | None:
+    """Why a given channel flag would have no effect, or None if none would.
+
+    ``--p`` and ``--theta1..4`` shape only the broken line, ``--q`` only coin
+    dephasing, and a channel file replaces ``--channel`` altogether.
+    """
+    if not hasattr(args, "channel_file"):  # a subcommand without channel flags
+        return None
+    if args.channel_file is not None:
+        if args.channel is not None:
+            return "--channel cannot be combined with --channel-file"
+        channel = "a channel file"
+    else:
+        channel = args.channel or RunConfig.channel
+    owners = {"p": "broken-line", "q": "coin-dephasing"}
+    owners.update({f"theta{i}": "broken-line" for i in (1, 2, 3, 4)})
+    for name, owner in owners.items():
+        if getattr(args, name) is not None and channel != owner:
+            return f"--{name} applies only to --channel {owner}, not to {channel}"
+    return None
+
+
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     fields = {f.name for f in dataclasses.fields(RunConfig)}
     values = {k: v for k, v in vars(args).items() if k in fields and v is not None}
@@ -468,6 +489,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(_attach_negative_values(argv))
+    ignored = _ignored_channel_flag(args)
+    if ignored is not None:
+        parser.error(ignored)
     config = config_from_args(args)
     try:
         return _DISPATCH[config.subcommand](config)

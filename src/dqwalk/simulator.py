@@ -33,6 +33,22 @@ elements, one block's worth, rather than k N^2.  Tiling and write-first go toget
 group starts with its largest ket offset l: a later tile's write then lands
 on rows past every row that an earlier tile added to.
 
+Two facts about the maps cut the work further, and both are exact:
+
+* Kraus operators that are real up to a global phase (the broken line at
+  its default phases, coin dephasing, the Hadamard walk) give real maps.
+  ``_fold`` decides this once per channel: if no entry has an imaginary
+  part above ``_REAL_TOL`` = 1e-15 of the largest entry (the broken line's
+  e^{i pi} phases leave about 1e-17), it stores the rows as floats.  A real
+  row acts on the real and imaginary parts of rho alike, so the product
+  runs as a real matmul on float views of the source and the new array,
+  where each site spans two adjacent columns; no copy is made.  Any other
+  channel runs the same loop in complex arithmetic.
+* Every Kraus map preserves Hermiticity, so block RL (r = 2) is the
+  conjugate transpose of block LR (r = 1).  ``step`` computes blocks 0, 1
+  and 3 and fills block 2 from block 1; it therefore expects a Hermitian
+  ``rho``, which every state from ``init_state`` and ``step`` is.
+
 ``rho`` is returned as the transposed (N', 2, N', 2) view of the new array,
 so it is generally not C-contiguous, and the next step reads it back
 without a copy.  The sums run in a different order from the term-by-term
@@ -54,6 +70,11 @@ from .pauli import coin_state, from_pauli
 # Fewest ket rows per tile of a step's product: below this the per-tile
 # numpy calls cost more than the smaller buffer saves.
 _TILE_FLOOR = 32
+
+# Largest imaginary part, relative to the largest entry, of coin-pair maps
+# that are stepped in real arithmetic: a few ulps, the rounding that global
+# phases leave on maps that are real in exact arithmetic.
+_REAL_TOL = 1e-15
 
 
 @dataclass
@@ -100,8 +121,10 @@ def _fold(terms: tuple[KrausTerm, ...]) -> tuple:
     as a ``(k_r, 4)`` array and ``shifts`` holds their shift pairs
     ``(l, l')``; ``k_r`` is 0 for a coin pair no map reaches.  Each group
     starts with a shift pair of the largest ket offset ``l``, which
-    ``step``'s write-first tiling relies on.  The rows are read-only: every
-    caller with equal terms shares them.
+    ``step``'s write-first tiling relies on.  If no map entry has an
+    imaginary part above ``_REAL_TOL`` of the largest entry, every group's
+    rows are stored as real floats and ``step`` runs in real arithmetic.
+    The rows are read-only: every caller with equal terms shares them.
     """
     coin = {}  # (n, l) -> M_{n,l}
     for t in terms:
@@ -113,18 +136,27 @@ def _fold(terms: tuple[KrausTerm, ...]) -> tuple:
             if n2 == n:
                 a = maps.setdefault((l, l2), np.zeros((4, 4), dtype=complex))
                 a += np.kron(m, m2.conj())
+    scale = max((np.abs(a).max() for a in maps.values()), default=0.0)
+    real = all(np.abs(a.imag).max() <= _REAL_TOL * scale for a in maps.values())
     ordered = sorted(maps.items(), key=lambda item: (-item[0][0], item[0][1]))
     groups = []
     for r in range(4):
         kept = [(shift, a[r]) for shift, a in ordered if np.any(a[r] != 0)]
         rows = np.array([row for _, row in kept], dtype=complex).reshape(-1, 4)
+        if real:
+            rows = rows.real.copy()
         rows.setflags(write=False)
         groups.append((rows, tuple(shift for shift, _ in kept)))
     return tuple(groups)
 
 
 def step(state: DensityState, channel: WalkChannel) -> DensityState:
-    """One application of the channel; returns a new, wider state."""
+    """One application of the channel; returns a new, wider state.
+
+    ``state.rho`` must be Hermitian, as every state from ``init_state`` and
+    ``step`` is: the RL coin-pair block is filled as the conjugate transpose
+    of the LR block rather than computed.
+    """
     hop = channel.max_hop
     n_old = state.n_sites
     n_new = n_old + 2 * hop
@@ -132,28 +164,38 @@ def step(state: DensityState, channel: WalkChannel) -> DensityState:
     # rho[x, a, y, b] -> src[2 a + b, x, y]; a view for step's output
     src = state.rho.transpose(1, 3, 0, 2).reshape(4, n_old, n_old)
     new = np.empty((4, n_new, n_new), dtype=complex)
+    out, width = new, 1  # width: array columns per site
+    if groups[0][0].dtype == float:
+        # real rows act on real and imaginary parts alike: run the products
+        # on float views, where a site spans two columns
+        src, out, width = src.view(float), new.view(float), 2
+    cols = width * n_old
     k_max = max(1, *(len(rows) for rows, _ in groups))
     height = max(_TILE_FLOOR, -(-n_old // k_max))
-    buf = np.empty(k_max * min(height, n_old) * n_old, dtype=complex)
-    for block, (rows, shifts) in zip(new, groups):
+    buf = np.empty(k_max * min(height, n_old) * cols, dtype=out.dtype)
+    for r, (block, (rows, shifts)) in enumerate(zip(out, groups)):
+        if r == 2:  # RL: filled from LR below
+            continue
         if not shifts:  # no row targets this coin pair
             block[...] = 0
             continue
-        lo, lo2 = hop + shifts[0][0], hop + shifts[0][1]
+        lo, lo2 = hop + shifts[0][0], width * (hop + shifts[0][1])
         # the first pair's window is written tile by tile; clear the rest
         block[:lo] = 0
         block[lo + n_old:] = 0
         block[lo:lo + n_old, :lo2] = 0
-        block[lo:lo + n_old, lo2 + n_old:] = 0
+        block[lo:lo + n_old, lo2 + cols:] = 0
         for x0 in range(0, n_old, height):
             x1 = min(x0 + height, n_old)
-            prod = buf[:len(rows) * (x1 - x0) * n_old].reshape(len(rows), -1)
+            prod = buf[:len(rows) * (x1 - x0) * cols].reshape(len(rows), -1)
             np.matmul(rows, src[:, x0:x1].reshape(4, -1), out=prod)
-            slabs = prod.reshape(len(rows), x1 - x0, n_old)
-            block[lo + x0:lo + x1, lo2:lo2 + n_old] = slabs[0]
+            slabs = prod.reshape(len(rows), x1 - x0, cols)
+            block[lo + x0:lo + x1, lo2:lo2 + cols] = slabs[0]
             for (l, l2), slab in zip(shifts[1:], slabs[1:]):
-                lo_q, lo2_q = hop + l, hop + l2
-                block[lo_q + x0:lo_q + x1, lo2_q:lo2_q + n_old] += slab
+                lo_q, lo2_q = hop + l, width * (hop + l2)
+                block[lo_q + x0:lo_q + x1, lo2_q:lo2_q + cols] += slab
+    # the new state is Hermitian: rho[x, R, y, L] = conj(rho[y, L, x, R])
+    np.conjugate(new[1].T, out=new[2])
     return DensityState(
         t=state.t + 1,
         x_min=state.x_min - hop,

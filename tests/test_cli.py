@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from dqwalk import moments
-from dqwalk.channels import BrokenLineParams, build_broken_line
+from dqwalk.channels import (
+    HADAMARD,
+    BrokenLineParams,
+    build_broken_line,
+    build_coherent,
+    save_channel,
+)
 from dqwalk.cli import (
     RunConfig,
     _oracle_run,
@@ -18,6 +24,7 @@ from dqwalk.cli import (
     main,
 )
 from dqwalk.errors import QuadratureTooCoarseWarning
+from dqwalk.simulator import evolve, init_state, position_distribution
 
 
 def read_csv(path):
@@ -77,6 +84,21 @@ def test_walk_variance_does_not_depend_on_start_site(tmp_path, capsys):
         rows = capsys.readouterr().out.strip().splitlines()[1:]
         columns.append([row.split(",")[3] for row in rows])
     assert columns[0] == columns[1]
+
+
+@pytest.mark.parametrize("channel", ["coherent", "broken-line"])
+def test_walk_distribution_table_bytes(channel, tmp_path):
+    # one row per site the oracle reached, in the final state's order
+    out = tmp_path / "dist.csv"
+    assert main(["walk", "--channel", channel, "--t", "9", "--coin", "mixed",
+                 "--x0", "-3", "--out", str(out)]) == 0
+    chan = build_coherent(HADAMARD) if channel == "coherent" else build_broken_line(
+        BrokenLineParams(p=RunConfig.p))
+    xs, probs = position_distribution(evolve(init_state("mixed", x0=-3), chan, 9))
+    want = "x,prob\n" + "".join(
+        f"{x},{prob:.17g}\n" for x, prob in zip(xs, probs) if prob != 0.0
+    )
+    assert out.read_bytes() == want.encode()
 
 
 def test_walk_moment_table_bytes(tmp_path):
@@ -372,6 +394,33 @@ def test_walk_rejects_node_count_flag(capsys):
         main(["walk", "--t", "3", "--nk", "-7"])
     assert err.value.code == 2
     assert "--nk" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["moments", "--channel", "coherent", "--q", "0.3"], "--q"),
+        (["walk", "--q", "0.3"], "--q"),  # the default channel is the broken line
+        (["moments", "--channel", "coin-dephasing", "--p", "0.3"], "--p"),
+        (["walk", "--channel", "coherent", "--theta1", "0.4"], "--theta1"),
+        (["moments", "--channel", "coin-dephasing", "--theta4", "-0.1"], "--theta4"),
+        (["walk", "--channel-file", "CHANNEL", "--p", "0.3"], "--p"),
+        (["moments", "--channel-file", "CHANNEL", "--q", "0.3"], "--q"),
+        (["walk", "--channel-file", "CHANNEL", "--channel", "broken-line"], "--channel"),
+    ],
+    ids=["q-coherent", "q-default", "p-dephasing", "theta1-coherent",
+         "theta4-dephasing", "p-file", "q-file", "channel-and-file"],
+)
+def test_flag_the_channel_would_ignore_exits_2(argv, flag, tmp_path, capsys):
+    chan = tmp_path / "chan.json"
+    save_channel(build_broken_line(BrokenLineParams(p=0.3)), chan)
+    argv = [str(chan) if arg == "CHANNEL" else arg for arg in argv]
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--t", "3", "--out", str(tmp_path / "out.csv")])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not (tmp_path / "out.csv").exists()
+    assert f"error: {flag} " in captured.err
 
 
 def test_unknown_channel_is_an_argparse_error():

@@ -7,6 +7,8 @@ The simulator is the oracle the fast momentum-space engine is judged
 against, so it gets its own independent scrutiny here.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,24 @@ def dist_dict(state):
 
 
 HAD = build_coherent(HADAMARD)
+BROKEN_THETA1 = build_broken_line(BrokenLineParams(p=0.3, theta1=0.4))
+
+
+def random_coin_channel(seed):
+    """A coin channel of two random unitaries with random weights.
+
+    ``seed`` may be a ``Generator``, whose draws it then advances.
+    """
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(2))
+    mats = []
+    for _ in range(2):
+        q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        mats.append(q * (np.diagonal(r) / abs(np.diagonal(r))))
+    return build_coin_channel(HADAMARD, list(zip(weights, mats)))
+
+
+RANDOM_COIN = random_coin_channel(77)
 
 
 def variance_direct(state):
@@ -148,12 +168,7 @@ def test_coherent_peaks_near_t_over_sqrt2():
 def test_trace_hermiticity_light_cone_random_channels():
     rng = np.random.default_rng(1234)
     for trial in range(20):
-        weights = rng.dirichlet(np.ones(2))
-        mats = []
-        for _ in range(2):
-            q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-            mats.append(q * (np.diagonal(r) / abs(np.diagonal(r))))
-        ch = build_coin_channel(HADAMARD, list(zip(weights, mats)))
+        ch = random_coin_channel(rng)
         t = int(rng.integers(3, 8))
         state = evolve(init_state("symmetric"), ch, t)
         dim = 2 * state.n_sites
@@ -230,6 +245,11 @@ def test_measurement_collapse_matches_classical_walk():
     assert moment_direct(state, 1) == pytest.approx(0.0, abs=1e-12)
 
 
+def assert_rl_block_mirrors_lr(state):
+    # ``step`` fills the RL coin pair as the conjugate transpose of LR
+    np.testing.assert_array_equal(state.rho[:, 1, :, 0], state.rho[:, 0, :, 1].conj().T)
+
+
 @pytest.mark.parametrize(
     "channel, coin",
     [
@@ -237,10 +257,13 @@ def test_measurement_collapse_matches_classical_walk():
         (dephasing_channel(0.4), "symmetric"),
         (broken_line(0.3), "mixed"),
         (broken_line(1.0), "symmetric"),
+        (BROKEN_THETA1, "R"),
         (random_hop2_channel(), "symmetric"),
+        (RANDOM_COIN, "symmetric"),
         (MEASURE, "symmetric"),
     ],
-    ids=["coherent", "dephasing-0.4", "broken-0.3", "broken-1", "hop2", "measurement"],
+    ids=["coherent", "dephasing-0.4", "broken-0.3", "broken-1", "broken-theta1",
+         "hop2", "random-coin", "measurement"],
 )
 def test_step_matches_term_by_term_reference(channel, coin):
     fast = ref = init_state(coin)
@@ -249,6 +272,7 @@ def test_step_matches_term_by_term_reference(channel, coin):
         assert (fast.t, fast.x_min, fast.x_max) == (ref.t, ref.x_min, ref.x_max)
         assert fast.rho.shape == ref.rho.shape
         np.testing.assert_allclose(fast.rho, ref.rho, rtol=0, atol=1e-14)
+        assert_rl_block_mirrors_lr(fast)
         # unreachable sites (parity, light cone) get exactly zero probability
         # on both routes; ``walk`` drops its rows by that test
         _, p_fast = position_distribution(fast)
@@ -286,6 +310,7 @@ def assert_runs_like_reference(coin, run):
             fast, ref = step(fast, channel), reference_step(ref, channel)
             assert (fast.t, fast.x_min, fast.x_max) == (ref.t, ref.x_min, ref.x_max)
             np.testing.assert_allclose(fast.rho, ref.rho, rtol=0, atol=1e-13)
+            assert_rl_block_mirrors_lr(fast)
             _, p_fast = position_distribution(fast)
             _, p_ref = position_distribution(ref)
             np.testing.assert_array_equal(p_fast == 0.0, p_ref == 0.0)
@@ -305,7 +330,8 @@ class _NaNFilledEmpty:
 
     @staticmethod
     def empty(shape, dtype=float):
-        return np.full(shape, np.nan * (1 + 1j) if dtype is complex else np.nan, dtype=dtype)
+        fill = np.nan * (1 + 1j) if np.dtype(dtype).kind == "c" else np.nan
+        return np.full(shape, fill, dtype=dtype)
 
 
 @pytest.mark.parametrize("coin, run", TILED_RUNS.values(), ids=TILED_RUNS.keys())
@@ -335,3 +361,45 @@ def test_step_leaves_input_untouched_and_returns_fresh_array():
     after = step(state, broken_line(0.3))
     np.testing.assert_array_equal(state.rho, before)
     assert not np.shares_memory(after.rho, state.rho)
+
+
+@pytest.mark.parametrize(
+    "channel, real",
+    [
+        (broken_line(0.3), True),
+        (dephasing_channel(0.4), True),
+        (HAD, True),
+        (BROKEN_THETA1, False),
+        (random_hop2_channel(), False),
+        (RANDOM_COIN, False),
+    ],
+    ids=["broken-0.3", "dephasing-0.4", "coherent", "broken-theta1", "hop2", "random-coin"],
+)
+def test_fold_steps_real_channels_in_real_arithmetic(channel, real):
+    # Kraus operators real up to a global phase give real coin-pair maps
+    # (the broken line's e^{i pi} phases leave ~1e-17 of rounding); those
+    # rows are stored as floats and ``step`` runs on float views
+    groups = simulator._fold(tuple(channel.terms))
+    dtypes = {rows.dtype for rows, _ in groups}
+    assert dtypes == {np.dtype(float) if real else np.dtype(complex)}
+
+
+def test_step_allocates_only_its_output_and_tile_buffer():
+    # a hidden copy of the source state (or of one block) on the float-view
+    # path would show here before it shows in a process's peak memory; the
+    # slack covers numpy's per-operand iteration buffers (8192 elements)
+    for channel, steps in ((broken_line(0.3), 120), (BROKEN_THETA1, 120)):
+        state = evolve(init_state("mixed"), channel, steps)
+        n_old, n_new = state.n_sites, state.n_sites + 2
+        k_max = max(len(rows) for rows, _ in simulator._fold(tuple(channel.terms)))
+        height = max(simulator._TILE_FLOOR, -(-n_old // k_max))
+        budget = 16 * (4 * n_new**2 + k_max * min(height, n_old) * n_old)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            step(state, channel)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert n_old == 241
+        assert peak <= budget + 512 * 1024, (peak, budget)
