@@ -49,7 +49,7 @@ from .moments import (
     write_moment_csv,
 )
 from .pauli import COIN_PRESETS
-from .simulator import init_state, position_distribution, step
+from .simulator import fold, init_state, position_distribution, step
 
 _BUILTIN_CHANNELS = ("coherent", "broken-line", "coin-dephasing")
 _MAX_SWEEP_ROWS = 10**6
@@ -159,10 +159,11 @@ def _oracle_run(channel: WalkChannel, coin, t_max: int, x0: int = 0):
             "leaves the 64-bit position range"
         )
     state = init_state(coin, x0=x0)
+    folded = fold(channel)
     firsts, seconds, variances = [], [], []
     for t in range(t_max + 1):
         if t:
-            state = step(state, channel)
+            state = step(state, folded)
         # one diagonal read per step; the sums are moment_direct's
         xs, probs = position_distribution(state)
         offsets = (xs - x0).astype(float)
@@ -289,11 +290,14 @@ def _xcheck_rows(config: RunConfig) -> list[tuple[str, float, float]]:
     engine_vs_oracle(
         "broken-line p=0.8, coin R", brokenline.default_channel(0.8), "R", 12
     )
-    # complex link phases: the channel is not conjugation-symmetric, so this
-    # row sweeps the full momentum grid where the others sweep half of it
+    # complex link phases: the channel is not conjugation-symmetric, so these
+    # rows sweep the full momentum grid where the others sweep half of it;
+    # the oracle turns the real R start complex on the first step and runs
+    # the symmetric start complex throughout
+    theta1 = build_broken_line(BrokenLineParams(p=0.3, theta1=0.4))
+    engine_vs_oracle("broken-line p=0.3, theta1=0.4, coin R", theta1, "R", 12)
     engine_vs_oracle(
-        "broken-line p=0.3, theta1=0.4, coin R",
-        build_broken_line(BrokenLineParams(p=0.3, theta1=0.4)), "R", 12,
+        "broken-line p=0.3, theta1=0.4, symmetric coin", theta1, "symmetric", 12
     )
     engine_vs_oracle(
         "coin-dephasing q=0.5, symmetric coin", dephasing_channel(0.5), "symmetric", 12

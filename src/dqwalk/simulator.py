@@ -29,21 +29,29 @@ the block's border outside the first slab's window is cleared (a block no
 row targets, as in a hop-0 measurement, is set to zero).  The product runs
 over tiles of the ket axis, about N / k sites each (k the largest group's
 row count) and at least ``_TILE_FLOOR``, so its buffer holds about N^2
-elements, one block's worth, rather than k N^2.  Tiling and write-first go together only because each
-group starts with its largest ket offset l: a later tile's write then lands
-on rows past every row that an earlier tile added to.
+elements, one block's worth, rather than k N^2.  Tiling and write-first go
+together only because each group starts with its largest ket offset l: a
+later tile's write then lands on rows past every row that an earlier tile
+added to.  ``evolve`` and the CLI look the folded rows up once per run
+(``fold``) and pass them to every ``step``.
 
-Two facts about the maps cut the work further, and both are exact:
+Three facts cut the work further, and all are exact:
 
 * Kraus operators that are real up to a global phase (the broken line at
   its default phases, coin dephasing, the Hadamard walk) give real maps.
   ``_fold`` decides this once per channel: if no entry has an imaginary
   part above ``_REAL_TOL`` = 1e-15 of the largest entry (the broken line's
-  e^{i pi} phases leave about 1e-17), it stores the rows as floats.  A real
-  row acts on the real and imaginary parts of rho alike, so the product
-  runs as a real matmul on float views of the source and the new array,
-  where each site spans two adjacent columns; no copy is made.  Any other
-  channel runs the same loop in complex arithmetic.
+  e^{i pi} phases leave about 1e-17), it stores the rows as floats.
+* A real start (any coin density with no sigma_y part: the presets R, L
+  and mixed among them) is stored as float64 by ``init_state``, and a real
+  map keeps it real.  ``step`` takes the new array's dtype from numpy's
+  promotion of the state and the rows, so a real state on real rows runs
+  a plain float matmul and stays float64, and a real state on complex rows
+  turns complex on its first step.  For a complex state on real rows, a
+  real row acts on the real and imaginary parts of rho alike, so the
+  product runs as a real matmul on float views of the source and the new
+  array, where each site spans two adjacent columns; no copy is made.  A
+  complex state on complex rows runs the same loop in complex arithmetic.
 * Every Kraus map preserves Hermiticity, so block RL (r = 2) is the
   conjugate transpose of block LR (r = 1).  ``step`` computes blocks 0, 1
   and 3 and fills block 2 from block 1; it therefore expects a Hermitian
@@ -84,8 +92,9 @@ class DensityState:
     t: int
     x_min: int
     x_max: int
-    # complex, shape (n_sites, 2, n_sites, 2); after a ``step`` this is a
-    # transposed view of a coin-pair-major array, so not C-contiguous
+    # float64 when real, else complex; shape (n_sites, 2, n_sites, 2); after
+    # a ``step`` this is a transposed view of a coin-pair-major array, so
+    # not C-contiguous
     rho: np.ndarray
 
     @property
@@ -103,12 +112,35 @@ def init_state(coin, x0: int = 0) -> DensityState:
 
     ``coin`` may be a preset name ("R", "L", "symmetric", "mixed"), a
     length-2 amplitude vector, a Pauli 4-vector, or a 2x2 density matrix;
-    see ``pauli.coin_state``.
+    see ``pauli.coin_state``.  ``rho`` is float64 when the coin density's
+    imaginary part is exactly zero (a Pauli vector with sigma_y = 0, which
+    the presets R, L and mixed are) and complex otherwise.  The test has no
+    tolerance: a real map keeps an imaginary part of 1e-18 at 1e-18, so
+    dropping one would change the walk, unlike the rounding of global
+    phases that ``_fold`` absorbs in the maps.
     """
     rho_c = from_pauli(coin_state(coin))
-    rho = np.zeros((1, 2, 1, 2), dtype=complex)
-    rho[0, :, 0, :] = rho_c
-    return DensityState(t=0, x_min=x0, x_max=x0, rho=rho)
+    if not np.any(rho_c.imag):
+        rho_c = rho_c.real.copy()
+    return DensityState(t=0, x_min=x0, x_max=x0, rho=rho_c.reshape(1, 2, 1, 2))
+
+
+@dataclass(frozen=True)
+class FoldedChannel:
+    """A channel's Kraus sum folded per output coin pair; see ``fold``."""
+
+    max_hop: int
+    # one (rows, shifts) pair per output coin pair r = 2 i + i'
+    groups: tuple
+
+
+def fold(channel: WalkChannel) -> FoldedChannel:
+    """The channel in the form ``step`` applies; cached by the terms' values.
+
+    A caller that steps one channel many times folds it once and passes the
+    fold to ``step``, which then skips rebuilding the cache key every step.
+    """
+    return FoldedChannel(channel.max_hop, _fold(tuple(channel.terms)))
 
 
 @lru_cache(maxsize=64)
@@ -150,24 +182,28 @@ def _fold(terms: tuple[KrausTerm, ...]) -> tuple:
     return tuple(groups)
 
 
-def step(state: DensityState, channel: WalkChannel) -> DensityState:
+def step(state: DensityState, channel: WalkChannel | FoldedChannel) -> DensityState:
     """One application of the channel; returns a new, wider state.
 
-    ``state.rho`` must be Hermitian, as every state from ``init_state`` and
-    ``step`` is: the RL coin-pair block is filled as the conjugate transpose
-    of the LR block rather than computed.
+    ``channel`` is a ``WalkChannel`` or its ``fold``.  ``state.rho`` must be
+    Hermitian, as every state from ``init_state`` and ``step`` is: the RL
+    coin-pair block is filled as the conjugate transpose of the LR block
+    rather than computed.  The new state is float64 only if the state and
+    the folded rows both are.
     """
-    hop = channel.max_hop
+    folded = channel if isinstance(channel, FoldedChannel) else fold(channel)
+    hop, groups = folded.max_hop, folded.groups
     n_old = state.n_sites
     n_new = n_old + 2 * hop
-    groups = _fold(tuple(channel.terms))
     # rho[x, a, y, b] -> src[2 a + b, x, y]; a view for step's output
     src = state.rho.transpose(1, 3, 0, 2).reshape(4, n_old, n_old)
-    new = np.empty((4, n_new, n_new), dtype=complex)
+    rows_dtype = groups[0][0].dtype
+    new = np.empty((4, n_new, n_new), dtype=np.result_type(src, rows_dtype))
     out, width = new, 1  # width: array columns per site
-    if groups[0][0].dtype == float:
-        # real rows act on real and imaginary parts alike: run the products
-        # on float views, where a site spans two columns
+    if new.dtype != rows_dtype:
+        # a complex state on real rows: the rows act on real and imaginary
+        # parts alike, so run the products on float views, where a site
+        # spans two columns
         src, out, width = src.view(float), new.view(float), 2
     cols = width * n_old
     k_max = max(1, *(len(rows) for rows, _ in groups))
@@ -217,8 +253,9 @@ def evolve(
     """
     if steps < 0:
         raise ValueError(f"step count must be nonnegative, got {steps}")
+    folded = fold(channel)
     for _ in range(steps):
-        state = step(state, channel)
+        state = step(state, folded)
         if check_positivity:
             dim = 2 * state.n_sites
             lowest = np.linalg.eigvalsh(state.rho.reshape(dim, dim)).min()

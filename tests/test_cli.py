@@ -506,9 +506,11 @@ def test_xcheck_clean_build_passes(tmp_path):
     assert main(["xcheck", "--out", str(out)]) == 0
     report = out.read_text()
     assert "FAIL" not in report
-    assert report.strip().endswith("15/15 checks passed")
-    # both the half-grid sweep and the full-grid one are played against the oracle
+    assert report.strip().endswith("17/17 checks passed")
+    # both the half-grid sweep and the full-grid one are played against the
+    # oracle, with a real and a complex start on the complex-row channel
     assert "theta1=0.4, coin R: second moment vs oracle" in report
+    assert "theta1=0.4, symmetric coin: second moment vs oracle" in report
 
 
 def test_xcheck_detects_drift_corruption(tmp_path, monkeypatch):
@@ -538,7 +540,7 @@ def test_xcheck_coin_reduction_suite(tmp_path):
     out = tmp_path / "xcheck.txt"
     assert main(["xcheck", "--coin-reduction", "--out", str(out)]) == 0
     report = out.read_text()
-    assert "23/23 checks passed" in report
+    assert "25/25 checks passed" in report
     assert "q=1: generic vs coin-specialized" in report
 
 

@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dqwalk import simulator
+from dqwalk import cli, simulator
 from dqwalk.channels import (
     COIN_INDEX,
     HADAMARD,
@@ -23,6 +23,7 @@ from dqwalk.channels import (
     build_coin_channel,
     dephasing_channel,
 )
+from dqwalk.pauli import coin_state, from_pauli
 from dqwalk.simulator import (
     DensityState,
     evolve,
@@ -254,16 +255,25 @@ def assert_rl_block_mirrors_lr(state):
     "channel, coin",
     [
         (HAD, "R"),
+        (HAD, "symmetric"),
         (dephasing_channel(0.4), "symmetric"),
+        (dephasing_channel(0.4), "R"),
         (broken_line(0.3), "mixed"),
+        (broken_line(0.3), "R"),
         (broken_line(1.0), "symmetric"),
         (BROKEN_THETA1, "R"),
+        (BROKEN_THETA1, "symmetric"),
         (random_hop2_channel(), "symmetric"),
+        (random_hop2_channel(), "mixed"),
         (RANDOM_COIN, "symmetric"),
+        (RANDOM_COIN, "R"),
         (MEASURE, "symmetric"),
+        (MEASURE, "mixed"),
     ],
-    ids=["coherent", "dephasing-0.4", "broken-0.3", "broken-1", "broken-theta1",
-         "hop2", "random-coin", "measurement"],
+    ids=["coherent", "coherent-symmetric", "dephasing-0.4", "dephasing-0.4-R",
+         "broken-0.3", "broken-0.3-R", "broken-1", "broken-theta1",
+         "broken-theta1-symmetric", "hop2", "hop2-mixed", "random-coin",
+         "random-coin-R", "measurement", "measurement-mixed"],
 )
 def test_step_matches_term_by_term_reference(channel, coin):
     fast = ref = init_state(coin)
@@ -283,10 +293,14 @@ def test_step_matches_term_by_term_reference(channel, coin):
 # Step sequences long enough that ``step`` splits its product into several
 # ket tiles (n_old > simulator._TILE_FLOOR rows per tile); the last case ends
 # on wide states stepped by the hop-0 measurement, whose coin pairs RL and
-# LR no row targets.
+# LR no row targets.  The R and mixed starts are real, so they run in real
+# arithmetic on real rows and turn complex on the first step of complex rows.
 TILED_RUNS = {
     "broken-0.3-t80": ("mixed", [(broken_line(0.3), 80)]),
+    "broken-0.3-t80-R": ("R", [(broken_line(0.3), 80)]),
+    "broken-0.3-t80-symmetric": ("symmetric", [(broken_line(0.3), 80)]),
     "hop2-t40": ("symmetric", [(random_hop2_channel(), 40)]),
+    "hop2-t40-mixed": ("mixed", [(random_hop2_channel(), 40)]),
     "measurement-wide": (
         "symmetric",
         [(broken_line(0.3), 40), (MEASURE, 1), (broken_line(0.3), 1), (MEASURE, 1)],
@@ -296,7 +310,7 @@ TILED_RUNS = {
 
 def tile_count(state, channel):
     """How many ket tiles ``step`` splits ``state``'s product into."""
-    k_max = max(len(rows) for rows, _ in simulator._fold(tuple(channel.terms)))
+    k_max = max(len(rows) for rows, _ in simulator.fold(channel).groups)
     height = max(simulator._TILE_FLOOR, -(-state.n_sites // k_max))
     return -(-state.n_sites // height)
 
@@ -379,27 +393,145 @@ def test_fold_steps_real_channels_in_real_arithmetic(channel, real):
     # Kraus operators real up to a global phase give real coin-pair maps
     # (the broken line's e^{i pi} phases leave ~1e-17 of rounding); those
     # rows are stored as floats and ``step`` runs on float views
-    groups = simulator._fold(tuple(channel.terms))
+    groups = simulator.fold(channel).groups
     dtypes = {rows.dtype for rows, _ in groups}
     assert dtypes == {np.dtype(float) if real else np.dtype(complex)}
 
 
 def test_step_allocates_only_its_output_and_tile_buffer():
     # a hidden copy of the source state (or of one block) on the float-view
-    # path would show here before it shows in a process's peak memory; the
-    # slack covers numpy's per-operand iteration buffers (8192 elements)
-    for channel, steps in ((broken_line(0.3), 120), (BROKEN_THETA1, 120)):
-        state = evolve(init_state("mixed"), channel, steps)
+    # path, or a real state silently promoted to complex, would show here
+    # before it shows in a process's peak memory; the slack covers numpy's
+    # per-operand iteration buffers (8192 elements).  The byte budget per
+    # element is the one the step should produce: 8 for a real state on real
+    # rows, 16 for a complex state (a real start turns complex on the first
+    # step of complex rows)
+    cases = [
+        (broken_line(0.3), "mixed", 8),
+        (broken_line(0.3), "symmetric", 16),
+        (BROKEN_THETA1, "mixed", 16),
+    ]
+    for channel, coin, itemsize in cases:
+        state = evolve(init_state(coin), channel, 120)
         n_old, n_new = state.n_sites, state.n_sites + 2
-        k_max = max(len(rows) for rows, _ in simulator._fold(tuple(channel.terms)))
+        k_max = max(len(rows) for rows, _ in simulator.fold(channel).groups)
         height = max(simulator._TILE_FLOOR, -(-n_old // k_max))
-        budget = 16 * (4 * n_new**2 + k_max * min(height, n_old) * n_old)
+        budget = itemsize * (4 * n_new**2 + k_max * min(height, n_old) * n_old)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            step(state, channel)
+            after = step(state, channel)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
         assert n_old == 241
-        assert peak <= budget + 512 * 1024, (peak, budget)
+        assert after.rho.itemsize == itemsize
+        assert peak <= budget + 512 * 1024, (coin, peak, budget)
+
+
+@pytest.mark.parametrize(
+    "coin, real",
+    [
+        ("R", True),
+        ("L", True),
+        ("mixed", True),
+        ((0.5, 0.3, 0.0, 0.1), True),
+        ([[0.5, 0.5], [0.5, 0.5]], True),
+        ((0.6, 0.8), True),
+        ("symmetric", False),
+        ((0.5, 0.0, 0.3, 0.1), False),
+        ((0.5, 0.1, -0.2, 0.0), False),
+        ((0.5, 0.0, 1e-18, 0.0), False),
+        ((0.6, 0.8j), False),
+    ],
+    ids=["R", "L", "mixed", "pauli-real", "density-real", "amplitudes-real",
+         "symmetric", "pauli-sy", "pauli-sy-negative", "pauli-sy-tiny",
+         "amplitudes-complex"],
+)
+def test_init_state_is_real_exactly_when_the_coin_density_is(coin, real):
+    # no tolerance: a real map keeps a 1e-18 imaginary part at 1e-18, so
+    # dropping it would change the walk
+    rho = init_state(coin).rho
+    assert rho.dtype == (np.dtype(float) if real else np.dtype(complex))
+    want = from_pauli(coin_state(coin))
+    np.testing.assert_array_equal(rho[0, :, 0, :], want)
+
+
+@pytest.mark.parametrize(
+    "channel, coin, steps, real",
+    [
+        (broken_line(0.3), "R", 120, True),
+        (dephasing_channel(0.4), "mixed", 120, True),
+        (HAD, "L", 120, True),
+        (MEASURE, "mixed", 120, True),
+        (broken_line(0.3), "symmetric", 5, False),
+        (BROKEN_THETA1, "R", 1, False),
+        (random_hop2_channel(), "mixed", 1, False),
+        (RANDOM_COIN, "R", 1, False),
+        (BROKEN_THETA1, "symmetric", 5, False),
+    ],
+    ids=["real-broken", "real-dephasing", "real-coherent", "real-measurement",
+         "complex-state-real-rows", "real-state-theta1", "real-state-hop2",
+         "real-state-random-coin", "complex-state-complex-rows"],
+)
+def test_state_dtype_follows_start_and_rows(channel, coin, steps, real):
+    # numpy promotion picks the step's dtype: a real state stays real on
+    # real rows for the whole run and turns complex on the first step of
+    # complex rows; a complex state stays complex
+    state = evolve(init_state(coin), channel, steps)
+    assert state.rho.dtype == (np.dtype(float) if real else np.dtype(complex))
+    assert_rl_block_mirrors_lr(state)
+
+
+@pytest.fixture
+def fold_calls(monkeypatch):
+    """The term tuples ``simulator._fold`` is called with during the test."""
+    calls = []
+    fold = simulator._fold
+
+    def counted(terms):
+        calls.append(terms)
+        return fold(terms)
+
+    monkeypatch.setattr(simulator, "_fold", counted)
+    return calls
+
+
+def test_evolve_folds_the_channel_once(fold_calls):
+    evolve(init_state("mixed"), broken_line(0.3), 30)
+    assert len(fold_calls) == 1
+
+
+WALK_CHANNELS = {
+    "broken-0.3": ["--channel", "broken-line", "--p", "0.3"],
+    "dephasing-0.3": ["--channel", "coin-dephasing", "--q", "0.3"],
+    "coherent": ["--channel", "coherent"],
+}
+
+
+@pytest.mark.parametrize("coin", ["R", "L", "mixed"])
+@pytest.mark.parametrize("flags", WALK_CHANNELS.values(), ids=WALK_CHANNELS.keys())
+def test_real_start_walks_like_the_same_start_held_complex(flags, coin, tmp_path,
+                                                           monkeypatch):
+    # the real start on real rows must print the bytes the complex state
+    # prints, which runs on float views of the same numbers
+    argv = ["walk", *flags, "--coin", coin, "--t", "60"]
+    assert cli.main([*argv, "--out", str(tmp_path / "real.csv")]) == 0
+
+    def held_complex(coin, x0=0):
+        state = init_state(coin, x0)
+        assert state.rho.dtype == float
+        return DensityState(state.t, state.x_min, state.x_max, state.rho.astype(complex))
+
+    monkeypatch.setattr(cli, "init_state", held_complex)
+    assert cli.main([*argv, "--out", str(tmp_path / "complex.csv")]) == 0
+    real = (tmp_path / "real.csv").read_bytes()
+    assert real == (tmp_path / "complex.csv").read_bytes()
+    assert real.count(b"\n") > 30
+
+
+def test_walk_folds_the_channel_once(fold_calls, tmp_path):
+    argv = ["walk", *WALK_CHANNELS["broken-0.3"], "--t", "30",
+            "--out", str(tmp_path / "walk.csv")]
+    assert cli.main(argv) == 0
+    assert len(fold_calls) == 1
