@@ -33,6 +33,7 @@ from .channels import (
     dephasing_channel,
     is_coin_channel,
     load_channel,
+    momentum_grid,
     save_channel,
     validate_completeness,
 )
@@ -49,7 +50,6 @@ from .errors import (
     NotContractingError,
     PhaseConstraintError,
     QuadratureTooCoarseWarning,
-    SingularDenominatorError,
     UnnormalizedCoinError,
 )
 from .moments import (
@@ -60,7 +60,6 @@ from .moments import (
     diffusion_from_slope,
     j_term,
     moment_series,
-    momentum_grid,
     second_moment_coin_specialized,
     transfer_grids,
 )

@@ -22,14 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import BrokenLineParams, build_broken_line
-from .errors import (
-    BallisticRegimeError,
-    BracketingError,
-    DomainError,
-    SingularDenominatorError,
-)
-from .moments import diffusion_from_slope, momentum_grid
+from .channels import BrokenLineParams, build_broken_line, momentum_grid
+from .errors import BallisticRegimeError, BracketingError, DomainError
+from .moments import diffusion_from_slope
 
 # Node doubling for I(x) stops once successive values differ by at most
 # _INTEGRAL_TOL, and gives up past _INTEGRAL_MAX_NODES nodes.
@@ -54,14 +49,10 @@ def default_channel(p: float):
 def _integrand_mean(x: float, n_nodes: int) -> float:
     ks = momentum_grid(n_nodes)
     c = np.cos(ks)
-    # The denominator is strictly positive for x in (0, 1]: its minimum over
-    # c in [-1, 1] sits at c = -1/2 and equals 2x^2 - 9x/4 + 1 > 0.  The
-    # runtime guard below is belt and braces against bad inputs.
+    # The denominator is bounded away from zero for x in (0, 1], the only x
+    # ``diffusion_integral`` accepts: its minimum over c in [-1, 1] sits at
+    # c = -1/2 and equals 2x^2 - 9x/4 + 1 >= 47/128 (at x = 9/16).
     den = x * c * c + x * c + 2.0 * x * x - 2.0 * x + 1.0
-    if den.min() <= 1e-14:
-        raise SingularDenominatorError(
-            f"integral denominator reaches {den.min():.3g} at x = {x!r}"
-        )
     return float(np.mean((c + x) / den))
 
 

@@ -14,9 +14,10 @@ collapses to a 2x2 coin matrix
 
 and trace preservation is equivalent to sum_n C_n(k)^dag C_n(k) = I at every
 momentum.  ``_coin_blocks`` decodes the term list once into the Fourier blocks
-M_{n,l} of C_n(k) = sum_l M_{n,l} e^{-ilk}; the completeness certificate and
-the transfer grids of ``moments`` both read them.  Builders for the standard
-models live here:
+M_{n,l} of C_n(k) = sum_l M_{n,l} e^{-ilk}.  The completeness certificate
+reads their Gram coefficients, and ``coin_pair_maps`` folds them into the
+one Kraus sum that both the oracle (``simulator.fold``) and the moment
+engine read.  Builders for the standard models live here:
 
 * ``build_coherent`` -- noiseless coined walk for any unitary coin,
 * ``build_broken_line`` -- each lattice link next to the walker fails
@@ -51,6 +52,11 @@ HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
 # Largest completeness residual a channel may have and still be accepted.
 _COMPLETENESS_TOL = 1e-10
+
+# Largest imaginary part, relative to the largest entry, of coin-pair maps
+# that count as real: the rounding that phases such as e^{i pi} leave (about
+# 1e-17); a broken line with theta1 = 1e-12 sits at 5e-13 and is complex.
+_REAL_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -309,6 +315,31 @@ def _coin_blocks(channel: WalkChannel) -> tuple[np.ndarray, np.ndarray]:
     return np.array(hops), blocks
 
 
+def coin_pair_maps(channel: WalkChannel) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Hops l and the coin-pair maps A_{l,l'} = sum_n M_{n,l} (x) conj(M_{n,l'}).
+
+    A_{l,l'}[(i, i'), (j, j')] = sum_n M_{n,l}[i, j] conj(M_{n,l'}[i', j'])
+    is rho -> sum_n M_{n,l} rho M_{n,l'}^dag on the coin pair (i, i'): the
+    part of a step that moves the ket by l sites and the bra by l'.  Returns
+    the sorted hops (H,), the maps (H, H, 4, 4) indexed [l, l'], and whether
+    they are real: no imaginary part above ``_REAL_TOL`` of the largest
+    entry (a NaN fails).  Kraus operators real up to a global phase (the
+    broken line at its default phases, coin dephasing) give real maps.
+    """
+    hops, blocks = _coin_blocks(channel)
+    maps = np.einsum("nlij,nmab->lmiajb", blocks, blocks.conj())
+    maps = maps.reshape(len(hops), len(hops), 4, 4)
+    real = bool(np.abs(maps.imag).max() <= _REAL_TOL * np.abs(maps).max())
+    return hops, maps, real
+
+
+def momentum_grid(n_k: int) -> np.ndarray:
+    """``n_k`` equispaced momenta on [-pi, pi)."""
+    if n_k < 1:
+        raise ValueError(f"node count must be positive, got {n_k}")
+    return -math.pi + 2.0 * math.pi * np.arange(n_k) / n_k
+
+
 def completeness_residual(channel: WalkChannel) -> tuple[float, float]:
     """Worst deviation of sum_n C_n(k)^dag C_n(k) from the identity.
 
@@ -323,8 +354,7 @@ def completeness_residual(channel: WalkChannel) -> tuple[float, float]:
         max-norm.
     """
     hops, blocks = _coin_blocks(channel)
-    n_k = 4 * channel.max_hop + 1
-    ks = -math.pi + 2.0 * math.pi * np.arange(n_k) / n_k
+    ks = momentum_grid(4 * channel.max_hop + 1)
     gram = np.einsum("nlba,nmbc->lmac", blocks.conj(), blocks)
     phases = np.exp(1j * np.multiply.outer(np.subtract.outer(hops, hops), ks))
     total = np.einsum("lmac,lmk->kac", gram, phases)

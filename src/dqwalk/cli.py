@@ -15,6 +15,7 @@ Exit codes: 0 ok, 1 cross-check failure, 2 invalid input or channel
 from __future__ import annotations
 
 import argparse
+import cmath
 import dataclasses
 import json
 import math
@@ -268,20 +269,18 @@ def _xcheck_rows(config: RunConfig) -> list[tuple[str, float, float]]:
     """Each row is (name, max |delta|, tolerance)."""
     rows: list[tuple[str, float, float]] = []
 
-    def engine_vs_oracle(name: str, channel: WalkChannel, coin, t_max: int,
-                         tol: float = 1e-9) -> None:
+    def deviations(channel: WalkChannel, coin, t_max: int) -> tuple[float, float]:
+        """max |engine - oracle| of the first and of the second moment."""
         _, first_ref, second_ref, _ = _oracle_run(channel, coin, t_max)
         series = moment_series(channel, coin, t_max)
-        rows.append((
-            f"{name}: first moment vs oracle",
-            float(np.max(np.abs(series.first - first_ref))),
-            tol,
-        ))
-        rows.append((
-            f"{name}: second moment vs oracle",
-            float(np.max(np.abs(series.second - second_ref))),
-            tol,
-        ))
+        return (float(np.max(np.abs(series.first - first_ref))),
+                float(np.max(np.abs(series.second - second_ref))))
+
+    def engine_vs_oracle(name: str, channel: WalkChannel, coin, t_max: int,
+                         tol: float = 1e-9) -> None:
+        first, second = deviations(channel, coin, t_max)
+        rows.append((f"{name}: first moment vs oracle", first, tol))
+        rows.append((f"{name}: second moment vs oracle", second, tol))
 
     engine_vs_oracle("coherent, coin R", build_coherent(HADAMARD), "R", 12)
     engine_vs_oracle(
@@ -308,6 +307,18 @@ def _xcheck_rows(config: RunConfig) -> list[tuple[str, float, float]]:
     )
 
     bl = brokenline.default_channel(0.3)
+    # a different global phase per Kraus operator: complex Kraus operators
+    # whose coin-pair maps are real, so the oracle steps real rows and the
+    # engine sweeps half the grid, both from the one flag of coin_pair_maps
+    phases = (0.3, 1.7, -2.2, 2.9)
+    phased = WalkChannel(f"{bl.label}-phased", tuple(
+        dataclasses.replace(t, amp=t.amp * cmath.exp(1j * phases[t.n])) for t in bl.terms
+    ))
+    rows.append((
+        "broken-line p=0.3, Kraus phases, symmetric coin: moments vs oracle",
+        max(deviations(phased, "symmetric", 12)),
+        1e-9,
+    ))
     rows.append((
         "broken-line p=0.3: dispersion term vs (1-p)t",
         abs(j_term(bl, "mixed", 10) - 0.7 * 10),
@@ -435,12 +446,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _ignored_channel_flag(args: argparse.Namespace) -> str | None:
-    """Why a given channel flag would have no effect, or None if none would.
+# Flags that a mode flag turns off: ``moments --asymptotic`` prints one
+# number, and ``diffusion --critical`` runs no sweep.
+_MODE_IGNORES = {
+    "asymptotic": {"t": "--t", "naive": "--naive", "fmt": "--format"},
+    "critical": {"p_min": "--p-min", "p_max": "--p-max", "p_step": "--p-step",
+                 "with_slope": "--with-slope", "t_lo": "--t-lo", "t_hi": "--t-hi",
+                 "n_k": "--nk"},
+}
 
-    ``--p`` and ``--theta1..4`` shape only the broken line, ``--q`` only coin
-    dephasing, and a channel file replaces ``--channel`` altogether.
+
+def _ignored_flag(args: argparse.Namespace) -> str | None:
+    """Why a given flag would have no effect, or None if none would.
+
+    ``--asymptotic`` and ``--critical`` turn off the flags in
+    ``_MODE_IGNORES``.  ``--p`` and ``--theta1..4`` shape only the broken
+    line, ``--q`` only coin dephasing, and a channel file replaces
+    ``--channel`` altogether.
     """
+    for mode, ignored in _MODE_IGNORES.items():
+        if getattr(args, mode, False):
+            for name, flag in ignored.items():
+                if getattr(args, name) not in (None, False):
+                    return f"{flag} has no effect with --{mode}"
     if not hasattr(args, "channel_file"):  # a subcommand without channel flags
         return None
     if args.channel_file is not None:
@@ -493,7 +521,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(_attach_negative_values(argv))
-    ignored = _ignored_channel_flag(args)
+    ignored = _ignored_flag(args)
     if ignored is not None:
         parser.error(ignored)
     config = config_from_args(args)

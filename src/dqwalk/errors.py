@@ -67,10 +67,6 @@ class BallisticRegimeError(DQWalkError, ValueError):
     p -> 0) or the walker drifts at a nonzero stationary velocity."""
 
 
-class SingularDenominatorError(DQWalkError, ArithmeticError):
-    """The diffusion-integral denominator came within 1e-14 of zero."""
-
-
 class BracketingError(DQWalkError, RuntimeError):
     """Root bracketing for the crossover probability failed."""
 

@@ -47,16 +47,17 @@ frequencies build the grids: ``transfer_grids`` folds the channel's terms
 into one Fourier coefficient per frequency l - l' and map, and evaluates
 them with a single matrix product per grid.
 
-Many channels need only half of that grid.  If every Kraus operator is real
-up to a global phase (the broken line at its default phases, coin dephasing
-with the Hadamard coin), the maps obey L(-k) = P conj(L(k)) P,
-G(-k) = -P conj(G(k)) P and J(-k) = P conj(J(k)) P, where
-P = diag(1, 1, -1, 1) is complex conjugation in the Pauli basis.  Node -k
-then carries the integrand of node k started from P rho0, and since the
-moments are linear in rho0 the pair sums to twice node k started from rho0
-with its sigma_y part removed.  ``_series_sums`` checks this once per call
-on the Fourier coefficients (``_conjugation_symmetric``) and then sweeps only
-nodes 0 .. n_k // 2, with weight 2 except at the self-paired nodes -pi and 0.
+Many channels need only half of that grid.  If the coin-pair maps of
+``channels.coin_pair_maps`` are real (every Kraus operator real up to a
+global phase: the broken line at its default phases, coin dephasing with
+the Hadamard coin), each commutes with rho -> conj(rho), so
+L(-k) = P conj(L(k)) P, G(-k) = -P conj(G(k)) P and J(-k) = P conj(J(k)) P,
+where P = diag(1, 1, -1, 1) is complex conjugation in the Pauli basis.
+Node -k then carries the integrand of node k started from P rho0, and since
+the moments are linear in rho0 the pair sums to twice node k started from
+rho0 with its sigma_y part removed.  The same flag picks the oracle's real
+rows.  ``_series_sums`` then sweeps only nodes 0 .. n_k // 2, with weight 2
+except at the self-paired nodes -pi and 0.
 The weights go into the start vector, so the sweep itself is unchanged.
 This is the same n_k-node rule, not a coarser one: ``n_k``, the exactness
 bound and the coarse-grid warning keep their meaning.  Any other channel
@@ -65,13 +66,12 @@ sweeps all n_k nodes.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import WalkChannel, _coin_blocks, is_coin_channel
+from .channels import WalkChannel, coin_pair_maps, is_coin_channel, momentum_grid
 from .errors import (
     BallisticRegimeError,
     NonRealMomentError,
@@ -79,7 +79,7 @@ from .errors import (
     NotContractingError,
     QuadratureTooCoarseWarning,
 )
-from .pauli import coin_state, sandwich_superop
+from .pauli import PAULI, coin_state
 
 # Momentum nodes are swept in fixed-size chunks, summed in order: this bounds
 # the transfer grids and running vectors held in memory at once.
@@ -96,19 +96,9 @@ _BLOCK = 8  # a power of two: B^_BLOCK is formed by repeated squaring
 # than silently truncated.
 _IMAG_TOL = 1e-8
 
-# Largest deviation from conjugation symmetry, relative to the largest
-# Fourier coefficient, at which the sweep still folds the grid in half (see
-# ``_conjugation_symmetric``).  Symmetric channels built from rounded phases
-# such as e^{i pi} sit near 3e-17; a broken line with theta1 = 1e-12 sits at
-# 5e-13 and is swept in full.
-_FOLD_TOL = 1e-15
-
-
-def momentum_grid(n_k: int) -> np.ndarray:
-    """``n_k`` equispaced momenta on [-pi, pi)."""
-    if n_k < 1:
-        raise ValueError(f"node count must be positive, got {n_k}")
-    return -math.pi + 2.0 * math.pi * np.arange(n_k) / n_k
+# Column j is sigma_j flattened row-major: the change of basis from Pauli
+# coordinates to the coin pair (i, i') of ``coin_pair_maps``.
+_PAULI_COLUMNS = PAULI.reshape(4, 4).T
 
 
 def default_node_count(channel: WalkChannel, t_max: int) -> int:
@@ -144,33 +134,33 @@ class TransferGrids:
     dispersion: np.ndarray
 
 
-def _fourier_coefficients(channel: WalkChannel) -> tuple[np.ndarray, np.ndarray]:
+def _fourier_coefficients(channel: WalkChannel) -> tuple[np.ndarray, np.ndarray, bool]:
     """Frequencies d and Fourier coefficients of the step, drift and dispersion maps.
 
-    With C_n(k) = sum_l M_{n,l} e^{-ilk} and S_{l,l'} the Pauli matrix of
-    O -> sum_n M_{n,l} O M_{n,l'}^dag, each map is sum_{l,l'} w S_{l,l'}
-    e^{-i(l-l')k} with weight w = 1 (step), -i*l (drift: C_n' on the left)
-    or l*l' (dispersion: C_n' on both sides).  Returns the distinct
-    frequencies d = l - l' (at most 4 * max_hop + 1) and the (48, n_d) array
-    whose column d stacks the three 4x4 coefficients of e^{-idk}.
+    With C_n(k) = sum_l M_{n,l} e^{-ilk}, the Pauli matrix of
+    O -> sum_n M_{n,l} O M_{n,l'}^dag is S_{l,l'} = T^dag A_{l,l'} T / 2,
+    A_{l,l'} the coin-pair map of ``coin_pair_maps`` and T the Pauli
+    matrices as columns.  Each map is sum_{l,l'} w S_{l,l'} e^{-i(l-l')k}
+    with weight w = 1 (step), -i*l (drift: C_n' on the left) or l*l'
+    (dispersion: C_n' on both sides).  Returns the distinct frequencies
+    d = l - l' (at most 4 * max_hop + 1), the (48, n_d) array whose column
+    d stacks the three 4x4 coefficients of e^{-idk}, and whether the
+    coin-pair maps are real, which licenses the half-grid sweep.
     """
-    hops, mats = _coin_blocks(channel)
-    shape = (mats.shape[0], len(hops), len(hops), 2, 2)
-    pairs = sandwich_superop(
-        np.broadcast_to(mats[:, :, None], shape), np.broadcast_to(mats[:, None], shape)
-    ).reshape(-1, 16)
+    hops, maps, real = coin_pair_maps(channel)
+    pairs = (_PAULI_COLUMNS.conj().T @ maps @ _PAULI_COLUMNS).reshape(-1, 16) / 2
     left, right = (a.ravel() for a in np.meshgrid(hops, hops, indexing="ij"))
     weights = np.stack([np.ones(len(left)), -1j * left, left * right])
     freqs, slot = np.unique(left - right, return_inverse=True)
     # weights (3, P) spread over the frequency columns, then summed over pairs P
     fold = weights[:, :, None] * (slot[:, None] == np.arange(len(freqs)))
-    return freqs, np.einsum("wpd,px->wxd", fold, pairs).reshape(48, -1)
+    return freqs, np.einsum("wpd,px->wxd", fold, pairs).reshape(48, -1), real
 
 
 def transfer_grids(
     channel: WalkChannel,
     ks: np.ndarray,
-    coefficients: tuple[np.ndarray, np.ndarray] | None = None,
+    coefficients: tuple[np.ndarray, np.ndarray, bool] | None = None,
 ) -> TransferGrids:
     """Evaluate step/drift/dispersion maps on a whole momentum grid at once.
 
@@ -183,7 +173,7 @@ def transfer_grids(
     if coefficients is None:
         coefficients = _fourier_coefficients(channel)
         _coefficient_residue(coefficients[1])
-    freqs, coef = coefficients
+    freqs, coef, _ = coefficients
     grid = (coef @ np.exp(-1j * np.multiply.outer(freqs, ks))).reshape(3, 4, 4, -1)
     step, drift, dispersion = np.moveaxis(grid, -1, 1)
     return TransferGrids(ks=ks, step=step, drift=drift, dispersion=dispersion)
@@ -216,23 +206,6 @@ def _coefficient_residue(coef: np.ndarray) -> float:
             "the channel data are inconsistent"
         )
     return residue
-
-
-def _conjugation_symmetric(coef: np.ndarray) -> bool:
-    """Whether node -k of the maps mirrors node k under complex conjugation.
-
-    With P = diag(1, 1, -1, 1), the Pauli matrix of rho -> conj(rho), the
-    condition is L(-k) = P conj(L(k)) P, G(-k) = -P conj(G(k)) P and
-    J(-k) = P conj(J(k)) P for all k, i.e. A_d = +-P conj(A_d) P for every
-    Fourier coefficient of ``_fourier_coefficients`` (the drift's weight -i*l
-    flips sign under conjugation).  It holds when every Kraus operator is
-    real up to a global phase, e.g. the broken line at its default phases
-    and coin dephasing with the Hadamard coin.  A NaN fails the check.
-    """
-    flip = np.array((1.0, 1.0, -1.0, 1.0))
-    sign = np.multiply.outer((1.0, -1.0, 1.0), np.outer(flip, flip)).reshape(48, 1)
-    gap = np.abs(coef - sign * coef.conj()).max()
-    return bool(gap <= _FOLD_TOL * np.abs(coef).max())
 
 
 # --- the moment sweep -------------------------------------------------------
@@ -390,19 +363,19 @@ def _series_sums(
     """Sweep the n_k-node momentum grid chunk by chunk, summing in order.
 
     The channel's coefficients are built and checked once
-    (``_coefficient_residue``).  A channel that passes
-    ``_conjugation_symmetric`` is swept on the nodes j = 0 .. n_k // 2 only,
-    from rho0 without its sigma_y part, with weight 2 except at the
-    self-paired nodes -pi and (for even n_k) 0 (see the module docstring).
-    Any other channel sweeps every node with weight 1.  Returns the three
-    sums and the residue: the coefficients' and, with ``naive``, the
-    imaginary part of the literal double sum.
+    (``_coefficient_residue``).  A channel whose coin-pair maps are real is
+    swept on the nodes j = 0 .. n_k // 2 only, from rho0 without its
+    sigma_y part, with weight 2 except at the self-paired nodes -pi and
+    (for even n_k) 0 (see the module docstring).  Any other channel sweeps
+    every node with weight 1.  Returns the three sums and the residue: the
+    coefficients' and, with ``naive``, the imaginary part of the literal
+    double sum.
     """
     ks = momentum_grid(n_k)
     coefficients = _fourier_coefficients(channel)
     residue = _coefficient_residue(coefficients[1])
     weights = np.ones(n_k)
-    if _conjugation_symmetric(coefficients[1]):
+    if coefficients[2]:  # real coin-pair maps: sweep half the grid
         ks = ks[:n_k // 2 + 1]
         weights = np.full(len(ks), 2.0)
         weights[0] = 1.0

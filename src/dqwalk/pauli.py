@@ -58,7 +58,8 @@ def sandwich_superop(lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
     ``lefts`` and ``rights`` have shape (n, ..., 2, 2) with a shared leading
     Kraus axis; any extra batch axes (e.g. a momentum grid) are carried
     through to the output, which has shape (..., 4, 4).  Column j holds the
-    Pauli coordinates of sum_n L_n sigma_j R_n^dag.
+    Pauli coordinates of sum_n L_n sigma_j R_n^dag.  The moment engine reads
+    ``channels.coin_pair_maps`` instead; this is the independent route.
     """
     lefts = np.asarray(lefts, dtype=complex)
     rights = np.asarray(rights, dtype=complex)

@@ -14,11 +14,12 @@ coin part),
     A_{l,l'} = sum_n M_{n,l} (x) conj(M_{n,l'}),
 
 where A_{l,l'} is a 4x4 map on the coin pair (a, b) of rho[x, a, y, b] and
-shift_{l,l'} moves the ket index by l and the bra index by l'.  The maps are
-built from the channel's Kraus terms alone (no momentum-space code), once
-per channel value, and only their nonzero rows are kept, grouped by the
+shift_{l,l'} moves the ket index by l and the bra index by l'.  The maps
+are ``channels.coin_pair_maps``, the same ones the moment engine reads in
+the Pauli basis; ``fold`` keeps only their nonzero rows, grouped by the
 output coin pair r = 2 a + b they fill (12 rows in 4 groups for the broken
-line).
+line).  The oracle's own work is the position-space step below, which no
+momentum-space code touches.
 
 A step views rho coin-pair-major as (4, N, N) and fills each (N', N') block
 r of a new (4, N', N') array from one matrix product: the group's stacked
@@ -32,16 +33,16 @@ row count) and at least ``_TILE_FLOOR``, so its buffer holds about N^2
 elements, one block's worth, rather than k N^2.  Tiling and write-first go
 together only because each group starts with its largest ket offset l: a
 later tile's write then lands on rows past every row that an earlier tile
-added to.  ``evolve`` and the CLI look the folded rows up once per run
-(``fold``) and pass them to every ``step``.
+added to.  ``evolve`` and the CLI fold the channel once per run
+(``fold``) and pass the fold to every ``step``.
 
 Three facts cut the work further, and all are exact:
 
 * Kraus operators that are real up to a global phase (the broken line at
   its default phases, coin dephasing, the Hadamard walk) give real maps.
-  ``_fold`` decides this once per channel: if no entry has an imaginary
-  part above ``_REAL_TOL`` = 1e-15 of the largest entry (the broken line's
-  e^{i pi} phases leave about 1e-17), it stores the rows as floats.
+  ``coin_pair_maps`` decides this once per channel, with the tolerance
+  that also picks the engine's half-grid sweep, and ``fold`` then stores
+  the rows as floats.
 * A real start (any coin density with no sigma_y part: the presets R, L
   and mixed among them) is stored as float64 by ``init_state``, and a real
   map keeps it real.  ``step`` takes the new array's dtype from numpy's
@@ -68,21 +69,15 @@ as exact zeros.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .channels import COIN_INDEX, KrausTerm, WalkChannel
+from .channels import WalkChannel, coin_pair_maps
 from .pauli import coin_state, from_pauli
 
 # Fewest ket rows per tile of a step's product: below this the per-tile
 # numpy calls cost more than the smaller buffer saves.
 _TILE_FLOOR = 32
-
-# Largest imaginary part, relative to the largest entry, of coin-pair maps
-# that are stepped in real arithmetic: a few ulps, the rounding that global
-# phases leave on maps that are real in exact arithmetic.
-_REAL_TOL = 1e-15
 
 
 @dataclass
@@ -117,7 +112,7 @@ def init_state(coin, x0: int = 0) -> DensityState:
     the presets R, L and mixed are) and complex otherwise.  The test has no
     tolerance: a real map keeps an imaginary part of 1e-18 at 1e-18, so
     dropping one would change the walk, unlike the rounding of global
-    phases that ``_fold`` absorbs in the maps.
+    phases that ``coin_pair_maps`` absorbs in the maps.
     """
     rho_c = from_pauli(coin_state(coin))
     if not np.any(rho_c.imag):
@@ -135,61 +130,41 @@ class FoldedChannel:
 
 
 def fold(channel: WalkChannel) -> FoldedChannel:
-    """The channel in the form ``step`` applies; cached by the terms' values.
+    """The channel in the form ``step`` applies.
 
-    A caller that steps one channel many times folds it once and passes the
-    fold to ``step``, which then skips rebuilding the cache key every step.
+    One ``(rows, shifts)`` pair per output coin pair ``r = 2 i + i'``:
+    ``rows`` stacks the nonzero rows A_{l,l'}[r, :] of the coin-pair maps
+    (``channels.coin_pair_maps``) as a ``(k_r, 4)`` array, float when the
+    maps are real, and ``shifts`` holds their shift pairs ``(l, l')``;
+    ``k_r`` is 0 for a coin pair no map reaches.  The pairs run in order of
+    descending ket offset ``l``, then ascending ``l'``, so each group starts
+    with its largest ``l``, which ``step``'s write-first tiling relies on.
+    A caller that steps one channel many times folds it once and passes
+    the fold to every ``step``.
     """
-    return FoldedChannel(channel.max_hop, _fold(tuple(channel.terms)))
-
-
-@lru_cache(maxsize=64)
-def _fold(terms: tuple[KrausTerm, ...]) -> tuple:
-    """The Kraus sum folded per output coin pair; cached by the terms' values.
-
-    Returns one ``(rows, shifts)`` pair per output coin pair ``r = 2 i + i'``:
-    ``rows`` stacks the nonzero rows A_{l,l'}[r, :] of
-    A_{l,l'}[(i, i'), (j, j')] = sum_n M_{n,l}[i, j] conj(M_{n,l'}[i', j'])
-    as a ``(k_r, 4)`` array and ``shifts`` holds their shift pairs
-    ``(l, l')``; ``k_r`` is 0 for a coin pair no map reaches.  Each group
-    starts with a shift pair of the largest ket offset ``l``, which
-    ``step``'s write-first tiling relies on.  If no map entry has an
-    imaginary part above ``_REAL_TOL`` of the largest entry, every group's
-    rows are stored as real floats and ``step`` runs in real arithmetic.
-    The rows are read-only: every caller with equal terms shares them.
-    """
-    coin = {}  # (n, l) -> M_{n,l}
-    for t in terms:
-        m = coin.setdefault((t.n, t.l), np.zeros((2, 2), dtype=complex))
-        m[COIN_INDEX[t.i], COIN_INDEX[t.j]] += t.amp
-    maps = {}  # (l, l') -> A_{l,l'}
-    for (n, l), m in coin.items():
-        for (n2, l2), m2 in coin.items():
-            if n2 == n:
-                a = maps.setdefault((l, l2), np.zeros((4, 4), dtype=complex))
-                a += np.kron(m, m2.conj())
-    scale = max((np.abs(a).max() for a in maps.values()), default=0.0)
-    real = all(np.abs(a.imag).max() <= _REAL_TOL * scale for a in maps.values())
-    ordered = sorted(maps.items(), key=lambda item: (-item[0][0], item[0][1]))
+    hops, maps, real = coin_pair_maps(channel)
+    if real:
+        maps = maps.real
+    maps, kets = maps[::-1], hops[::-1]  # descending ket offset l
     groups = []
     for r in range(4):
-        kept = [(shift, a[r]) for shift, a in ordered if np.any(a[r] != 0)]
-        rows = np.array([row for _, row in kept], dtype=complex).reshape(-1, 4)
-        if real:
-            rows = rows.real.copy()
-        rows.setflags(write=False)
-        groups.append((rows, tuple(shift for shift, _ in kept)))
-    return tuple(groups)
+        rows = maps[:, :, r]
+        kept = np.any(rows != 0, axis=-1)
+        ket, bra = np.nonzero(kept)
+        shifts = tuple(zip(kets[ket].tolist(), hops[bra].tolist()))
+        groups.append((rows[kept], shifts))
+    return FoldedChannel(channel.max_hop, tuple(groups))
 
 
 def step(state: DensityState, channel: WalkChannel | FoldedChannel) -> DensityState:
     """One application of the channel; returns a new, wider state.
 
-    ``channel`` is a ``WalkChannel`` or its ``fold``.  ``state.rho`` must be
-    Hermitian, as every state from ``init_state`` and ``step`` is: the RL
-    coin-pair block is filled as the conjugate transpose of the LR block
-    rather than computed.  The new state is float64 only if the state and
-    the folded rows both are.
+    ``channel`` is a ``WalkChannel``, folded afresh on every call, or its
+    ``fold``, which a caller stepping many times builds once.
+    ``state.rho`` must be Hermitian, as every state from ``init_state`` and
+    ``step`` is: the RL coin-pair block is filled as the conjugate
+    transpose of the LR block rather than computed.  The new state is
+    float64 only if the state and the folded rows both are.
     """
     folded = channel if isinstance(channel, FoldedChannel) else fold(channel)
     hop, groups = folded.max_hop, folded.groups

@@ -399,24 +399,41 @@ def test_walk_rejects_node_count_flag(capsys):
 @pytest.mark.parametrize(
     "argv, flag",
     [
-        (["moments", "--channel", "coherent", "--q", "0.3"], "--q"),
-        (["walk", "--q", "0.3"], "--q"),  # the default channel is the broken line
-        (["moments", "--channel", "coin-dephasing", "--p", "0.3"], "--p"),
-        (["walk", "--channel", "coherent", "--theta1", "0.4"], "--theta1"),
-        (["moments", "--channel", "coin-dephasing", "--theta4", "-0.1"], "--theta4"),
-        (["walk", "--channel-file", "CHANNEL", "--p", "0.3"], "--p"),
-        (["moments", "--channel-file", "CHANNEL", "--q", "0.3"], "--q"),
-        (["walk", "--channel-file", "CHANNEL", "--channel", "broken-line"], "--channel"),
+        (["moments", "--channel", "coherent", "--q", "0.3", "--t", "3"], "--q"),
+        # the default channel is the broken line
+        (["walk", "--q", "0.3", "--t", "3"], "--q"),
+        (["moments", "--channel", "coin-dephasing", "--p", "0.3", "--t", "3"], "--p"),
+        (["walk", "--channel", "coherent", "--theta1", "0.4", "--t", "3"], "--theta1"),
+        (["moments", "--channel", "coin-dephasing", "--theta4", "-0.1", "--t", "3"],
+         "--theta4"),
+        (["walk", "--channel-file", "CHANNEL", "--p", "0.3", "--t", "3"], "--p"),
+        (["moments", "--channel-file", "CHANNEL", "--q", "0.3", "--t", "3"], "--q"),
+        (["walk", "--channel-file", "CHANNEL", "--channel", "broken-line", "--t", "3"],
+         "--channel"),
+        # --asymptotic prints one number and --critical runs no sweep
+        (["moments", "--asymptotic", "--format", "json", "--t", "7", "--naive"], "--t"),
+        (["moments", "--asymptotic", "--naive"], "--naive"),
+        (["moments", "--asymptotic", "--format", "csv"], "--format"),
+        (["diffusion", "--critical", "--p-min", "0.2"], "--p-min"),
+        (["diffusion", "--critical", "--p-max", "0.8"], "--p-max"),
+        (["diffusion", "--critical", "--p-step", "0.1"], "--p-step"),
+        (["diffusion", "--critical", "--with-slope"], "--with-slope"),
+        (["diffusion", "--critical", "--t-lo", "100"], "--t-lo"),
+        (["diffusion", "--critical", "--t-hi", "200"], "--t-hi"),
+        (["diffusion", "--critical", "--nk", "64"], "--nk"),
     ],
     ids=["q-coherent", "q-default", "p-dephasing", "theta1-coherent",
-         "theta4-dephasing", "p-file", "q-file", "channel-and-file"],
+         "theta4-dephasing", "p-file", "q-file", "channel-and-file",
+         "t-asymptotic", "naive-asymptotic", "format-asymptotic", "p-min-critical",
+         "p-max-critical", "p-step-critical", "with-slope-critical", "t-lo-critical",
+         "t-hi-critical", "nk-critical"],
 )
 def test_flag_the_channel_would_ignore_exits_2(argv, flag, tmp_path, capsys):
     chan = tmp_path / "chan.json"
     save_channel(build_broken_line(BrokenLineParams(p=0.3)), chan)
     argv = [str(chan) if arg == "CHANNEL" else arg for arg in argv]
     with pytest.raises(SystemExit) as err:
-        main([*argv, "--t", "3", "--out", str(tmp_path / "out.csv")])
+        main([*argv, "--out", str(tmp_path / "out.csv")])
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and not (tmp_path / "out.csv").exists()
@@ -506,7 +523,7 @@ def test_xcheck_clean_build_passes(tmp_path):
     assert main(["xcheck", "--out", str(out)]) == 0
     report = out.read_text()
     assert "FAIL" not in report
-    assert report.strip().endswith("17/17 checks passed")
+    assert report.strip().endswith("18/18 checks passed")
     # both the half-grid sweep and the full-grid one are played against the
     # oracle, with a real and a complex start on the complex-row channel
     assert "theta1=0.4, coin R: second moment vs oracle" in report
@@ -540,7 +557,7 @@ def test_xcheck_coin_reduction_suite(tmp_path):
     out = tmp_path / "xcheck.txt"
     assert main(["xcheck", "--coin-reduction", "--out", str(out)]) == 0
     report = out.read_text()
-    assert "25/25 checks passed" in report
+    assert "26/26 checks passed" in report
     assert "q=1: generic vs coin-specialized" in report
 
 

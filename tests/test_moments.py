@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqwalk import moments
+from dqwalk import moments, simulator
 from dqwalk.channels import (
     COIN_INDEX,
     HADAMARD,
@@ -30,6 +30,7 @@ from dqwalk.channels import (
     build_broken_line,
     build_coherent,
     build_coin_channel,
+    coin_pair_maps,
     dephasing_channel,
     validate_completeness,
 )
@@ -44,7 +45,6 @@ from dqwalk.moments import (
     _BLOCK,
     _CHUNK,
     TransferGrids,
-    _conjugation_symmetric,
     _fourier_coefficients,
     asymptotic_first_moment,
     default_node_count,
@@ -280,6 +280,20 @@ def random_layered_channel(seed, num_kraus, layers):
 def random_hop2_channel(seed=2003, num_kraus=3):
     """The seeded max_hop-2 channel C_n(k) = S(k) V S(k) U_n."""
     return random_layered_channel(seed, num_kraus, layers=2)
+
+
+def random_coin_channel(seed):
+    """A coin channel of two random unitaries with random weights.
+
+    ``seed`` may be a ``Generator``, whose draws it then advances.
+    """
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(2))
+    mats = []
+    for _ in range(2):
+        q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        mats.append(q * (np.diagonal(r) / abs(np.diagonal(r))))
+    return build_coin_channel(HADAMARD, list(zip(weights, mats)))
 
 
 P_GRID = (0.0, 0.3, 0.7, 1.0)
@@ -749,18 +763,18 @@ def test_engine_matches_oracle_on_random_channels(seed, num_kraus, layers, coin,
     assert deviation_at_nodes(channel, coin, t, n_k, oracle) <= 1e-9
 
 
-def _imaginary_step(freqs, coef):
+def _imaginary_step(freqs, coef, real):
     """Adds 1e-6j to the step map at every k: to its d = 0 coefficient."""
     coef = coef.copy()
     coef[:16, freqs == 0] += 1e-6j
-    return freqs, coef
+    return freqs, coef, real
 
 
-def _real_drift_top_row(freqs, coef):
+def _real_drift_top_row(freqs, coef, real):
     """Adds 1e-6 to the drift map's top row at every k."""
     coef = coef.copy()
     coef[16:20, freqs == 0] += 1e-6
-    return freqs, coef
+    return freqs, coef, real
 
 
 def _structure_routes():
@@ -837,8 +851,8 @@ def _nan_coherent_channel():
 
 def test_nan_channel_data_fail_closed():
     ch = _nan_coherent_channel()
-    # NaN fails the symmetry check, and the structure check raises before any sweep
-    assert not _conjugation_symmetric(_fourier_coefficients(ch)[1])
+    # NaN maps are not real, and the structure check raises before any sweep
+    assert not coin_pair_maps(ch)[2]
     with pytest.raises(NonRealMomentError):
         moment_series(ch, "R", 4)
     with pytest.raises(NonRealMomentError):
@@ -899,19 +913,25 @@ def test_closed_forms_obey_mirror_relations(p):
     [(broken_line(0.3), True), (broken_line(1.0), True), (dephasing_channel(0.4), True),
      (HAD, True), (BL_PHASED, True), (BL_THETA1, False),
      (build_broken_line(BrokenLineParams(p=0.3, theta4=-1.2)), False),
-     (random_hop2_channel(), False)],
+     (random_hop2_channel(), False), (MEASURE, True), (random_coin_channel(77), False)],
     ids=["bl03", "bl1", "dephasing04", "coherent", "bl03-kraus-phases", "bl03-theta1",
-         "bl03-theta4", "hop2"],
+         "bl03-theta4", "hop2", "measurement", "random-coin"],
 )
 def test_conjugation_symmetry_check_matches_grids(channel, folds):
+    # one flag, from coin_pair_maps, picks both the engine's half-grid sweep
+    # and the oracle's real rows: check it against what each consumer needs
+    real = coin_pair_maps(channel)[2]
+    assert real == folds
+    assert _fourier_coefficients(channel)[2] == real
     ks = np.linspace(-3.0, 3.0, 13)
     plus, minus = transfer_grids(channel, ks), transfer_grids(channel, -ks)
     gap = max(
         np.abs(getattr(minus, name) - mirrored(getattr(plus, name), sign)).max()
         for name, sign in MIRROR_SIGNS
     )
-    assert gap <= 1e-14 if folds else gap > 1e-2
-    assert _conjugation_symmetric(_fourier_coefficients(channel)[1]) == folds
+    assert gap <= 1e-14 if real else gap > 1e-2
+    dtypes = {rows.dtype for rows, _ in simulator.fold(channel).groups}
+    assert dtypes == {np.dtype(float) if real else np.dtype(complex)}
 
 
 def test_symmetric_channel_sweeps_half_the_grid(monkeypatch):

@@ -20,7 +20,6 @@ from dqwalk.channels import (
     WalkChannel,
     build_broken_line,
     build_coherent,
-    build_coin_channel,
     dephasing_channel,
 )
 from dqwalk.pauli import coin_state, from_pauli
@@ -32,7 +31,7 @@ from dqwalk.simulator import (
     position_distribution,
     step,
 )
-from test_moments import MEASURE, random_hop2_channel
+from test_moments import MEASURE, random_coin_channel, random_hop2_channel
 
 
 def broken_line(p):
@@ -46,20 +45,6 @@ def dist_dict(state):
 
 HAD = build_coherent(HADAMARD)
 BROKEN_THETA1 = build_broken_line(BrokenLineParams(p=0.3, theta1=0.4))
-
-
-def random_coin_channel(seed):
-    """A coin channel of two random unitaries with random weights.
-
-    ``seed`` may be a ``Generator``, whose draws it then advances.
-    """
-    rng = np.random.default_rng(seed)
-    weights = rng.dirichlet(np.ones(2))
-    mats = []
-    for _ in range(2):
-        q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-        mats.append(q * (np.diagonal(r) / abs(np.diagonal(r))))
-    return build_coin_channel(HADAMARD, list(zip(weights, mats)))
 
 
 RANDOM_COIN = random_coin_channel(77)
@@ -359,7 +344,7 @@ def test_step_writes_every_entry_of_its_output(coin, run, monkeypatch):
 
 def test_fold_is_keyed_by_channel_value():
     # Two channels under one label: each must be stepped with its own Kraus
-    # terms, not with the fold cached for the other.
+    # terms, never with the fold of the other.
     a = WalkChannel("custom", broken_line(0.3).terms)
     b = WalkChannel("custom", random_hop2_channel().terms)
     for channel in (a, b, a, b):
@@ -485,15 +470,15 @@ def test_state_dtype_follows_start_and_rows(channel, coin, steps, real):
 
 @pytest.fixture
 def fold_calls(monkeypatch):
-    """The term tuples ``simulator._fold`` is called with during the test."""
+    """The channels ``simulator.coin_pair_maps`` is called with during the test."""
     calls = []
-    fold = simulator._fold
+    maps = simulator.coin_pair_maps
 
-    def counted(terms):
-        calls.append(terms)
-        return fold(terms)
+    def counted(channel):
+        calls.append(channel)
+        return maps(channel)
 
-    monkeypatch.setattr(simulator, "_fold", counted)
+    monkeypatch.setattr(simulator, "coin_pair_maps", counted)
     return calls
 
 
