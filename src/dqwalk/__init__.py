@@ -56,7 +56,6 @@ from .moments import (
     MomentSeries,
     TransferGrids,
     asymptotic_first_moment,
-    default_node_count,
     diffusion_from_slope,
     j_term,
     moment_series,

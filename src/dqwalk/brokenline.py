@@ -7,6 +7,9 @@ diffusion constant reduces to a single elementary integral:
     K(p) = (1 - (1 - p) * I(1 - p)) / 2,
     I(x) = Int dk/2pi (cos k + x) / (x cos^2 k + x cos k + 2 x^2 - 2 x + 1).
 
+The denominator is a quadratic in cos k with complex roots, so I(x) has an
+exact residue form (``diffusion_integral``); no quadrature is involved.
+
 K grows monotonically from about 0.19 at p = 0 to exactly 1/2 at p = 1, so
 D crosses the classical value 1/2 at a single link-failure probability
 (near p = 0.417): below it the walker out-diffuses the classical random
@@ -18,18 +21,15 @@ test suite plays the two against each other.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import BrokenLineParams, build_broken_line, momentum_grid
+from .channels import BrokenLineParams, build_broken_line
 from .errors import BallisticRegimeError, BracketingError, DomainError
 from .moments import diffusion_from_slope
-
-# Node doubling for I(x) stops once successive values differ by at most
-# _INTEGRAL_TOL, and gives up past _INTEGRAL_MAX_NODES nodes.
-_INTEGRAL_TOL = 1e-12
-_INTEGRAL_MAX_NODES = 1 << 22
 
 
 def _check_p(p: float) -> float:
@@ -46,22 +46,19 @@ def default_channel(p: float):
 
 # --- diffusion constant -----------------------------------------------------
 
-def _integrand_mean(x: float, n_nodes: int) -> float:
-    ks = momentum_grid(n_nodes)
-    c = np.cos(ks)
-    # The denominator is bounded away from zero for x in (0, 1], the only x
-    # ``diffusion_integral`` accepts: its minimum over c in [-1, 1] sits at
-    # c = -1/2 and equals 2x^2 - 9x/4 + 1 >= 47/128 (at x = 9/16).
-    den = x * c * c + x * c + 2.0 * x * x - 2.0 * x + 1.0
-    return float(np.mean((c + x) / den))
-
-
 def diffusion_integral(x: float) -> float:
-    """I(x) by node doubling on a uniform grid until the value stops moving.
+    """I(x) exactly, by residues.
 
-    The integrand is smooth and 2pi-periodic, so the uniform rule converges
-    geometrically; doubling stops once successive values differ by at most
-    ``_INTEGRAL_TOL``.
+    In c = cos k the denominator is x (c - a)(c - conj(a)) with
+    a = -1/2 + i w and w = sqrt((2x^2 - 2x + 1)/x - 1/4) > 0 (positive for
+    every x > 0, so a is never on the cut [-1, 1]).  Partial fractions give
+
+        (c + x) / den = Im[(a + x) / (c - a)] / (x w),
+
+    and Int dk/2pi 1 / (cos k - a) = -1/s with s = sqrt(a - 1) sqrt(a + 1)
+    (principal roots), so I(x) = -Im[(a + x) / s] / (x w).  Since
+    (a - s)(a + s) = 1, (a + x) / s = 1 + (x + 1/(s + a)) / s; dropping the
+    real 1 avoids the cancellation in a - s that costs digits at small x.
 
     Raises:
         DomainError: unless 0 < x <= 1 (the physical range of x = 1 - p).
@@ -69,18 +66,10 @@ def diffusion_integral(x: float) -> float:
     x = float(x)
     if not 0.0 < x <= 1.0:
         raise DomainError(f"diffusion integral needs 0 < x <= 1, got {x!r}")
-    n = 64
-    prev = _integrand_mean(x, n)
-    while n < _INTEGRAL_MAX_NODES:
-        n *= 2
-        cur = _integrand_mean(x, n)
-        if abs(cur - prev) <= _INTEGRAL_TOL:
-            return cur
-        prev = cur
-    raise ArithmeticError(
-        f"diffusion integral did not converge to {_INTEGRAL_TOL:g} "
-        f"within {_INTEGRAL_MAX_NODES} nodes"
-    )
+    w = math.sqrt((2.0 * x * x - 2.0 * x + 1.0) / x - 0.25)
+    a = complex(-0.5, w)
+    s = cmath.sqrt(a - 1.0) * cmath.sqrt(a + 1.0)
+    return -((x + 1.0 / (s + a)) / s).imag / (x * w)
 
 
 def diffusion_prefactor(p: float) -> float:

@@ -447,12 +447,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # Flags that a mode flag turns off: ``moments --asymptotic`` prints one
-# number, and ``diffusion --critical`` runs no sweep.
+# number, and ``diffusion --critical`` runs no sweep.  The slope flags act
+# only with ``diffusion --with-slope``.
+_SLOPE_FLAGS = {"t_lo": "--t-lo", "t_hi": "--t-hi", "n_k": "--nk"}
 _MODE_IGNORES = {
     "asymptotic": {"t": "--t", "naive": "--naive", "fmt": "--format"},
     "critical": {"p_min": "--p-min", "p_max": "--p-max", "p_step": "--p-step",
-                 "with_slope": "--with-slope", "t_lo": "--t-lo", "t_hi": "--t-hi",
-                 "n_k": "--nk"},
+                 "with_slope": "--with-slope", **_SLOPE_FLAGS},
 }
 
 
@@ -460,8 +461,9 @@ def _ignored_flag(args: argparse.Namespace) -> str | None:
     """Why a given flag would have no effect, or None if none would.
 
     ``--asymptotic`` and ``--critical`` turn off the flags in
-    ``_MODE_IGNORES``.  ``--p`` and ``--theta1..4`` shape only the broken
-    line, ``--q`` only coin dephasing, and a channel file replaces
+    ``_MODE_IGNORES``, and a ``diffusion`` sweep without ``--with-slope``
+    those in ``_SLOPE_FLAGS``.  ``--p`` and ``--theta1..4`` shape only the
+    broken line, ``--q`` only coin dephasing, and a channel file replaces
     ``--channel`` altogether.
     """
     for mode, ignored in _MODE_IGNORES.items():
@@ -469,6 +471,10 @@ def _ignored_flag(args: argparse.Namespace) -> str | None:
             for name, flag in ignored.items():
                 if getattr(args, name) not in (None, False):
                     return f"{flag} has no effect with --{mode}"
+    if not getattr(args, "with_slope", True):
+        for name, flag in _SLOPE_FLAGS.items():
+            if getattr(args, name) is not None:
+                return f"{flag} has no effect without --with-slope"
     if not hasattr(args, "channel_file"):  # a subcommand without channel flags
         return None
     if args.channel_file is not None:

@@ -101,11 +101,6 @@ _IMAG_TOL = 1e-8
 _PAULI_COLUMNS = PAULI.reshape(4, 4).T
 
 
-def default_node_count(channel: WalkChannel, t_max: int) -> int:
-    """Node count that makes the uniform rule exact, with a little headroom."""
-    return 2 * channel.max_hop * max(t_max, 1) + 8
-
-
 def exact_node_bound(channel: WalkChannel, t_max: int) -> int:
     """Minimum node count for which the uniform rule is exact at horizon t.
 
@@ -492,11 +487,22 @@ def _finalize(
     )
 
 
-def _check_node_count(channel: WalkChannel, t_max: int, n_k: int) -> None:
-    """Reject a nonpositive node count; warn below the exactness bound."""
+def _prepare(
+    channel: WalkChannel, coin, t_max: int, n_k: int | None
+) -> tuple[np.ndarray, int]:
+    """The start vector and node count of a moment call.
+
+    Rejects a negative horizon and a nonpositive node count; ``n_k``
+    defaults to ``exact_node_bound``, and fewer nodes warn.
+    """
+    if t_max < 0:
+        raise ValueError(f"horizon must be nonnegative, got {t_max}")
+    rho_vec = coin_state(coin)
+    bound = exact_node_bound(channel, t_max)
+    if n_k is None:
+        n_k = bound
     if n_k < 1:
         raise ValueError(f"node count must be positive, got {n_k}")
-    bound = exact_node_bound(channel, t_max)
     if n_k < bound:
         warnings.warn(
             QuadratureTooCoarseWarning(
@@ -505,6 +511,7 @@ def _check_node_count(channel: WalkChannel, t_max: int, n_k: int) -> None:
             ),
             stacklevel=3,
         )
+    return rho_vec, n_k
 
 
 def moment_series(
@@ -518,19 +525,13 @@ def moment_series(
 
     The walker starts as a point mass at the origin with the given coin
     state (any form accepted by ``pauli.coin_state``).  ``n_k`` defaults to
-    2 * max_hop * t_max + 8 nodes: the exactness bound
-    2 * max_hop * t_max + 1 (``exact_node_bound``) plus headroom.  Smaller
-    values are allowed but trigger ``QuadratureTooCoarseWarning``.
+    the exactness bound 2 * max_hop * t_max + 1 (``exact_node_bound``).
+    Smaller values are allowed but trigger ``QuadratureTooCoarseWarning``.
     ``naive`` switches the second moment to the literal double sum.  The
     momentum grid is swept in fixed 512-node chunks summed in order, so the
     result depends only on the arguments.
     """
-    if t_max < 0:
-        raise ValueError(f"horizon must be nonnegative, got {t_max}")
-    rho_vec = coin_state(coin)
-    if n_k is None:
-        n_k = default_node_count(channel, t_max)
-    _check_node_count(channel, t_max, n_k)
+    rho_vec, n_k = _prepare(channel, coin, t_max, n_k)
     first, cross, jsum, residue = _series_sums(channel, rho_vec, t_max, n_k, naive)
     return _finalize(first, cross, jsum, n_k, channel.label, rho_vec, residue)
 
@@ -547,12 +548,7 @@ def j_term(
     this equals the mean squared hop per step times t; it is a useful
     structural probe on its own.
     """
-    if t < 0:
-        raise ValueError(f"horizon must be nonnegative, got {t}")
-    rho_vec = coin_state(coin)
-    if n_k is None:
-        n_k = default_node_count(channel, t)
-    _check_node_count(channel, t, n_k)
+    rho_vec, n_k = _prepare(channel, coin, t, n_k)
     _, _, jsum, _ = _series_sums(channel, rho_vec, t, n_k, naive=False)
     return float(jsum[t] / n_k)
 
@@ -578,12 +574,7 @@ def second_moment_coin_specialized(
         raise NotACoinChannelError(
             f"channel {channel.label!r} is not of coin-noise form"
         )
-    if t < 0:
-        raise ValueError(f"horizon must be nonnegative, got {t}")
-    rho_vec = coin_state(coin)
-    if n_k is None:
-        n_k = default_node_count(channel, t)
-    _check_node_count(channel, t, n_k)
+    rho_vec, n_k = _prepare(channel, coin, t, n_k)
     grids = transfer_grids(channel, momentum_grid(n_k))
     step = _nodes_last(grids.step.real)
     b = _mv(step, np.repeat(rho_vec[:, None], n_k, axis=1))

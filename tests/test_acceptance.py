@@ -22,7 +22,7 @@ from dqwalk.channels import (
 )
 from dqwalk.errors import PhaseConstraintError
 from dqwalk.moments import (
-    default_node_count,
+    exact_node_bound,
     j_term,
     moment_series,
     second_moment_coin_specialized,
@@ -219,7 +219,7 @@ def test_criterion_8_quadrature_exactness():
         (dephasing_channel(0.6), "mixed"),
     ]:
         t = 20
-        base = default_node_count(channel, t)
+        base = exact_node_bound(channel, t)
         a = moment_series(channel, coin, t, n_k=base)
         b = moment_series(channel, coin, t, n_k=2 * base)
         worst = max(worst, float(np.max(np.abs(a.first - b.first))))

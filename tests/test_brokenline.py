@@ -1,9 +1,10 @@
 """Closed-form broken-line results: the lattice integral, K(p), D(p) and
 the quantum-to-classical crossover probability.
 
-The integral routine is cross-checked against scipy's adaptive quadrature
-(an entirely independent algorithm) and against frozen regression values
-recorded from converged runs of this package.
+The exact residue form of the integral is cross-checked against scipy's
+adaptive quadrature (an entirely independent algorithm), against its
+small-x series and against frozen regression values recorded from converged
+quadrature runs of this package.
 """
 
 import io
@@ -35,7 +36,7 @@ def integrand(k, x):
 # the lattice integral I(x)
 # ---------------------------------------------------------------------------
 
-# regression values from converged node-doubling runs (12+ digits stable)
+# regression values recorded from converged quadrature runs (12+ digits stable)
 I_REGRESSION = {
     1.0: 0.6204032394013997,
     0.8: 0.63298663294489799,
@@ -50,7 +51,7 @@ def test_integral_regression_values(x, value):
 @pytest.mark.parametrize("x", [0.05, 0.3, 0.5, 0.8, 1.0])
 def test_integral_against_scipy(x):
     # integrate the even half-range with an adaptive method, an algorithm
-    # with nothing in common with the node-doubling trapezoid under test
+    # with nothing in common with the residue form under test
     ref, err = quad(integrand, 0.0, np.pi, args=(x,), epsabs=1e-13, epsrel=1e-13,
                     limit=300)
     assert err < 1e-12
@@ -61,6 +62,14 @@ def test_integral_vanishes_as_x_to_zero():
     # integrand -> cos k, whose mean is 0
     assert abs(diffusion_integral(1e-6)) < 1e-5
     assert abs(diffusion_integral(1e-3)) < 5e-3
+
+
+def test_integral_small_x_series():
+    # expanding the integrand in x and averaging over k term by term gives
+    # I(x) = x/2 + x^2/4 + x^3/16 + O(x^4); at x = 1e-6 the rest is about 1e-24
+    x = 1e-6
+    want = x / 2 + x**2 / 4 + x**3 / 16
+    assert abs(diffusion_integral(x) - want) <= 1e-12 * want
 
 
 def test_integral_domain():

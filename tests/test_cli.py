@@ -421,12 +421,18 @@ def test_walk_rejects_node_count_flag(capsys):
         (["diffusion", "--critical", "--t-lo", "100"], "--t-lo"),
         (["diffusion", "--critical", "--t-hi", "200"], "--t-hi"),
         (["diffusion", "--critical", "--nk", "64"], "--nk"),
+        # the slope flags act only with --with-slope
+        (["diffusion", "--p-min", "0.5", "--p-max", "0.5", "--t-lo", "5", "--t-hi", "3",
+          "--nk", "7"], "--t-lo"),
+        (["diffusion", "--t-hi", "200"], "--t-hi"),
+        (["diffusion", "--p-min", "0.2", "--nk", "64"], "--nk"),
     ],
     ids=["q-coherent", "q-default", "p-dephasing", "theta1-coherent",
          "theta4-dephasing", "p-file", "q-file", "channel-and-file",
          "t-asymptotic", "naive-asymptotic", "format-asymptotic", "p-min-critical",
          "p-max-critical", "p-step-critical", "with-slope-critical", "t-lo-critical",
-         "t-hi-critical", "nk-critical"],
+         "t-hi-critical", "nk-critical", "t-lo-no-slope", "t-hi-no-slope",
+         "nk-no-slope"],
 )
 def test_flag_the_channel_would_ignore_exits_2(argv, flag, tmp_path, capsys):
     chan = tmp_path / "chan.json"

@@ -47,7 +47,6 @@ from dqwalk.moments import (
     TransferGrids,
     _fourier_coefficients,
     asymptotic_first_moment,
-    default_node_count,
     diffusion_from_slope,
     exact_node_bound,
     j_term,
@@ -181,7 +180,7 @@ def reference_series(channel, coin, t_max, n_k=None):
     """
     rho_vec = coin_state(coin)
     if n_k is None:
-        n_k = default_node_count(channel, t_max)
+        n_k = exact_node_bound(channel, t_max)
     ks = momentum_grid(n_k)
 
     def nodes_last(mats):
@@ -689,6 +688,18 @@ def test_slope_diffusion_full_dephasing_is_half():
     assert abs(got - 0.5) <= 0.005
 
 
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.8, 1.0])
+@pytest.mark.parametrize("coin", ["R", "mixed", "symmetric"])
+def test_slope_diffusion_matches_coin_dephasing_closed_form(q, coin):
+    # The coin-only case of Brun, Carteret & Ambainis (PRA 67, 032304, 2003):
+    # with l = 1 - q, D = (1 + l^2) / (2 (1 - l^2)), the classical 1/2 at
+    # q = 1.  By t = 300 the transient has decayed below rounding for
+    # q >= 0.3 (at q = 0.1 it is still about 1e-8).
+    want = (q * q - 2 * q + 2) / (2 * q * (2 - q))
+    got = diffusion_from_slope(dephasing_channel(q), coin, t_lo=300, t_hi=400)
+    assert abs(got - want) <= 1e-12 * want
+
+
 # ---------------------------------------------------------------------------
 # quadrature and reproducibility
 # ---------------------------------------------------------------------------
@@ -704,7 +715,7 @@ def test_momentum_grid_layout():
 def test_node_doubling_changes_nothing():
     ch = broken_line(0.3)
     t = 15
-    base_n = default_node_count(ch, t)
+    base_n = exact_node_bound(ch, t)
     a = moment_series(ch, "R", t, n_k=base_n)
     b = moment_series(ch, "R", t, n_k=2 * base_n)
     assert np.max(np.abs(a.first - b.first)) <= 1e-12
@@ -823,7 +834,7 @@ def test_structure_check_runs_once_per_call(monkeypatch):
     monkeypatch.setattr(moments, "_coefficient_residue", check_spy)
     monkeypatch.setattr(moments, "transfer_grids", grids_spy)
     # t = 600: a half grid of 605 of 1208 nodes, in two chunks
-    moment_series(broken_line(0.7), "R", 600)
+    moment_series(broken_line(0.7), "R", 600, n_k=1208)
     assert chunks == [512, 93]
     assert len(checks) == 1
     for route in _structure_routes():
@@ -954,9 +965,9 @@ def test_symmetric_channel_sweeps_half_the_grid(monkeypatch):
 
 @pytest.mark.parametrize(
     "channel, t, n_k",
-    [(broken_line(0.3), 40, "default"), (broken_line(0.3), 40, "exact"),
-     (broken_line(0.7), 600, "exact"), (dephasing_channel(0.4), 50, "default"),
-     (BL_PHASED, 40, "default")],
+    [(broken_line(0.3), 40, "even"), (broken_line(0.3), 40, "exact"),
+     (broken_line(0.7), 600, "exact"), (dephasing_channel(0.4), 50, "even"),
+     (BL_PHASED, 40, "even")],
     ids=["bl03-even", "bl03-odd", "bl07-two-chunks", "dephasing04-even",
          "bl03-kraus-phases"],
 )
@@ -964,7 +975,8 @@ def test_symmetric_channel_sweeps_half_the_grid(monkeypatch):
 def test_half_grid_sweep_matches_full_grid_reference(channel, t, n_k, coin):
     # both coins carry sigma_y, which the fold removes from the start vector
     assert coin_state(coin)[2] != 0
-    n_k = default_node_count(channel, t) if n_k == "default" else exact_node_bound(channel, t)
+    # the exactness bound is odd; one node more gives an even grid
+    n_k = exact_node_bound(channel, t) + (n_k == "even")
     series = moment_series(channel, coin, t, n_k=n_k)
     assert series.n_k == n_k
     want = reference_series(channel, coin, t, n_k=n_k)
