@@ -16,11 +16,13 @@ where L_k applies one step at fixed momentum, G_k is its derivative with the
 right (conjugated) factor frozen, and J_k carries the derivative on both
 sides.  The double sum telescopes into a second running vector, so the
 default path costs O(t) work per momentum node: both running vectors are
-advanced by one 8x8 block map B and read by a 3x8 readout R.  At every
-horizon the sweep reads ``_BLOCK`` horizons per advance from precomputed
-rows R B^j and advances by B^_BLOCK, about 16 + 64/_BLOCK multiply-adds per
-node-step instead of the 88 of one advance per horizon (``_accumulate``).
-``naive=True`` keeps the literal complex double sum for cross-checking.
+advanced by one 8x8 block map B and read by a 3x8 readout R.  The sweep
+(``_accumulate``) reads s horizons per advance (8 below t = 256, else 16)
+from rows R B^j built by doubling, advances by B^s, and reads a group of 16
+such blocks with two BLAS GEMMs.  Per node-step that is 16 multiply-adds in
+the GEMMs, 64 / s in the advance and (96 s + 512 log2 s) / t in the tables,
+where one advance per horizon would cost 88.  ``naive=True`` keeps the
+literal complex double sum for cross-checking.
 
 The sweep runs in real arithmetic, which is exact rather than an
 approximation.  In the Pauli basis a Hermiticity-preserving map has a real
@@ -43,9 +45,11 @@ C_n(k) (x) conj(C_n(k)) carry only the frequencies l - l' with
 horizon t, a product of at most t such maps, has degree <= 2 * max_hop * t.
 A uniform n-node rule integrates e^{ijk} exactly for every |j| < n, so
 n_k = 2 * max_hop * t + 1 nodes suffice (``exact_node_bound``).  The same
-frequencies build the grids: ``transfer_grids`` folds the channel's terms
-into one Fourier coefficient per frequency l - l' and map, and evaluates
-them with a single matrix product per grid.
+frequencies build the maps: the channel's terms fold into one Fourier
+coefficient per frequency l - l' and map (``_fourier_coefficients``).
+``transfer_grids`` evaluates the complex maps with one matrix product per
+grid; the sweep evaluates only the real parts it reads, from the cosine and
+sine parts of the checked coefficients (``_node_maps``).
 
 Many channels need only half of that grid.  If the coin-pair maps of
 ``channels.coin_pair_maps`` are real (every Kraus operator real up to a
@@ -66,6 +70,7 @@ sweeps all n_k nodes.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -81,15 +86,27 @@ from .errors import (
 )
 from .pauli import PAULI, coin_state
 
-# Momentum nodes are swept in fixed-size chunks, summed in order: this bounds
-# the transfer grids and running vectors held in memory at once.
-_CHUNK = 512
+# Momentum nodes are swept in fixed-size chunks, summed in order: the sweep's
+# workspace is sized for one chunk (see ``_accumulate``).
+_CHUNK = 256
 
-# The sweep reads _BLOCK horizons per advance (see ``_accumulate``).  On a
-# 2-vCPU Xeon (numpy 2.4), 8 and 16 tie at t = 1000 and 16 is faster at
-# t = 4000, but its row tables (1 MB per chunk) raise the peak memory of a
-# t = 1000 call by about 0.7 MB more; 4 is slower.
-_BLOCK = 8  # a power of two: B^_BLOCK is formed by repeated squaring
+# Blocks of horizons advanced before one GEMM reads them all.
+_GROUP = 16
+
+
+def _block_size(t_max: int) -> int:
+    """Horizons the sweep reads per advance: 8 below t = 256, else 16.
+
+    Per node, the row tables R B^j cost about 96 s + 512 log2(s)
+    multiply-adds and the advances 64 t / s.  On a 2-vCPU Xeon (numpy 2.4,
+    one BLAS thread) 8 and 16 tie up to t = 130, and 16 is 7% faster at
+    t = 250 and 17% at t = 511.  32 doubles the tables (1 MB more per
+    chunk); with the chunk halved to keep their size it is 15% slower at
+    t = 1000, ties at t = 2000 and is 8% faster at t = 4000, which does not
+    pay for a third shape.  ``_Workspace`` relies on s >= 8.
+    """
+    return 8 if t_max < 256 else 16
+
 
 # A grid part the real sweep discards, or the imaginary part of a moment
 # computed in complex arithmetic, above this is reported as an error rather
@@ -246,106 +263,176 @@ def _naive_cross(grids: TransferGrids, start: np.ndarray, t_max: int) -> np.ndar
     return inner
 
 
-def _accumulate(
-    grids: TransferGrids, start: np.ndarray, t_max: int, naive: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-chunk sweep in real arithmetic.
+def _real_coefficients(coef: np.ndarray) -> np.ndarray:
+    """The (2 n_d, 88) real coefficients of the sweep's block map B and readout R.
 
-    Returns three float arrays of length t_max + 1 holding, for each
-    horizon t, the *sum over this chunk's momenta* of
+    The sweep stacks its two running vectors as v = (w_r, a) and advances
+    them by B = [[L, 2 Im G], [0, L]]: G - G^dag' = G - conj(G) is i times
+    the real map 2 Im G, so the telescoping vector is w = i * w_r.  R reads
+    Tr{A O} = 2 * (row 0 of A) . (Pauli vector of O); the drift rows are i
+    times a real row and meet one more factor i (the i of <x>, or that of
+    w), so with d = 2 Im G[0] the rows of R are the first moment (0, -d),
+    the dispersion (0, 2 Re J[0]) and the cross sum (d, 0).
+
+    Every entry is the real part of a map sum_d A_d e^{-idk}, which is
+    sum_d Re A_d cos(dk) + Im A_d sin(dk), so [cos(dk), sin(dk)] @ this
+    array gives the 64 entries of B and the 24 of R at momentum k.  Valid
+    once ``_coefficient_residue`` has passed.
+    """
+    step, drift, dispersion = coef.reshape(3, 4, 4, -1)
+    drive = -2j * drift  # real part 2 Im G
+    zero = np.zeros_like(step)
+    block = np.concatenate([np.concatenate([step, drive], axis=1),
+                            np.concatenate([zero, step], axis=1)])
+    readout = np.stack([np.concatenate([zero[0], -drive[0]]),
+                        np.concatenate([zero[0], 2.0 * dispersion[0]]),
+                        np.concatenate([drive[0], zero[0]])])
+    parts = np.concatenate([block.reshape(64, -1), readout.reshape(24, -1)])
+    return np.concatenate([parts.real, parts.imag], axis=1).T
+
+
+def _node_maps(
+    coefficients: tuple[np.ndarray, np.ndarray], ks: np.ndarray, out: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sweep's B and R at the momenta ``ks``, node-first.
+
+    ``coefficients`` is the channel's frequencies and ``_real_coefficients``;
+    the maps are one (n, 2 n_d) @ (2 n_d, 88) product, written into the flat
+    buffer ``out``.  Returns views of it: B (n, 8, 8) and R (n, 3, 8).
+    """
+    freqs, real = coefficients
+    n = len(ks)
+    phases = np.multiply.outer(ks, freqs)
+    maps = _take(out, n, 88)
+    np.matmul(np.concatenate([np.cos(phases), np.sin(phases)], axis=1), real, out=maps)
+    return maps[:, :64].reshape(n, 8, 8), maps[:, 64:].reshape(n, 3, 8)
+
+
+def _take(buf: np.ndarray, *shape: int) -> np.ndarray:
+    """The leading elements of the flat buffer ``buf`` as a C-ordered array."""
+    return buf[:math.prod(shape)].reshape(shape)
+
+
+class _Workspace:
+    """The buffers of one call's sweep, allocated once and sized for one chunk.
+
+    Each buffer serves two stages of ``_accumulate``: ``spare`` holds the
+    chunk's B and R, then its power B^s; ``table`` the readout rows R B^j
+    node-first, then a group of running vectors; ``rows`` the powers B^h,
+    then the readout rows laid out for the GEMMs.  ``reads`` takes a
+    group's readouts, and ``sums`` collects them over all chunks.
+    """
+
+    def __init__(self, t_max: int, n: int) -> None:
+        self.s = _block_size(t_max)
+        n_blocks = -(-max(t_max, 1) // self.s)
+        self.group = min(_GROUP, n_blocks)
+        # One allocation, not three: glibc's malloc trims the heap once its
+        # free top exceeds twice the largest block freed so far, so three
+        # blocks of the same total were returned to the system after every
+        # call and faulted back in (88 minor page faults per t = 60 call on
+        # a max_hop-2 channel; one block takes none).  As s >= 8, ``table``
+        # holds _GROUP = 16 running 8-vectors per node and ``rows`` two 8x8
+        # maps.
+        arena = np.empty((88 + 32 * self.s) * n)
+        self.spare = arena[:88 * n]
+        self.table = arena[88 * n:(88 + 16 * self.s) * n]
+        self.rows = arena[(88 + 16 * self.s) * n:]
+        self.reads = np.empty((self.group, 4 * self.s))
+        self.sums = np.zeros((n_blocks, 4 * self.s))
+
+    def series(self, t_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The three running sums of ``_accumulate`` for t = 0 .. t_max."""
+        n_blocks, s = len(self.sums), self.s
+        reads = self.sums[:, :3 * s].reshape(n_blocks, s, 3)
+        reads[:, :, 2] += self.sums[:, 3 * s:]
+        per_horizon = np.zeros((3, t_max + 1))
+        per_horizon[:, 1:] = reads.reshape(n_blocks * s, 3)[:t_max].T
+        first, jsum, cross = np.cumsum(per_horizon, axis=1)
+        return first, cross, jsum
+
+
+def _accumulate(
+    maps: tuple[np.ndarray, np.ndarray],
+    coin: np.ndarray,
+    weights: np.ndarray,
+    work: _Workspace,
+) -> None:
+    """Add one chunk's per-horizon trace sums to ``work.sums``, in real arithmetic.
+
+    ``maps`` are the chunk's ``_node_maps``, ``coin`` the Pauli vector of
+    rho0 and ``weights`` each node's quadrature weight; the sums are linear
+    in the start rho0 * weight.  ``work.series`` turns the sums of all
+    chunks into, for each horizon t, the sum over the momenta of
 
         first:  i * sum_{m<=t} Tr{ G a_m },
         cross:  the double sum over m' < m <= t (both orderings),
         jsum:   sum_{m<=t} Tr{ J a_m },
 
-    with a_m = L^{m-1} rho0.  With ``naive`` the cross sum is the complex
-    literal double sum, whose imaginary part the caller checks.  ``start`` is
-    (4, n_nodes): rho0 at each node, already scaled by the node's quadrature
-    weight (the sums are linear in rho0).  The mean over momenta is taken by
-    the caller.
+    with a_m = L^{m-1} rho0.  The mean over momenta is taken by the caller.
 
-    Every series is swept ``s = _BLOCK`` horizons per advance: the rows
-    R B^j (j < s) and the power B^s are built once per chunk, and each block
-    of s horizons takes two readout products and one B^s map, about
-    16 + 64/s multiply-adds per node-step instead of the 88 of reading R v
-    and advancing v by B once per horizon.  The blocked sweep rounds in
-    another order than the one-step sweep and agrees with it to about 1e-14
-    relative.
+    Every series is swept s = ``_block_size(t_max)`` horizons per advance.
+    Per chunk, the rows R B^j (j < s) are built by doubling,
+    R B^{j+h} = (R B^j) B^h, with the squarings B^h that also give B^s.
+    Then each group of ``_GROUP`` blocks is advanced by B^s and read with
+    two GEMMs, one per half of the state: 16 multiply-adds per node-step in
+    BLAS, plus 64 / s in the advance.  This rounds in another order than a
+    one-step sweep and agrees with it to about 1e-14 relative.
     """
-    n_k = len(grids.ks)
-    if naive:
-        cross_c = np.cumsum(_naive_cross(grids, start, t_max))
-    step = grids.step.real
-    # The running vectors are stacked as v = (w_r, a) and advanced by the
-    # block map B = [[L, drive], [0, L]] (node-first here, (n_k, 8, 8)).
-    # G - G^dag' = G - conj(G) is i times the real map 2 Im G, so w = i * w_r
-    # below.
-    block = np.zeros((n_k, 8, 8))
-    block[:, :4, :4] = step
-    block[:, :4, 4:] = 2.0 * grids.drift.imag
-    block[:, 4:, 4:] = step
-    # Tr{A O} = 2 * (row 0 of A) . (Pauli vector of O).  The drift rows are i
-    # times a real row and meet one more factor i (the i of <x>, or that of
-    # w), so their real coefficient is -2 * Im, which is +2 * Im G for
-    # G^dag' = conj(G).  Row 0 of the readout R gives the first-moment sum
-    # (from a), row 1 the cross sum (from w_r), row 2 the dispersion sum
-    # (from a).
-    readout = np.zeros((n_k, 3, 8))
-    readout[:, 0, 4:] = -2.0 * grids.drift[:, 0, :].imag
-    readout[:, 1, :4] = 2.0 * grids.drift[:, 0, :].imag
-    readout[:, 2, 4:] = 2.0 * grids.dispersion[:, 0, :].real
-    # The row tables are the sweep's largest arrays.  Dropping the grids
-    # here, and B once its rows are read, bounds the peak memory (the caller
-    # passes the chunk's grids as a temporary, so this releases them).
-    del grids, step
+    block, readout = maps
+    n, s, group = len(block), work.s, work.group
+    n_blocks = len(work.sums)
+    # B is block upper-triangular, B^j = [[L^j, X_j], [0, L^j]], so the
+    # first-moment and dispersion rows of R B^j stay zero on the w_r half and
+    # are kept as their a halves; the cross row is kept whole.  Node-first.
+    a_rows = _take(work.table, n, s, 2, 4)
+    cross = _take(work.table[8 * s * n:], n, s, 8)
+    a_rows[:, 0] = readout[:, :2, 4:]
+    cross[:, 0] = readout[:, 2]
+    power = block
+    for level in range(s.bit_length() - 1):
+        # R B^{j+h} = (R B^j) B^h for j < h, then B^2h
+        h = 1 << level
+        np.matmul(a_rows[:, :h].reshape(n, 2 * h, 4), power[:, 4:, 4:],
+                  out=a_rows[:, h:2 * h].reshape(n, 2 * h, 4))
+        np.matmul(cross[:, :h], power, out=cross[:, h:2 * h])
+        square = _take(work.rows[64 * n * (level % 2):], n, 8, 8)
+        np.matmul(power, power, out=square)
+        power = square
+    advance = _take(work.spare, 8, 8, n)
+    np.copyto(advance, power.transpose(1, 2, 0))
+    # The GEMMs read each row as one contiguous vector over (component, node):
+    # on the a half the first-moment, dispersion and cross rows of each j,
+    # on the w_r half the cross row.
+    rows_a = _take(work.rows, s, 3, 4, n)
+    rows_w = _take(work.rows[12 * s * n:], s, 4, n)
+    np.copyto(rows_a[:, :2], a_rows.transpose(1, 2, 3, 0))
+    np.copyto(rows_a[:, 2], cross[:, :, 4:].transpose(1, 2, 0))
+    np.copyto(rows_w, cross[:, :, :4].transpose(1, 2, 0))
+    rows_a = rows_a.reshape(3 * s, 4 * n).T
+    rows_w = rows_w.reshape(s, 4 * n).T
 
     # w_m = sum_{m'<m} [ L^{m-m'-1} (G - G^dag') a_{m'} ]; then the double sum
     # collapses to sum_m Tr{ G^dag' w_m } because for each inner pair the G
     # term and the G^dag' term differ only in which factor carries the
-    # derivative, and the remaining imbalance telescopes.
-    v = np.zeros((8, n_k))
-    v[4:] = start
-    # Horizon m reads R v_m with v_m = B^{m-1} v_1, so a block of s horizons
-    # starting at m reads the rows R B^j (j < s) against the same v_m, and
-    # the next block starts from B^s v_m.  B is block upper-triangular, so
-    # R B^j keeps R's zeros on the w_r half of v in the first-moment and
-    # dispersion rows: the rows are kept as an a-half table (s, 3, 4, n_k)
-    # for all three sums and a w_r-half table (s, 4, n_k) for the cross sum,
-    # nodes-last, so that each block reads them with one (3s, 4 n_k) @ (4 n_k)
-    # and one (s, 4 n_k) @ (4 n_k) product.
-    s = _BLOCK
-    rows_a = np.empty((s, 3, 4, n_k))
-    rows_w = np.empty((s, 4, n_k))
-    row = readout
-    for j in range(s):
-        if j:
-            row = row @ block
-        rows_a[j] = np.moveaxis(row[:, :, 4:], 0, -1)
-        rows_w[j] = row[:, 1, :4].T
-    rows_a = rows_a.reshape(3 * s, 4 * n_k)
-    rows_w = rows_w.reshape(s, 4 * n_k)
-    power = block
-    del block, readout, row
-    for _ in range(s.bit_length() - 1):
-        power = power @ power
-    power = _nodes_last(power)
-
-    n_blocks = -(-t_max // s)
-    out = np.empty((n_blocks, 3 * s))
-    out_w = np.empty((n_blocks, s))
-    for b in range(n_blocks):
+    # derivative, and the remaining imbalance telescopes.  Horizon m reads
+    # R v_m with v_m = B^{m-1} v_1, so a block of s horizons starting at m
+    # reads the rows R B^j (j < s) against v_m, and the next block starts
+    # from B^s v_m.  A group of blocks is stored, then read by two GEMMs.
+    states = _take(work.table, group, 8, n)
+    states[0, :4] = 0.0
+    np.multiply.outer(coin, weights, out=states[0, 4:])
+    flat = states.reshape(group, 8 * n)
+    reads_a, reads_w = work.reads[:, :3 * s], work.reads[:, 3 * s:]
+    for b in range(0, n_blocks, group):
+        size = min(group, n_blocks - b)
         if b:
-            v = np.einsum("ijn,jn->in", power, v)
-        out[b] = rows_a @ v[4:].ravel()
-        out_w[b] = rows_w @ v[:4].ravel()
-    out = out.reshape(n_blocks, s, 3)
-    out[:, :, 1] += out_w
-    sums = np.zeros((3, t_max + 1))
-    sums[:, 1:] = out.reshape(n_blocks * s, 3)[:t_max].T
-    s_first, s_cross, s_j = np.cumsum(sums, axis=1)
-    if naive:
-        s_cross = cross_c
-    return s_first, s_cross, s_j
+            np.einsum("ijn,jn->in", advance, states[-1], out=states[0])
+        for g in range(1, size):
+            np.einsum("ijn,jn->in", advance, states[g - 1], out=states[g])
+        np.matmul(flat[:size, 4 * n:], rows_a, out=reads_a[:size])
+        np.matmul(flat[:size, :4 * n], rows_w, out=reads_w[:size])
+        work.sums[b:b + size] += work.reads[:size]
 
 
 def _series_sums(
@@ -362,13 +449,15 @@ def _series_sums(
     swept on the nodes j = 0 .. n_k // 2 only, from rho0 without its
     sigma_y part, with weight 2 except at the self-paired nodes -pi and
     (for even n_k) 0 (see the module docstring).  Any other channel sweeps
-    every node with weight 1.  Returns the three sums and the residue: the
-    coefficients' and, with ``naive``, the imaginary part of the literal
-    double sum.
+    every node with weight 1.  With ``naive`` the cross sum is the complex
+    literal double sum, from the chunk's ``transfer_grids``.  Returns the
+    three sums and the residue: the coefficients' and, with ``naive``, the
+    imaginary part of the literal double sum.
     """
     ks = momentum_grid(n_k)
     coefficients = _fourier_coefficients(channel)
     residue = _coefficient_residue(coefficients[1])
+    real_maps = (coefficients[0], _real_coefficients(coefficients[1]))
     weights = np.ones(n_k)
     if coefficients[2]:  # real coin-pair maps: sweep half the grid
         ks = ks[:n_k // 2 + 1]
@@ -377,18 +466,21 @@ def _series_sums(
         if n_k % 2 == 0:
             weights[-1] = 1.0
         rho_vec = rho_vec * (1.0, 1.0, 0.0, 1.0)
-    first = cross = jsum = 0.0
+    work = _Workspace(t_max, min(_CHUNK, len(ks)))
+    naive_cross = 0.0
     for i in range(0, len(ks), _CHUNK):
-        part_first, part_cross, part_j = _accumulate(
-            transfer_grids(channel, ks[i:i + _CHUNK], coefficients),
-            np.multiply.outer(rho_vec, weights[i:i + _CHUNK]), t_max, naive,
-        )
-        first = first + part_first
-        cross = cross + part_cross
-        jsum = jsum + part_j
+        part = ks[i:i + _CHUNK]
+        _accumulate(_node_maps(real_maps, part, work.spare), rho_vec,
+                    weights[i:i + _CHUNK], work)
+        if naive:
+            naive_cross = naive_cross + np.cumsum(_naive_cross(
+                transfer_grids(channel, part, coefficients),
+                np.multiply.outer(rho_vec, weights[i:i + _CHUNK]), t_max,
+            ))
+    first, cross, jsum = work.series(t_max)
     if naive:
-        residue = max(residue, _imag_residue(cross / n_k, "naive cross term"))
-        cross = cross.real
+        residue = max(residue, _imag_residue(naive_cross / n_k, "naive cross term"))
+        cross = naive_cross.real
     return first, cross, jsum, residue
 
 
@@ -528,7 +620,7 @@ def moment_series(
     the exactness bound 2 * max_hop * t_max + 1 (``exact_node_bound``).
     Smaller values are allowed but trigger ``QuadratureTooCoarseWarning``.
     ``naive`` switches the second moment to the literal double sum.  The
-    momentum grid is swept in fixed 512-node chunks summed in order, so the
+    momentum grid is swept in fixed 256-node chunks summed in order, so the
     result depends only on the arguments.
     """
     rho_vec, n_k = _prepare(channel, coin, t_max, n_k)

@@ -1,6 +1,5 @@
 """End-to-end CLI tests; every invocation goes through ``cli.main`` in-process."""
 
-import dataclasses
 import json
 import tracemalloc
 
@@ -537,15 +536,17 @@ def test_xcheck_clean_build_passes(tmp_path):
 
 
 def test_xcheck_detects_drift_corruption(tmp_path, monkeypatch):
-    # doubling the drift grids keeps their structure, so only the
+    # doubling the sweep's drift map keeps its structure, so only the
     # comparisons can catch it
-    build = moments.transfer_grids
+    build = moments._node_maps
 
-    def doubled(*args, **kwargs):
-        grids = build(*args, **kwargs)
-        return dataclasses.replace(grids, drift=2.0 * grids.drift)
+    def doubled(*args):
+        block, readout = build(*args)
+        block[:, :4, 4:] *= 2.0  # the drift part of B
+        readout[:, ::2] *= 2.0  # and the first-moment and cross rows of R
+        return block, readout
 
-    monkeypatch.setattr(moments, "transfer_grids", doubled)
+    monkeypatch.setattr(moments, "_node_maps", doubled)
     out = tmp_path / "xcheck.txt"
     assert main(["xcheck", "--out", str(out)]) == 1
     report = out.read_text()

@@ -14,6 +14,7 @@ full-grid ``reference_series``.
 import dataclasses
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,9 +43,10 @@ from dqwalk.errors import (
     QuadratureTooCoarseWarning,
 )
 from dqwalk.moments import (
-    _BLOCK,
     _CHUNK,
+    _GROUP,
     TransferGrids,
+    _block_size,
     _fourier_coefficients,
     asymptotic_first_moment,
     diffusion_from_slope,
@@ -175,8 +177,9 @@ def reference_series(channel, coin, t_max, n_k=None):
 
     Per chunk of ``_CHUNK`` nodes, horizon m reads R v_m and then advances
     v_{m+1} = B v_m, with the block map B and readout R of ``_accumulate``.
-    The engine reads ``_BLOCK`` horizons per advance instead, so the two
-    agree to rounding, not bit for bit.  Returns (first, second, variance).
+    The engine reads ``_block_size(t_max)`` horizons per advance from a
+    table of rows R B^j instead, so the two agree to rounding, not bit for
+    bit.  Returns (first, second, variance).
     """
     rho_vec = coin_state(coin)
     if n_k is None:
@@ -531,11 +534,19 @@ def test_naive_double_sum_agrees_with_recursion():
         assert np.array_equal(fast.first, slow.first)  # same code path
 
 
-# Both sides of the first, second and eighth block edges, no block at all,
-# and a long series whose last block is cut short.
+# The block size s switches from 8 to 16 at t = 256, and a group of _GROUP
+# blocks ends every s * _GROUP horizons: at 128 and 256 for s = 8, and at
+# 256, 512, ... for s = 16.
+BLOCK_SWITCH = 256
+# Both sides of the first, second and eighth block edges at s = 8, of the
+# first two group edges of each block size (the switch is on one), no
+# block at all, and a long series whose last block is cut short.
 BLOCK_HORIZONS = sorted(
-    {0, 1, 203} | {e + d for e in (_BLOCK, 2 * _BLOCK, 8 * _BLOCK) for d in (-1, 0, 1)}
+    {0, 1, 203}
+    | {e + d for e in (8, 16, 64, 8 * _GROUP, BLOCK_SWITCH, 32 * _GROUP) for d in (-1, 0, 1)}
 )
+# Nodes swept per call on both sides of the first and second chunk edges.
+SWEPT_NODES = (_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK, 2 * _CHUNK + 1)
 
 
 @pytest.mark.parametrize(
@@ -544,13 +555,40 @@ BLOCK_HORIZONS = sorted(
     ids=["bl03", "dephasing04", "hop2"],
 )
 def test_blocked_sweep_matches_one_step_reference(channel):
-    assert 203 % _BLOCK  # a last block cut short
-    for t in BLOCK_HORIZONS:
-        series = moment_series(channel, GENERIC_COIN, t)
+    assert 203 % 8  # a last block cut short
+    assert [_block_size(BLOCK_SWITCH - 1), _block_size(BLOCK_SWITCH)] == [8, 16]
+    # a channel with real coin-pair maps sweeps nodes 0 .. n_k // 2; at
+    # t = 63 every grid here is at or above the exactness bound
+    folds = coin_pair_maps(channel)[2]
+    cases = [(t, None) for t in BLOCK_HORIZONS] + [
+        (63, 2 * (swept - 1) if folds else swept) for swept in SWEPT_NODES
+    ]
+    for t, n_k in cases:
+        series = moment_series(channel, GENERIC_COIN, t, n_k=n_k)
         got = (series.first, series.second, series.variance)
-        want = reference_series(channel, GENERIC_COIN, t)
+        want = reference_series(channel, GENERIC_COIN, t, n_k=n_k)
         for g, w in zip(got, want):
-            assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w)), t
+            assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w)), (t, n_k)
+
+
+# Traced peak of one moment_series(broken_line(0.3), "mixed", t) call, in
+# MiB.  The sweep that allocated its row tables per 512-node chunk and read
+# them one GEMV at a time peaked at 1.11 (t = 1000) and 1.39 (t = 4000); the
+# per-call workspace of 256-node chunks peaks at 1.30 and 1.59.  The budget
+# is that earlier peak plus 25% (7% and 9% above today's); a sweep that
+# allocates per chunk or per group of blocks reaches 2.7 and 4.6.
+@pytest.mark.parametrize("t, budget_mib", [(1000, 1.25 * 1.11), (4000, 1.25 * 1.39)],
+                         ids=["t1000", "t4000"])
+def test_sweep_memory_budget(t, budget_mib):
+    channel = broken_line(0.3)
+    moment_series(channel, "mixed", t)  # numpy's one-time set-up is not the sweep's
+    tracemalloc.start()
+    try:
+        moment_series(channel, "mixed", t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget_mib * 2**20
 
 
 def test_series_health_fields():
@@ -821,21 +859,21 @@ def test_grid_structure_check_bites(corrupt, monkeypatch):
 
 def test_structure_check_runs_once_per_call(monkeypatch):
     checks, chunks = [], []
-    check, grids = moments._coefficient_residue, moments.transfer_grids
+    check, maps = moments._coefficient_residue, moments._node_maps
 
     def check_spy(coef):
         checks.append(1)
         return check(coef)
 
-    def grids_spy(channel, ks, coefficients=None):
+    def maps_spy(coefficients, ks, out):
         chunks.append(len(ks))
-        return grids(channel, ks, coefficients)
+        return maps(coefficients, ks, out)
 
     monkeypatch.setattr(moments, "_coefficient_residue", check_spy)
-    monkeypatch.setattr(moments, "transfer_grids", grids_spy)
-    # t = 600: a half grid of 605 of 1208 nodes, in two chunks
+    monkeypatch.setattr(moments, "_node_maps", maps_spy)
+    # t = 600: a half grid of 605 of 1208 nodes, in three chunks
     moment_series(broken_line(0.7), "R", 600, n_k=1208)
-    assert chunks == [512, 93]
+    assert chunks == [256, 256, 93]
     assert len(checks) == 1
     for route in _structure_routes():
         checks.clear()
@@ -947,16 +985,17 @@ def test_conjugation_symmetry_check_matches_grids(channel, folds):
 
 def test_symmetric_channel_sweeps_half_the_grid(monkeypatch):
     swept = []
+    maps = moments._node_maps
 
-    def spy(channel, ks, coefficients=None):
+    def spy(coefficients, ks, out):
         swept.append(len(ks))
-        return transfer_grids(channel, ks, coefficients)
+        return maps(coefficients, ks, out)
 
-    monkeypatch.setattr(moments, "transfer_grids", spy)
-    # nodes 0 .. n_k // 2 in 512-node chunks; a channel that fails the check
+    monkeypatch.setattr(moments, "_node_maps", spy)
+    # nodes 0 .. n_k // 2 in 256-node chunks; a channel that fails the check
     # sweeps all of them
-    for channel, n_k, want in [(broken_line(0.3), 1208, [512, 93]),
-                               (broken_line(0.3), 1201, [512, 89]),
+    for channel, n_k, want in [(broken_line(0.3), 1208, [256, 256, 93]),
+                               (broken_line(0.3), 1201, [256, 256, 89]),
                                (BL_THETA1, 48, [48])]:
         swept.clear()
         assert moment_series(channel, "R", 20, n_k=n_k).n_k == n_k
