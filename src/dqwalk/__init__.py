@@ -15,7 +15,6 @@ from .brokenline import (
     critical_p,
     diffusion_closed_form,
     diffusion_integral,
-    diffusion_prefactor,
     diffusion_slope_estimate,
     write_sweep_csv,
 )

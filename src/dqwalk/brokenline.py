@@ -72,14 +72,6 @@ def diffusion_integral(x: float) -> float:
     return -((x + 1.0 / (s + a)) / s).imag / (x * w)
 
 
-def diffusion_prefactor(p: float) -> float:
-    """K(p) = (1 - (1 - p) I(1 - p)) / 2; equals 1/2 exactly at p = 1."""
-    p = _check_p(p)
-    if p == 1.0:
-        return 0.5
-    return 0.5 * (1.0 - (1.0 - p) * diffusion_integral(1.0 - p))
-
-
 @dataclass(frozen=True)
 class DiffusionResult:
     """One evaluation of the diffusion constant.

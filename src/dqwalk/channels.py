@@ -100,19 +100,21 @@ class WalkChannel:
         return max(abs(t.l) for t in self.terms)
 
 
-def _renumbered(groups: Sequence[Sequence[KrausTerm]]) -> tuple[KrausTerm, ...]:
-    """Drop all-zero Kraus operators and renumber the rest 0..m-1."""
-    terms: list[KrausTerm] = []
-    idx = 0
-    for group in groups:
-        kept = [t for t in group if t.amp != 0]
-        if not kept:
-            continue
-        terms.extend(
-            KrausTerm(idx, t.l, t.i, t.j, complex(t.amp)) for t in kept
-        )
-        idx += 1
-    return tuple(terms)
+def _from_rows(label: str, kraus: Sequence[Sequence[tuple]]) -> WalkChannel:
+    """A channel from, per Kraus operator, its (hop, output coin, row) triples.
+
+    ``row`` holds the amplitudes for input coins R and L.  Zero amplitudes
+    are dropped, then all-zero operators, and the rest numbered 0..m-1.
+    """
+    groups = (
+        [(l, i, j, complex(amp)) for l, i, row in rows
+         for j, amp in zip(COIN_LABELS, row) if amp != 0]
+        for rows in kraus
+    )
+    return WalkChannel(label, tuple(
+        KrausTerm(n, *term) for n, group in enumerate(g for g in groups if g)
+        for term in group
+    ))
 
 
 def _unitary_coin(coin: np.ndarray) -> np.ndarray:
@@ -135,12 +137,7 @@ def build_coherent(coin: np.ndarray) -> WalkChannel:
         NonUnitaryCoinError: if ``coin`` is not unitary to 1e-12.
     """
     coin = _unitary_coin(coin)
-    group = [
-        KrausTerm(0, +1, "R", j, coin[0, COIN_INDEX[j]]) for j in COIN_LABELS
-    ] + [
-        KrausTerm(0, -1, "L", j, coin[1, COIN_INDEX[j]]) for j in COIN_LABELS
-    ]
-    return WalkChannel("coherent", _renumbered([group]))
+    return _from_rows("coherent", [[(+1, "R", coin[0]), (-1, "L", coin[1])]])
 
 
 @dataclass(frozen=True)
@@ -160,36 +157,23 @@ class BrokenLineParams:
     theta4: float = 0.0
 
 
-def _broken_line_groups(params: BrokenLineParams) -> list[list[KrausTerm]]:
+def _broken_line_rows(params: BrokenLineParams) -> list[list[tuple]]:
+    """The broken line's Kraus operators as ``_from_rows`` triples."""
     p = params.p
     h = HADAMARD
     w = math.sqrt(p * (1.0 - p))
-    e1 = cmath.exp(1j * params.theta1)
-    e2 = cmath.exp(1j * params.theta2)
-    e3 = cmath.exp(1j * params.theta3)
-    e4 = cmath.exp(1j * params.theta4)
-    groups = []
-    # Both links intact: flip, then move.
-    groups.append(
-        [KrausTerm(0, +1, "R", j, (1 - p) * h[0, COIN_INDEX[j]]) for j in COIN_LABELS]
-        + [KrausTerm(0, -1, "L", j, (1 - p) * e1 * h[1, COIN_INDEX[j]]) for j in COIN_LABELS]
-    )
-    # Exactly one adjacent link broken, in each orientation: the mover on the
-    # intact side passes, the other component is reflected in place.
-    groups.append(
-        [KrausTerm(1, +1, "R", j, w * h[0, COIN_INDEX[j]]) for j in COIN_LABELS]
-        + [KrausTerm(1, 0, "R", j, w * e2 * h[1, COIN_INDEX[j]]) for j in COIN_LABELS]
-    )
-    groups.append(
-        [KrausTerm(2, 0, "L", j, w * h[0, COIN_INDEX[j]]) for j in COIN_LABELS]
-        + [KrausTerm(2, -1, "L", j, w * e3 * h[1, COIN_INDEX[j]]) for j in COIN_LABELS]
-    )
-    # Both links broken: the walker is boxed in and both components reflect.
-    groups.append(
-        [KrausTerm(3, 0, "R", j, p * h[1, COIN_INDEX[j]]) for j in COIN_LABELS]
-        + [KrausTerm(3, 0, "L", j, p * e4 * h[0, COIN_INDEX[j]]) for j in COIN_LABELS]
-    )
-    return groups
+    e1, e2, e3, e4 = (cmath.exp(1j * theta) for theta in
+                      (params.theta1, params.theta2, params.theta3, params.theta4))
+    return [
+        # Both links intact: flip, then move.
+        [(+1, "R", (1 - p) * h[0]), (-1, "L", (1 - p) * e1 * h[1])],
+        # Exactly one adjacent link broken, in each orientation: the mover on
+        # the intact side passes, the other component is reflected in place.
+        [(+1, "R", w * h[0]), (0, "R", w * e2 * h[1])],
+        [(0, "L", w * h[0]), (-1, "L", w * e3 * h[1])],
+        # Both links broken: the walker is boxed in and both components reflect.
+        [(0, "R", p * h[1]), (0, "L", p * e4 * h[0])],
+    ]
 
 
 def build_broken_line(params: BrokenLineParams) -> WalkChannel:
@@ -204,7 +188,7 @@ def build_broken_line(params: BrokenLineParams) -> WalkChannel:
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"link-failure probability must be in [0, 1], got {p!r}")
     label = f"broken-line(p={p:g})"
-    channel = WalkChannel(label, _renumbered(_broken_line_groups(params)))
+    channel = _from_rows(label, _broken_line_rows(params))
     wrapped = (params.theta2 - params.theta3 - math.pi + math.pi) % (2 * math.pi) - math.pi
     if not abs(wrapped) <= 1e-9:
         _, residual = completeness_residual(channel)
@@ -260,14 +244,9 @@ def build_coin_channel(
             "sum_n p_n D_n^dag D_n deviates from the identity by "
             f"{np.max(np.abs(total - np.eye(2))):.3g}"
         )
-    groups = []
-    for p_n, d_n in coin_kraus:
-        gamma = math.sqrt(p_n) * (coin @ np.asarray(d_n, dtype=complex))
-        groups.append(
-            [KrausTerm(0, +1, "R", j, gamma[0, COIN_INDEX[j]]) for j in COIN_LABELS]
-            + [KrausTerm(0, -1, "L", j, gamma[1, COIN_INDEX[j]]) for j in COIN_LABELS]
-        )
-    return WalkChannel(label, _renumbered(groups))
+    gammas = [math.sqrt(p_n) * (coin @ np.asarray(d_n, dtype=complex))
+              for p_n, d_n in coin_kraus]
+    return _from_rows(label, [[(+1, "R", g[0]), (-1, "L", g[1])] for g in gammas])
 
 
 def dephasing_channel(q: float) -> WalkChannel:

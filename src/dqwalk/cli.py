@@ -87,7 +87,6 @@ class RunConfig:
     p_step: float = 0.05
     critical: bool = False
     with_slope: bool = False
-    coin_reduction: bool = False
 
     def to_json_dict(self) -> dict:
         data = dataclasses.asdict(self)
@@ -265,7 +264,7 @@ def cmd_diffusion(config: RunConfig) -> int:
     return 0
 
 
-def _xcheck_rows(config: RunConfig) -> list[tuple[str, float, float]]:
+def _xcheck_rows() -> list[tuple[str, float, float]]:
     """Each row is (name, max |delta|, tolerance)."""
     rows: list[tuple[str, float, float]] = []
 
@@ -301,7 +300,7 @@ def _xcheck_rows(config: RunConfig) -> list[tuple[str, float, float]]:
     engine_vs_oracle(
         "coin-dephasing q=0.5, symmetric coin", dephasing_channel(0.5), "symmetric", 12
     )
-    # eight full blocks of the moment sweep and one partial block
+    # four full blocks of the moment sweep and one partial block
     engine_vs_oracle(
         "broken-line p=0.3, coin R, t=65", brokenline.default_channel(0.3), "R", 65
     )
@@ -340,29 +339,29 @@ def _xcheck_rows(config: RunConfig) -> list[tuple[str, float, float]]:
         ),
         1e-10,
     ))
-    if config.coin_reduction:
-        for q in (0.0, 0.2, 0.5, 1.0):
-            chan = dephasing_channel(q)
-            series = moment_series(chan, "symmetric", 20)
-            worst = max(
-                abs(series.second[t] - second_moment_coin_specialized(chan, "symmetric", t))
-                for t in range(21)
-            )
-            rows.append((
-                f"coin-dephasing q={q:g}: generic vs coin-specialized, t<=20",
-                worst,
-                1e-10,
-            ))
-            rows.append((
-                f"coin-dephasing q={q:g}: dispersion term vs t",
-                abs(j_term(chan, "mixed", 15) - 15.0),
-                1e-12,
-            ))
+    # the coin-noise reduction to the Brun formalism
+    for q in (0.0, 0.2, 0.5, 1.0):
+        chan = dephasing_channel(q)
+        series = moment_series(chan, "symmetric", 20)
+        worst = max(
+            abs(series.second[t] - second_moment_coin_specialized(chan, "symmetric", t))
+            for t in range(21)
+        )
+        rows.append((
+            f"coin-dephasing q={q:g}: generic vs coin-specialized, t<=20",
+            worst,
+            1e-10,
+        ))
+        rows.append((
+            f"coin-dephasing q={q:g}: dispersion term vs t",
+            abs(j_term(chan, "mixed", 15) - 15.0),
+            1e-12,
+        ))
     return rows
 
 
 def cmd_xcheck(config: RunConfig) -> int:
-    rows = _xcheck_rows(config)
+    rows = _xcheck_rows()
     width = max(len(name) for name, _, _ in rows)
     failures = 0
     with _out_stream(config.out) as fh:
@@ -439,8 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_x = sub.add_parser("xcheck",
                          help="cross-check the independent computation routes")
-    p_x.add_argument("--coin-reduction", action="store_true",
-                     help="include the extended coin-noise reduction checks")
     p_x.add_argument("--out")
 
     return parser
@@ -536,7 +533,7 @@ def main(argv=None) -> int:
     except (NotContractingError, BallisticRegimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (DQWalkError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (DQWalkError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -74,9 +74,10 @@ class BracketingError(DQWalkError, RuntimeError):
 class NonRealMomentError(DQWalkError, ArithmeticError):
     """A position moment is not a finite real number.
 
-    Raised when the transfer grids lack the real/imaginary structure of a
-    trace-preserving channel (or hold a non-finite entry), or when a moment
-    computed in complex arithmetic has a non-negligible imaginary part.
+    Raised when the channel's Fourier coefficients lack the real/imaginary
+    structure of a trace-preserving channel (or hold a non-finite entry), or
+    when a moment computed in complex arithmetic has a non-negligible
+    imaginary part.
     """
 
 

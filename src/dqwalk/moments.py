@@ -17,12 +17,12 @@ right (conjugated) factor frozen, and J_k carries the derivative on both
 sides.  The double sum telescopes into a second running vector, so the
 default path costs O(t) work per momentum node: both running vectors are
 advanced by one 8x8 block map B and read by a 3x8 readout R.  The sweep
-(``_accumulate``) reads s horizons per advance (8 below t = 256, else 16)
-from rows R B^j built by doubling, advances by B^s, and reads a group of 16
-such blocks with two BLAS GEMMs.  Per node-step that is 16 multiply-adds in
-the GEMMs, 64 / s in the advance and (96 s + 512 log2 s) / t in the tables,
-where one advance per horizon would cost 88.  ``naive=True`` keeps the
-literal complex double sum for cross-checking.
+(``_accumulate``) reads s = 16 horizons per advance from rows R B^j built by
+doubling, advances by B^s, and reads a group of 16 such blocks with two
+BLAS GEMMs.  Per node-step that is 16 multiply-adds in the GEMMs, 4 in the
+advance and 3584 / t in the tables, where one advance per horizon would
+cost 88.  ``naive=True`` keeps the literal complex double sum for
+cross-checking.
 
 The sweep runs in real arithmetic, which is exact rather than an
 approximation.  In the Pauli basis a Hermiticity-preserving map has a real
@@ -90,22 +90,15 @@ from .pauli import PAULI, coin_state
 # workspace is sized for one chunk (see ``_accumulate``).
 _CHUNK = 256
 
+# Horizons the sweep reads per advance, s in ``_accumulate``.  Per node the
+# row tables cost about 96 s + 512 log2(s) multiply-adds and the advances
+# 64 t / s.  On a 2-vCPU Xeon (numpy 2.4, one BLAS thread) s = 16 ties s = 8
+# in calls at t = 10-200 and is 7% faster at t = 250 and 17% at t = 511;
+# s = 32 doubles the tables and pays only past t = 2000.
+_BLOCK = 16
+
 # Blocks of horizons advanced before one GEMM reads them all.
 _GROUP = 16
-
-
-def _block_size(t_max: int) -> int:
-    """Horizons the sweep reads per advance: 8 below t = 256, else 16.
-
-    Per node, the row tables R B^j cost about 96 s + 512 log2(s)
-    multiply-adds and the advances 64 t / s.  On a 2-vCPU Xeon (numpy 2.4,
-    one BLAS thread) 8 and 16 tie up to t = 130, and 16 is 7% faster at
-    t = 250 and 17% at t = 511.  32 doubles the tables (1 MB more per
-    chunk); with the chunk halved to keep their size it is 15% slower at
-    t = 1000, ties at t = 2000 and is 8% faster at t = 4000, which does not
-    pay for a third shape.  ``_Workspace`` relies on s >= 8.
-    """
-    return 8 if t_max < 256 else 16
 
 
 # A grid part the real sweep discards, or the imaginary part of a moment
@@ -317,37 +310,35 @@ class _Workspace:
     """The buffers of one call's sweep, allocated once and sized for one chunk.
 
     Each buffer serves two stages of ``_accumulate``: ``spare`` holds the
-    chunk's B and R, then its power B^s; ``table`` the readout rows R B^j
-    node-first, then a group of running vectors; ``rows`` the powers B^h,
-    then the readout rows laid out for the GEMMs.  ``reads`` takes a
-    group's readouts, and ``sums`` collects them over all chunks.
+    chunk's B and R, then its power B^s (s = ``_BLOCK``); ``table`` the
+    readout rows R B^j node-first, then a group of running vectors; ``rows``
+    the powers B^h, then the readout rows laid out for the GEMMs.  ``reads``
+    takes a group's readouts, and ``sums`` collects them over all chunks.
     """
 
     def __init__(self, t_max: int, n: int) -> None:
-        self.s = _block_size(t_max)
-        n_blocks = -(-max(t_max, 1) // self.s)
+        n_blocks = -(-max(t_max, 1) // _BLOCK)
         self.group = min(_GROUP, n_blocks)
         # One allocation, not three: glibc's malloc trims the heap once its
         # free top exceeds twice the largest block freed so far, so three
         # blocks of the same total were returned to the system after every
         # call and faulted back in (88 minor page faults per t = 60 call on
-        # a max_hop-2 channel; one block takes none).  As s >= 8, ``table``
-        # holds _GROUP = 16 running 8-vectors per node and ``rows`` two 8x8
-        # maps.
-        arena = np.empty((88 + 32 * self.s) * n)
+        # a max_hop-2 channel; one block takes none).  ``table`` also holds
+        # _GROUP running 8-vectors per node and ``rows`` two 8x8 maps.
+        arena = np.empty((88 + 32 * _BLOCK) * n)
         self.spare = arena[:88 * n]
-        self.table = arena[88 * n:(88 + 16 * self.s) * n]
-        self.rows = arena[(88 + 16 * self.s) * n:]
-        self.reads = np.empty((self.group, 4 * self.s))
-        self.sums = np.zeros((n_blocks, 4 * self.s))
+        self.table = arena[88 * n:(88 + 16 * _BLOCK) * n]
+        self.rows = arena[(88 + 16 * _BLOCK) * n:]
+        self.reads = np.empty((self.group, 4 * _BLOCK))
+        self.sums = np.zeros((n_blocks, 4 * _BLOCK))
 
     def series(self, t_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The three running sums of ``_accumulate`` for t = 0 .. t_max."""
-        n_blocks, s = len(self.sums), self.s
-        reads = self.sums[:, :3 * s].reshape(n_blocks, s, 3)
-        reads[:, :, 2] += self.sums[:, 3 * s:]
+        n_blocks = len(self.sums)
+        reads = self.sums[:, :3 * _BLOCK].reshape(n_blocks, _BLOCK, 3)
+        reads[:, :, 2] += self.sums[:, 3 * _BLOCK:]
         per_horizon = np.zeros((3, t_max + 1))
-        per_horizon[:, 1:] = reads.reshape(n_blocks * s, 3)[:t_max].T
+        per_horizon[:, 1:] = reads.reshape(n_blocks * _BLOCK, 3)[:t_max].T
         first, jsum, cross = np.cumsum(per_horizon, axis=1)
         return first, cross, jsum
 
@@ -371,17 +362,17 @@ def _accumulate(
 
     with a_m = L^{m-1} rho0.  The mean over momenta is taken by the caller.
 
-    Every series is swept s = ``_block_size(t_max)`` horizons per advance.
-    Per chunk, the rows R B^j (j < s) are built by doubling,
-    R B^{j+h} = (R B^j) B^h, with the squarings B^h that also give B^s.
-    Then each group of ``_GROUP`` blocks is advanced by B^s and read with
-    two GEMMs, one per half of the state: 16 multiply-adds per node-step in
-    BLAS, plus 64 / s in the advance.  This rounds in another order than a
-    one-step sweep and agrees with it to about 1e-14 relative.
+    Every series is swept s = ``_BLOCK`` horizons per advance.  Per chunk,
+    the rows R B^j (j < s) are built by doubling, R B^{j+h} = (R B^j) B^h,
+    with the squarings B^h that also give B^s.  Then each group of
+    ``_GROUP`` blocks is advanced by B^s and read with two GEMMs, one per
+    half of the state: 16 multiply-adds per node-step in BLAS, plus 64 / s
+    in the advance.  This rounds in another order than a one-step sweep and
+    agrees with it to about 1e-14 relative.
     """
     block, readout = maps
-    n, s, group = len(block), work.s, work.group
-    n_blocks = len(work.sums)
+    s = _BLOCK
+    n, group, n_blocks = len(block), work.group, len(work.sums)
     # B is block upper-triangular, B^j = [[L^j, X_j], [0, L^j]], so the
     # first-moment and dispersion rows of R B^j stay zero on the w_r half and
     # are kept as their a halves; the cross row is kept whole.  Node-first.

@@ -32,12 +32,6 @@ COIN_PRESETS = {
     "mixed": (0.5, 0.0, 0.0, 0.0),
 }
 
-# Contraction order for ``sandwich_superop``: L with R* first, then that
-# product with one Pauli tensor, then with the other.  It is the order
-# numpy's ``optimize=True`` search picks for these operands (checked from 1
-# to 512 momentum nodes); fixing it skips the search on every call.
-_SANDWICH_PATH = ["einsum_path", (1, 3), (0, 2), (0, 1)]
-
 # Largest imaginary Pauli coordinate, and deviation of the trace from 1,
 # that ``validate_coin_state`` accepts.
 _COIN_TOL = 1e-12
@@ -65,7 +59,7 @@ def sandwich_superop(lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
     rights = np.asarray(rights, dtype=complex)
     return 0.5 * np.einsum(
         "iab,m...bc,jcd,m...ad->...ij", PAULI, lefts, PAULI, rights.conj(),
-        optimize=_SANDWICH_PATH,
+        optimize=True,
     )
 
 

@@ -36,10 +36,6 @@ from test_moments import (
 )
 
 
-def broken_line(p):
-    return build_broken_line(BrokenLineParams(p=p))
-
-
 def report(num: int, title: str, ok: bool, detail: str = "") -> None:
     status = "PASS" if ok else "FAIL"
     suffix = f"  ({detail})" if detail else ""
@@ -52,7 +48,8 @@ def report(num: int, title: str, ok: bool, detail: str = "") -> None:
 def test_criterion_1_oracle_equivalence():
     """Engine moments equal brute-force moments for every contracted combo."""
     channels = [("coherent", build_coherent(HADAMARD))]
-    channels += [(f"broken-line p={p}", broken_line(p)) for p in (0, 0.1, 0.5, 0.9, 1)]
+    channels += [(f"broken-line p={p}", brokenline.default_channel(p))
+                 for p in (0, 0.1, 0.5, 0.9, 1)]
     channels += [(f"dephasing q={q}", dephasing_channel(q)) for q in (0.3, 0.8)]
     coins = ("R", "symmetric", "mixed")
     t_max = 25
@@ -93,10 +90,10 @@ def test_criterion_2_crossover_probability():
 
 def test_criterion_3_prefactor_endpoints_and_shape():
     """K(1) = 1/2 exactly, K(0) ~ 0.19, monotone on a 200-point grid."""
-    k1 = brokenline.diffusion_prefactor(1.0)
-    k0 = brokenline.diffusion_prefactor(0.0)
+    k1 = brokenline.diffusion_closed_form(1.0).prefactor
+    k0 = (1.0 - brokenline.diffusion_integral(1.0)) / 2  # D(0) diverges
     grid = np.linspace(0.0, 1.0, 200)
-    values = [brokenline.diffusion_prefactor(p) for p in grid]
+    values = [k0] + [brokenline.diffusion_closed_form(p).prefactor for p in grid[1:]]
     monotone = all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
     ok = abs(k1 - 0.5) <= 1e-9 and abs(k0 - 0.19) <= 0.01 and monotone
     report(3, "prefactor endpoints and monotonicity", ok,
@@ -140,7 +137,8 @@ def test_criterion_5_coin_noise_reduction():
     for q in (0.0, 0.2, 0.5, 1.0):
         worst_j = max(worst_j, abs(j_term(dephasing_channel(q), "R", 15) - 15.0))
     for p in (0.0, 0.3, 0.7, 1.0):
-        worst_j = max(worst_j, abs(j_term(broken_line(p), "mixed", 10) - (1 - p) * 10))
+        dispersion = j_term(brokenline.default_channel(p), "mixed", 10)
+        worst_j = max(worst_j, abs(dispersion - (1 - p) * 10))
     ok = worst <= 1e-10 and worst_j <= 1e-12
     report(5, "coin-noise reduction identities", ok,
            f"max generic-vs-specialized |delta| = {worst:.3g}, "
@@ -158,7 +156,7 @@ def test_criterion_6_regime_properties():
     classical = moment_series(dephasing_channel(1.0), "mixed", 40)
     classical_dev = float(np.max(np.abs(classical.variance - np.arange(41))))
 
-    frozen = moment_series(broken_line(1.0), "R", 40)
+    frozen = moment_series(brokenline.default_channel(1.0), "R", 40)
     frozen_dev = float(np.max(np.abs(frozen.variance)))
 
     ok = abs(slope - 2.0) <= 0.01 and classical_dev <= 1e-10 and frozen_dev <= 1e-10
@@ -174,7 +172,7 @@ def test_criterion_7_structural_matrices():
     """Affine maps match the printed closed forms; phase constraint enforced."""
     worst = 0.0
     for p in (0.1, 0.3, 0.5, 0.7, 0.9):
-        channel = broken_line(p)
+        channel = brokenline.default_channel(p)
         for k in np.linspace(-np.pi, np.pi, 9):
             grids = transfer_grids(channel, np.array([k]))
             worst = max(worst, float(np.max(np.abs(
@@ -183,7 +181,7 @@ def test_criterion_7_structural_matrices():
                 grids.dispersion[0]
                 - dispersion_matrix_closed_form(p, k)))))
     for p in (0.3, 0.7):
-        channel = broken_line(p)
+        channel = brokenline.default_channel(p)
         for k in (0.0, 1.0, 2.0):
             grids = transfer_grids(channel, np.array([k]))
             worst = max(worst, float(np.max(np.abs(
@@ -214,7 +212,7 @@ def test_criterion_8_quadrature_exactness():
     """Doubling the momentum grid beyond the bound changes nothing."""
     worst = 0.0
     for channel, coin in [
-        (broken_line(0.3), "R"),
+        (brokenline.default_channel(0.3), "R"),
         (build_coherent(HADAMARD), "symmetric"),
         (dephasing_channel(0.6), "mixed"),
     ]:

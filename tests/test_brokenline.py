@@ -19,7 +19,6 @@ from dqwalk.brokenline import (
     critical_p,
     diffusion_closed_form,
     diffusion_integral,
-    diffusion_prefactor,
     diffusion_slope_estimate,
     write_sweep_csv,
 )
@@ -94,16 +93,21 @@ def test_integral_even_symmetry():
 # ---------------------------------------------------------------------------
 
 
+def k_at_zero():
+    """K(0) = (1 - I(1)) / 2; the closed form stops short of it at p = 0."""
+    return (1.0 - diffusion_integral(1.0)) / 2
+
+
 def test_prefactor_endpoints():
-    assert diffusion_prefactor(1.0) == 0.5  # exact by the I -> 0 limit
-    k0 = diffusion_prefactor(0.0)
+    assert diffusion_closed_form(1.0).prefactor == 0.5  # exact by the I -> 0 limit
+    k0 = k_at_zero()
     assert abs(k0 - 0.19) <= 0.01
     assert k0 == pytest.approx(0.18979838029930013, abs=1e-12)
 
 
 def test_prefactor_monotone_nondecreasing():
     grid = np.linspace(0.0, 1.0, 50)
-    values = [diffusion_prefactor(p) for p in grid]
+    values = [k_at_zero()] + [diffusion_closed_form(p).prefactor for p in grid[1:]]
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
 
@@ -128,7 +132,7 @@ def test_two_printed_diffusion_forms_agree():
         x = 1.0 - p
         expanded = 0.5 * ((x / p) * (1.0 - x * diffusion_integral(x)))
         assert diffusion_closed_form(p).diffusion == pytest.approx(expanded, abs=1e-12)
-        assert diffusion_prefactor(p) == pytest.approx(
+        assert diffusion_closed_form(p).prefactor == pytest.approx(
             expanded * p / (1.0 - p), abs=1e-12
         )
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from dqwalk import channels
+from dqwalk import brokenline, channels
 from dqwalk.channels import (
     HADAMARD,
     BrokenLineParams,
@@ -33,10 +33,6 @@ from dqwalk.errors import (
 from test_moments import random_layered_channel, reference_coin_matrices
 
 SQ2 = np.sqrt(2.0)
-
-
-def broken_line(p, **phases):
-    return build_broken_line(BrokenLineParams(p=p, **phases))
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +74,7 @@ def test_coherent_coin_matrix_and_derivative():
 
 
 def test_coin_matrix_vectorized_over_k():
-    ch = broken_line(0.35)
+    ch = brokenline.default_channel(0.35)
     ks = np.linspace(-np.pi, np.pi, 9)
     stacked = reference_coin_matrices(ch, ks)[2]
     assert stacked.shape == (9, 2, 2)
@@ -91,14 +87,34 @@ def test_coin_matrix_vectorized_over_k():
 
 
 def test_broken_line_kraus_count_and_hops():
-    ch = broken_line(0.3)
+    ch = brokenline.default_channel(0.3)
     assert ch.num_kraus == 4
     assert ch.max_hop == 1
     assert sorted(ch.kraus_indices) == [0, 1, 2, 3]
 
 
+def test_broken_line_term_list():
+    # p = 0.3, theta1 = 0.4: h = 1/sqrt(2), w = sqrt(p (1 - p)), and the
+    # default theta2 = pi negates the reflected row h[1] of operator 1
+    h, w, e1 = 1 / SQ2, np.sqrt(0.21), np.exp(0.4j)
+    want = [
+        (0, +1, "R", "R", 0.7 * h), (0, +1, "R", "L", 0.7 * h),
+        (0, -1, "L", "R", 0.7 * e1 * h), (0, -1, "L", "L", -0.7 * e1 * h),
+        (1, +1, "R", "R", w * h), (1, +1, "R", "L", w * h),
+        (1, 0, "R", "R", -w * h), (1, 0, "R", "L", w * h),
+        (2, 0, "L", "R", w * h), (2, 0, "L", "L", w * h),
+        (2, -1, "L", "R", w * h), (2, -1, "L", "L", -w * h),
+        (3, 0, "R", "R", 0.3 * h), (3, 0, "R", "L", -0.3 * h),
+        (3, 0, "L", "R", 0.3 * h), (3, 0, "L", "L", 0.3 * h),
+    ]
+    ch = build_broken_line(BrokenLineParams(p=0.3, theta1=0.4))
+    assert [(t.n, t.l, t.i, t.j) for t in ch.terms] == [row[:4] for row in want]
+    assert np.allclose([t.amp for t in ch.terms], [row[4] for row in want],
+                       rtol=0, atol=1e-15)
+
+
 def test_broken_line_p_zero_is_coherent():
-    ch = broken_line(0.0)
+    ch = brokenline.default_channel(0.0)
     coh = build_coherent(HADAMARD)
     assert ch.num_kraus == 1
     got = {(t.l, t.i, t.j): t.amp for t in ch.terms}
@@ -109,7 +125,7 @@ def test_broken_line_p_zero_is_coherent():
 
 
 def test_broken_line_p_one_keeps_walker_in_place():
-    ch = broken_line(1.0)
+    ch = brokenline.default_channel(1.0)
     assert all(t.l == 0 for t in ch.terms)
     assert ch.max_hop == 0
     validate_completeness(ch)
@@ -120,7 +136,7 @@ def test_broken_line_both_links_broken_operator():
     # coin matrix is p * [[1, -1], [1, 1]] / sqrt(2) at every k
     # (theta4 = 0 puts the phase on the lower row; H rows swap).
     p = 0.45
-    ch = broken_line(p)
+    ch = brokenline.default_channel(p)
     for k in (0.0, 1.3, -2.0):
         c = reference_coin_matrices(ch, k)[3]
         assert np.allclose(c, p / SQ2 * np.array([[1.0, -1.0], [1.0, 1.0]]))
@@ -128,19 +144,19 @@ def test_broken_line_both_links_broken_operator():
 
 def test_broken_line_surviving_link_operator_at_k0():
     # The (1-p)-weighted operator is the coherent Hadamard step.
-    c = reference_coin_matrices(broken_line(0.3), 0.0)[0]
+    c = reference_coin_matrices(brokenline.default_channel(0.3), 0.0)[0]
     assert np.allclose(c, 0.7 / SQ2 * np.array([[1.0, 1.0], [1.0, -1.0]]))
 
 
 def test_stationary_operator_has_zero_derivative():
     # every term of the both-broken operator has hop l = 0
-    d = reference_coin_matrices(broken_line(0.45), 0.9, derivative=True)[3]
+    d = reference_coin_matrices(brokenline.default_channel(0.45), 0.9, derivative=True)[3]
     assert np.allclose(d, 0.0)
 
 
 def test_broken_line_completeness_over_grid():
     for p in (0.0, 0.1, 0.5, 0.9, 1.0):
-        _, residual = completeness_residual(broken_line(p))
+        _, residual = completeness_residual(brokenline.default_channel(p))
         assert residual <= 1e-12
 
 
@@ -162,9 +178,9 @@ def test_broken_line_free_phases_preserve_completeness():
 
 def test_broken_line_domain():
     with pytest.raises(DomainError):
-        broken_line(-0.1)
+        brokenline.default_channel(-0.1)
     with pytest.raises(DomainError):
-        broken_line(1.1)
+        brokenline.default_channel(1.1)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +241,7 @@ def test_random_coin_channels_are_complete():
 
 
 def test_is_coin_channel_false_for_broken_line():
-    assert not is_coin_channel(broken_line(0.3))
+    assert not is_coin_channel(brokenline.default_channel(0.3))
     assert is_coin_channel(build_coherent(HADAMARD))
 
 
@@ -260,16 +276,15 @@ def sampled_completeness_residual(channel):
 def unchecked_broken_line(p, **phases):
     """The broken-line channel without the phase and completeness checks."""
     params = BrokenLineParams(p=p, **phases)
-    terms = channels._renumbered(channels._broken_line_groups(params))
-    return WalkChannel("unchecked", terms)
+    return channels._from_rows("unchecked", channels._broken_line_rows(params))
 
 
 @pytest.mark.parametrize(
     "channel",
     [
-        broken_line(0.0),
-        broken_line(0.3),
-        broken_line(1.0),
+        brokenline.default_channel(0.0),
+        brokenline.default_channel(0.3),
+        brokenline.default_channel(1.0),
         unchecked_broken_line(0.4, theta2=1.0),
         build_coherent(HADAMARD),
         dephasing_channel(0.4),
@@ -310,7 +325,7 @@ def test_completeness_flags_lossy_channel():
 
 
 def test_json_round_trip_bit_exact(tmp_path):
-    ch = broken_line(0.37)
+    ch = brokenline.default_channel(0.37)
     path = tmp_path / "bl.json"
     save_channel(ch, path)
     back = load_channel(path)

@@ -528,11 +528,21 @@ def test_xcheck_clean_build_passes(tmp_path):
     assert main(["xcheck", "--out", str(out)]) == 0
     report = out.read_text()
     assert "FAIL" not in report
-    assert report.strip().endswith("18/18 checks passed")
+    assert report.strip().endswith("26/26 checks passed")
     # both the half-grid sweep and the full-grid one are played against the
     # oracle, with a real and a complex start on the complex-row channel
     assert "theta1=0.4, coin R: second moment vs oracle" in report
     assert "theta1=0.4, symmetric coin: second moment vs oracle" in report
+    # the coin-noise reduction to the Brun formalism, at every dephasing strength
+    for q in ("0", "0.2", "0.5", "1"):
+        assert f"coin-dephasing q={q}: generic vs coin-specialized, t<=20" in report
+        assert f"coin-dephasing q={q}: dispersion term vs t" in report
+
+
+def test_xcheck_has_no_coin_reduction_flag():
+    with pytest.raises(SystemExit) as err:
+        main(["xcheck", "--coin-reduction"])
+    assert err.value.code == 2
 
 
 def test_xcheck_detects_drift_corruption(tmp_path, monkeypatch):
@@ -553,19 +563,11 @@ def test_xcheck_detects_drift_corruption(tmp_path, monkeypatch):
     # the mutation must be caught by the second-moment rows
     assert any("second moment vs oracle" in line and line.endswith("FAIL")
                for line in report.splitlines())
-    # including the row whose sweep crosses eight full blocks and a partial one
+    # including the row whose sweep crosses four full blocks and a partial one
     blocked = [line for line in report.splitlines()
                if line.startswith("broken-line p=0.3, coin R, t=65:")]
     assert len(blocked) == 2
     assert all(line.endswith("FAIL") for line in blocked)
-
-
-def test_xcheck_coin_reduction_suite(tmp_path):
-    out = tmp_path / "xcheck.txt"
-    assert main(["xcheck", "--coin-reduction", "--out", str(out)]) == 0
-    report = out.read_text()
-    assert "26/26 checks passed" in report
-    assert "q=1: generic vs coin-specialized" in report
 
 
 # ---------------------------------------------------------------------------

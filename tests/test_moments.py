@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqwalk import moments, simulator
+from dqwalk import brokenline, moments, simulator
 from dqwalk.channels import (
     COIN_INDEX,
     HADAMARD,
@@ -43,10 +43,10 @@ from dqwalk.errors import (
     QuadratureTooCoarseWarning,
 )
 from dqwalk.moments import (
+    _BLOCK,
     _CHUNK,
     _GROUP,
     TransferGrids,
-    _block_size,
     _fourier_coefficients,
     asymptotic_first_moment,
     diffusion_from_slope,
@@ -59,10 +59,6 @@ from dqwalk.moments import (
 )
 from dqwalk.pauli import coin_state, sandwich_superop
 from dqwalk.simulator import evolve, init_state, moment_direct
-
-
-def broken_line(p):
-    return build_broken_line(BrokenLineParams(p=p))
 
 
 HAD = build_coherent(HADAMARD)
@@ -177,7 +173,7 @@ def reference_series(channel, coin, t_max, n_k=None):
 
     Per chunk of ``_CHUNK`` nodes, horizon m reads R v_m and then advances
     v_{m+1} = B v_m, with the block map B and readout R of ``_accumulate``.
-    The engine reads ``_block_size(t_max)`` horizons per advance from a
+    The engine reads ``_BLOCK`` horizons per advance from a
     table of rows R B^j instead, so the two agree to rounding, not bit for
     bit.  Returns (first, second, variance).
     """
@@ -310,21 +306,21 @@ K_GRID = (0.0, 0.5, 1.0, 2.0, -2.5, np.pi)
 @pytest.mark.parametrize("p", P_GRID)
 @pytest.mark.parametrize("k", K_GRID)
 def test_transfer_matrix_matches_closed_form(p, k):
-    got = at_k(broken_line(p), k).step[0]
+    got = at_k(brokenline.default_channel(p), k).step[0]
     assert np.max(np.abs(got - transfer_matrix_closed_form(p, k))) <= 1e-12
 
 
 @pytest.mark.parametrize("p", (0.3, 0.7))
 @pytest.mark.parametrize("k", (0.0, 1.0, 2.0))
 def test_drift_matrix_matches_closed_form(p, k):
-    got = at_k(broken_line(p), k).drift[0]
+    got = at_k(brokenline.default_channel(p), k).drift[0]
     assert np.max(np.abs(got - drift_matrix_closed_form(p, k))) <= 1e-12
 
 
 @pytest.mark.parametrize("p", P_GRID)
 @pytest.mark.parametrize("k", K_GRID)
 def test_dispersion_matrix_matches_closed_form(p, k):
-    got = at_k(broken_line(p), k).dispersion[0]
+    got = at_k(brokenline.default_channel(p), k).dispersion[0]
     assert np.max(np.abs(got - dispersion_matrix_closed_form(p, k))) <= 1e-12
     assert got[0, 0] == pytest.approx(1 - p)  # printed top-left entry
 
@@ -340,12 +336,12 @@ def test_transfer_matrix_coherent_limit_at_k0():
         ],
         dtype=complex,
     )
-    assert np.allclose(at_k(broken_line(0.0), 0.0).step[0], want, atol=1e-14)
+    assert np.allclose(at_k(brokenline.default_channel(0.0), 0.0).step[0], want, atol=1e-14)
 
 
 @pytest.mark.parametrize(
     "channel",
-    [HAD, broken_line(0.4), dephasing_channel(0.6)],
+    [HAD, brokenline.default_channel(0.4), dephasing_channel(0.6)],
     ids=["coherent", "broken-line", "dephasing"],
 )
 def test_transfer_matrix_is_trace_preserving(channel):
@@ -355,7 +351,7 @@ def test_transfer_matrix_is_trace_preserving(channel):
 
 
 def test_trace_preserved_under_iteration():
-    ch = broken_line(0.3)
+    ch = brokenline.default_channel(0.3)
     for k in (0.0, 0.9, -1.7):
         vec = np.array([0.5, 0.1, -0.2, 0.3], dtype=complex)
         step = at_k(ch, k).step[0]
@@ -378,7 +374,7 @@ def test_noisy_transfer_contracts_bloch_block():
 
 def test_drift_adjoint_is_conjugate():
     # the sweep reads the partner map O -> sum_n C_n O C_n'^dag as conj(drift)
-    ch = broken_line(0.45)
+    ch = brokenline.default_channel(0.45)
     for k in K_GRID:
         cs = reference_coin_matrices(ch, np.array([k]))
         ds = reference_coin_matrices(ch, np.array([k]), derivative=True)
@@ -395,7 +391,7 @@ def test_drift_matches_mixed_momentum_finite_difference():
         )
 
     h = 1e-6
-    for ch in (HAD, broken_line(0.35), dephasing_channel(0.25)):
+    for ch in (HAD, brokenline.default_channel(0.35), dephasing_channel(0.25)):
         for k in (0.0, 1.1):
             fd = (mixed(ch, k + h, k) - mixed(ch, k - h, k)) / (2 * h)
             assert np.max(np.abs(fd - at_k(ch, k).drift[0])) < 1e-7
@@ -431,7 +427,7 @@ def test_coin_channel_dispersion_is_z_sandwich_of_transfer():
 @pytest.mark.parametrize("n_k", [1, 7, 512, 1200])
 @pytest.mark.parametrize(
     "channel",
-    [HAD, dephasing_channel(0.4), broken_line(0.3), broken_line(1.0),
+    [HAD, dephasing_channel(0.4), brokenline.default_channel(0.3), brokenline.default_channel(1.0),
      build_broken_line(BrokenLineParams(p=0.3, theta1=0.7, theta4=-1.2)),
      random_layered_channel(2003, 3, layers=2), MEASURE],
     ids=["coherent", "dephasing04", "bl03", "bl1", "bl03-phases", "hop2", "measure"],
@@ -476,7 +472,7 @@ def deviation_at_nodes(channel, coin, t, n_k, oracle):
 
 
 def test_moments_start_at_zero():
-    series = moment_series(broken_line(0.5), "R", 0)
+    series = moment_series(brokenline.default_channel(0.5), "R", 0)
     assert series.first[0] == 0.0 and series.second[0] == 0.0
 
 
@@ -492,8 +488,8 @@ def test_coherent_first_step_matches_oracle():
     "channel,coin",
     [
         (HAD, "R"),
-        (broken_line(0.5), "mixed"),
-        (broken_line(0.9), "symmetric"),
+        (brokenline.default_channel(0.5), "mixed"),
+        (brokenline.default_channel(0.9), "symmetric"),
         (dephasing_channel(0.3), "R"),
         (random_hop2_channel(), "symmetric"),
     ],
@@ -506,16 +502,16 @@ def test_engine_matches_oracle(channel, coin):
     assert deviation_at_nodes(channel, coin, t, None, oracle) <= 1e-9
 
 
-# Eight full blocks of the moment sweep and one partial block.
+# Four full blocks of the moment sweep and one partial block.
 PAST_BLOCK_THRESHOLD = 65
-# (horizon, nodes): a single full block, and eight full blocks plus a
-# partial one on the broken line's exact grid
+# (horizon, nodes): half a block, and four full blocks plus a partial one
+# on the broken line's exact grid
 SWEEP_CASES = [(8, 64), (65, 131)]
 
 
 @pytest.mark.parametrize(
     "channel,coin",
-    [(broken_line(0.3), "mixed"), (random_hop2_channel(), "symmetric")],
+    [(brokenline.default_channel(0.3), "mixed"), (random_hop2_channel(), "symmetric")],
     ids=["bl03-mixed", "hop2-symmetric"],
 )
 def test_engine_matches_oracle_past_block_threshold(channel, coin):
@@ -526,7 +522,7 @@ def test_engine_matches_oracle_past_block_threshold(channel, coin):
 
 
 def test_naive_double_sum_agrees_with_recursion():
-    ch = broken_line(0.3)
+    ch = brokenline.default_channel(0.3)
     for t, n_k in [(12, None), SWEEP_CASES[-1]]:
         fast = moment_series(ch, "R", t, n_k=n_k)
         slow = moment_series(ch, "R", t, n_k=n_k, naive=True)
@@ -534,29 +530,24 @@ def test_naive_double_sum_agrees_with_recursion():
         assert np.array_equal(fast.first, slow.first)  # same code path
 
 
-# The block size s switches from 8 to 16 at t = 256, and a group of _GROUP
-# blocks ends every s * _GROUP horizons: at 128 and 256 for s = 8, and at
-# 256, 512, ... for s = 16.
-BLOCK_SWITCH = 256
-# Both sides of the first, second and eighth block edges at s = 8, of the
-# first two group edges of each block size (the switch is on one), no
-# block at all, and a long series whose last block is cut short.
-BLOCK_HORIZONS = sorted(
-    {0, 1, 203}
-    | {e + d for e in (8, 16, 64, 8 * _GROUP, BLOCK_SWITCH, 32 * _GROUP) for d in (-1, 0, 1)}
-)
+# The sweep reads blocks of 16 horizons, and a group of 16 blocks ends every
+# 256 horizons.  Both sides of the first two block edges and of the first
+# two group edges, no block at all, and a long series whose last block is
+# cut short.
+BLOCK_HORIZONS = [0, 1, 15, 16, 17, 31, 32, 33, 203,
+                  255, 256, 257, 511, 512, 513]
 # Nodes swept per call on both sides of the first and second chunk edges.
 SWEPT_NODES = (_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK, 2 * _CHUNK + 1)
 
 
 @pytest.mark.parametrize(
     "channel",
-    [broken_line(0.3), dephasing_channel(0.4), random_hop2_channel()],
+    [brokenline.default_channel(0.3), dephasing_channel(0.4), random_hop2_channel()],
     ids=["bl03", "dephasing04", "hop2"],
 )
 def test_blocked_sweep_matches_one_step_reference(channel):
-    assert 203 % 8  # a last block cut short
-    assert [_block_size(BLOCK_SWITCH - 1), _block_size(BLOCK_SWITCH)] == [8, 16]
+    assert (_BLOCK, _GROUP) == (16, 16)  # the edges of BLOCK_HORIZONS
+    assert 203 % _BLOCK  # a last block cut short
     # a channel with real coin-pair maps sweeps nodes 0 .. n_k // 2; at
     # t = 63 every grid here is at or above the exactness bound
     folds = coin_pair_maps(channel)[2]
@@ -571,7 +562,7 @@ def test_blocked_sweep_matches_one_step_reference(channel):
             assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w)), (t, n_k)
 
 
-# Traced peak of one moment_series(broken_line(0.3), "mixed", t) call, in
+# Traced peak of one moment_series(brokenline.default_channel(0.3), "mixed", t) call, in
 # MiB.  The sweep that allocated its row tables per 512-node chunk and read
 # them one GEMV at a time peaked at 1.11 (t = 1000) and 1.39 (t = 4000); the
 # per-call workspace of 256-node chunks peaks at 1.30 and 1.59.  The budget
@@ -580,7 +571,7 @@ def test_blocked_sweep_matches_one_step_reference(channel):
 @pytest.mark.parametrize("t, budget_mib", [(1000, 1.25 * 1.11), (4000, 1.25 * 1.39)],
                          ids=["t1000", "t4000"])
 def test_sweep_memory_budget(t, budget_mib):
-    channel = broken_line(0.3)
+    channel = brokenline.default_channel(0.3)
     moment_series(channel, "mixed", t)  # numpy's one-time set-up is not the sweep's
     tracemalloc.start()
     try:
@@ -592,7 +583,7 @@ def test_sweep_memory_budget(t, budget_mib):
 
 
 def test_series_health_fields():
-    for channel, coin in [(HAD, "R"), (broken_line(0.6), "symmetric")]:
+    for channel, coin in [(HAD, "R"), (brokenline.default_channel(0.6), "symmetric")]:
         series = moment_series(channel, coin, 20)
         assert series.max_imag_residue <= 1e-10
         assert np.all(series.variance >= -1e-10)
@@ -614,7 +605,7 @@ def test_j_term_linear_in_t_for_coin_channels():
 
 def test_j_term_broken_line():
     for p in (0.0, 0.3, 0.7, 1.0):
-        ch = broken_line(p)
+        ch = brokenline.default_channel(p)
         for t in (1, 10):
             assert abs(j_term(ch, "mixed", t) - (1 - p) * t) <= 1e-12
 
@@ -640,7 +631,7 @@ def test_specialized_second_moment_matches_generic():
 
 def test_specialized_rejects_shift_noise():
     with pytest.raises(NotACoinChannelError):
-        second_moment_coin_specialized(broken_line(0.3), "R", 5)
+        second_moment_coin_specialized(brokenline.default_channel(0.3), "R", 5)
 
 
 def test_full_dephasing_variance_is_classical():
@@ -665,18 +656,18 @@ def test_phase_flip_coin_noise_cross_checked():
 
 
 def test_asymptotic_first_moment_matches_large_t():
-    ch = broken_line(0.5)
+    ch = brokenline.default_channel(0.5)
     limit = asymptotic_first_moment(ch, "R")
     assert abs(limit - moment_series(ch, "R", 200).first[200]) <= 1e-6
 
 
 def test_asymptotic_first_moment_symmetric_coin_vanishes():
-    assert abs(asymptotic_first_moment(broken_line(0.4), "mixed")) <= 1e-12
+    assert abs(asymptotic_first_moment(brokenline.default_channel(0.4), "mixed")) <= 1e-12
 
 
 def test_asymptotic_rejects_coherent_walk():
     with pytest.raises(NotContractingError) as err:
-        asymptotic_first_moment(broken_line(0.0), "R")
+        asymptotic_first_moment(brokenline.default_channel(0.0), "R")
     assert err.value.spectral_radius >= 1 - 1e-9
     assert err.value.k in momentum_grid(512)
     assert f"k = {err.value.k:.6f}" in str(err.value)
@@ -684,7 +675,7 @@ def test_asymptotic_rejects_coherent_walk():
 
 @pytest.mark.parametrize(
     "channel",
-    [broken_line(0.1), broken_line(0.3), broken_line(0.8),
+    [*(brokenline.default_channel(p) for p in (0.1, 0.3, 0.8)),
      dephasing_channel(0.2), dephasing_channel(0.6)],
     ids=["bl01", "bl03", "bl08", "dephasing02", "dephasing06"],
 )
@@ -710,15 +701,14 @@ def test_asymptotic_drifting_channel_is_ballistic():
 
 def test_slope_diffusion_estimate_brackets():
     with pytest.raises(ValueError):
-        diffusion_from_slope(broken_line(0.5), "R", t_lo=0, t_hi=10)
+        diffusion_from_slope(brokenline.default_channel(0.5), "R", t_lo=0, t_hi=10)
     with pytest.raises(ValueError):
-        diffusion_from_slope(broken_line(0.5), "R", t_lo=10, t_hi=10)
+        diffusion_from_slope(brokenline.default_channel(0.5), "R", t_lo=10, t_hi=10)
 
 
 def test_slope_diffusion_frozen_walker_is_zero():
-    assert diffusion_from_slope(broken_line(1.0), "R", t_lo=5, t_hi=10) == pytest.approx(
-        0.0, abs=1e-12
-    )
+    frozen = brokenline.default_channel(1.0)
+    assert diffusion_from_slope(frozen, "R", t_lo=5, t_hi=10) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_slope_diffusion_full_dephasing_is_half():
@@ -751,7 +741,7 @@ def test_momentum_grid_layout():
 
 
 def test_node_doubling_changes_nothing():
-    ch = broken_line(0.3)
+    ch = brokenline.default_channel(0.3)
     t = 15
     base_n = exact_node_bound(ch, t)
     a = moment_series(ch, "R", t, n_k=base_n)
@@ -761,7 +751,7 @@ def test_node_doubling_changes_nothing():
 
 
 def test_coarse_grid_warns():
-    ch = broken_line(0.3)
+    ch = brokenline.default_channel(0.3)
     with pytest.warns(QuadratureTooCoarseWarning):
         moment_series(ch, "R", 10, n_k=exact_node_bound(ch, 10) - 2)
 
@@ -771,7 +761,7 @@ GENERIC_COIN = np.array([0.5, 0.1, 0.2, -0.3])
 
 @pytest.mark.parametrize(
     "channel",
-    [broken_line(0.3), broken_line(1.0), dephasing_channel(0.4), HAD,
+    [brokenline.default_channel(0.3), brokenline.default_channel(1.0), dephasing_channel(0.4), HAD,
      random_hop2_channel()],
     ids=["bl03", "bl1", "dephasing04", "coherent", "hop2"],
 )
@@ -787,7 +777,7 @@ def test_exact_node_bound_is_exact(channel):
 def test_grid_below_exact_node_bound_aliases():
     # the bound is tight enough to matter: two nodes fewer and the top
     # frequencies of the broken-line integrand alias onto the mean
-    ch = broken_line(0.3)
+    ch = brokenline.default_channel(0.3)
     t = 7
     n_k = exact_node_bound(ch, t) - 2
     assert n_k == 13
@@ -828,7 +818,7 @@ def _real_drift_top_row(freqs, coef, real):
 
 def _structure_routes():
     """Every route that reads the transfer maps, as zero-argument calls."""
-    bl, deph = broken_line(0.4), dephasing_channel(0.4)
+    bl, deph = brokenline.default_channel(0.4), dephasing_channel(0.4)
     series = [lambda t=t, n_k=n_k: moment_series(bl, "R", t, n_k=n_k)
               for t, n_k in SWEEP_CASES]
     return series + [
@@ -872,7 +862,7 @@ def test_structure_check_runs_once_per_call(monkeypatch):
     monkeypatch.setattr(moments, "_coefficient_residue", check_spy)
     monkeypatch.setattr(moments, "_node_maps", maps_spy)
     # t = 600: a half grid of 605 of 1208 nodes, in three chunks
-    moment_series(broken_line(0.7), "R", 600, n_k=1208)
+    moment_series(brokenline.default_channel(0.7), "R", 600, n_k=1208)
     assert chunks == [256, 256, 93]
     assert len(checks) == 1
     for route in _structure_routes():
@@ -941,7 +931,7 @@ def with_kraus_phases(channel, phases):
     ))
 
 
-BL_PHASED = with_kraus_phases(broken_line(0.3), (0.3, 1.7, -2.2, 2.9))
+BL_PHASED = with_kraus_phases(brokenline.default_channel(0.3), (0.3, 1.7, -2.2, 2.9))
 BL_THETA1 = build_broken_line(BrokenLineParams(p=0.3, theta1=0.4))
 
 
@@ -959,7 +949,8 @@ def test_closed_forms_obey_mirror_relations(p):
 
 @pytest.mark.parametrize(
     "channel, folds",
-    [(broken_line(0.3), True), (broken_line(1.0), True), (dephasing_channel(0.4), True),
+    [(brokenline.default_channel(0.3), True), (brokenline.default_channel(1.0), True),
+     (dephasing_channel(0.4), True),
      (HAD, True), (BL_PHASED, True), (BL_THETA1, False),
      (build_broken_line(BrokenLineParams(p=0.3, theta4=-1.2)), False),
      (random_hop2_channel(), False), (MEASURE, True), (random_coin_channel(77), False)],
@@ -994,8 +985,8 @@ def test_symmetric_channel_sweeps_half_the_grid(monkeypatch):
     monkeypatch.setattr(moments, "_node_maps", spy)
     # nodes 0 .. n_k // 2 in 256-node chunks; a channel that fails the check
     # sweeps all of them
-    for channel, n_k, want in [(broken_line(0.3), 1208, [256, 256, 93]),
-                               (broken_line(0.3), 1201, [256, 256, 89]),
+    for channel, n_k, want in [(brokenline.default_channel(0.3), 1208, [256, 256, 93]),
+                               (brokenline.default_channel(0.3), 1201, [256, 256, 89]),
                                (BL_THETA1, 48, [48])]:
         swept.clear()
         assert moment_series(channel, "R", 20, n_k=n_k).n_k == n_k
@@ -1004,8 +995,8 @@ def test_symmetric_channel_sweeps_half_the_grid(monkeypatch):
 
 @pytest.mark.parametrize(
     "channel, t, n_k",
-    [(broken_line(0.3), 40, "even"), (broken_line(0.3), 40, "exact"),
-     (broken_line(0.7), 600, "exact"), (dephasing_channel(0.4), 50, "even"),
+    [(brokenline.default_channel(0.3), 40, "even"), (brokenline.default_channel(0.3), 40, "exact"),
+     (brokenline.default_channel(0.7), 600, "exact"), (dephasing_channel(0.4), 50, "even"),
      (BL_PHASED, 40, "even")],
     ids=["bl03-even", "bl03-odd", "bl07-two-chunks", "dephasing04-even",
          "bl03-kraus-phases"],
@@ -1029,7 +1020,7 @@ def test_half_grid_sweep_matches_full_grid_reference(channel, t, n_k, coin):
 
 
 def test_csv_export_shape():
-    series = moment_series(broken_line(0.5), "R", 4)
+    series = moment_series(brokenline.default_channel(0.5), "R", 4)
     buf = io.StringIO()
     series.to_csv(buf)
     lines = buf.getvalue().strip().splitlines()
@@ -1042,7 +1033,7 @@ def test_csv_export_shape():
 
 @pytest.mark.parametrize("kind", ["series", "edge-values"])
 def test_writers_match_row_by_row_format(kind):
-    series = moment_series(broken_line(0.3), GENERIC_COIN, 200)
+    series = moment_series(brokenline.default_channel(0.3), GENERIC_COIN, 200)
     if kind == "edge-values":
         vals = np.array([0.0, -0.0, 5e-324, -1e300, 1 / 3, 0.1, 123456789.125])
         series = dataclasses.replace(series, first=vals, second=-vals[::-1], variance=0.5 * vals)

@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dqwalk import cli, simulator
+from dqwalk import brokenline, cli, simulator
 from dqwalk.channels import (
     COIN_INDEX,
     HADAMARD,
@@ -32,10 +32,6 @@ from dqwalk.simulator import (
     step,
 )
 from test_moments import MEASURE, random_coin_channel, random_hop2_channel
-
-
-def broken_line(p):
-    return build_broken_line(BrokenLineParams(p=p))
 
 
 def dist_dict(state):
@@ -131,7 +127,7 @@ def test_identity_coin_is_ballistic():
 
 
 def test_fully_broken_line_freezes_walker():
-    state = evolve(init_state("symmetric"), broken_line(1.0), 40)
+    state = evolve(init_state("symmetric"), brokenline.default_channel(1.0), 40)
     assert dist_dict(state) == pytest.approx({0: 1.0})
     assert variance_direct(state) == pytest.approx(0.0, abs=1e-14)
 
@@ -168,7 +164,7 @@ def test_trace_hermiticity_light_cone_random_channels():
 
 
 def test_positivity_check_accepts_valid_evolution():
-    evolve(init_state("R"), broken_line(0.4), 12, check_positivity=True)
+    evolve(init_state("R"), brokenline.default_channel(0.4), 12, check_positivity=True)
 
 
 def test_positivity_check_flags_indefinite_state():
@@ -195,7 +191,7 @@ def test_purity_decreases_under_noise():
     for p in (0.2, 0.5, 0.8):
         state = init_state("R")
         last = purity(state)
-        ch = broken_line(p)
+        ch = brokenline.default_channel(p)
         for _ in range(10):
             state = step(state, ch)
             now = purity(state)
@@ -214,7 +210,7 @@ def test_broken_line_variance_reaches_diffusive_rate():
     from dqwalk.brokenline import diffusion_closed_form
 
     p = 0.9
-    state = evolve(init_state("mixed"), broken_line(p), 200)
+    state = evolve(init_state("mixed"), brokenline.default_channel(p), 200)
     rate = variance_direct(state) / (2 * diffusion_closed_form(p).diffusion * 200)
     assert abs(rate - 1.0) < 0.05
 
@@ -243,9 +239,9 @@ def assert_rl_block_mirrors_lr(state):
         (HAD, "symmetric"),
         (dephasing_channel(0.4), "symmetric"),
         (dephasing_channel(0.4), "R"),
-        (broken_line(0.3), "mixed"),
-        (broken_line(0.3), "R"),
-        (broken_line(1.0), "symmetric"),
+        (brokenline.default_channel(0.3), "mixed"),
+        (brokenline.default_channel(0.3), "R"),
+        (brokenline.default_channel(1.0), "symmetric"),
         (BROKEN_THETA1, "R"),
         (BROKEN_THETA1, "symmetric"),
         (random_hop2_channel(), "symmetric"),
@@ -281,14 +277,15 @@ def test_step_matches_term_by_term_reference(channel, coin):
 # LR no row targets.  The R and mixed starts are real, so they run in real
 # arithmetic on real rows and turn complex on the first step of complex rows.
 TILED_RUNS = {
-    "broken-0.3-t80": ("mixed", [(broken_line(0.3), 80)]),
-    "broken-0.3-t80-R": ("R", [(broken_line(0.3), 80)]),
-    "broken-0.3-t80-symmetric": ("symmetric", [(broken_line(0.3), 80)]),
+    "broken-0.3-t80": ("mixed", [(brokenline.default_channel(0.3), 80)]),
+    "broken-0.3-t80-R": ("R", [(brokenline.default_channel(0.3), 80)]),
+    "broken-0.3-t80-symmetric": ("symmetric", [(brokenline.default_channel(0.3), 80)]),
     "hop2-t40": ("symmetric", [(random_hop2_channel(), 40)]),
     "hop2-t40-mixed": ("mixed", [(random_hop2_channel(), 40)]),
     "measurement-wide": (
         "symmetric",
-        [(broken_line(0.3), 40), (MEASURE, 1), (broken_line(0.3), 1), (MEASURE, 1)],
+        [(brokenline.default_channel(0.3), 40), (MEASURE, 1),
+         (brokenline.default_channel(0.3), 1), (MEASURE, 1)],
     ),
 }
 
@@ -345,7 +342,7 @@ def test_step_writes_every_entry_of_its_output(coin, run, monkeypatch):
 def test_fold_is_keyed_by_channel_value():
     # Two channels under one label: each must be stepped with its own Kraus
     # terms, never with the fold of the other.
-    a = WalkChannel("custom", broken_line(0.3).terms)
+    a = WalkChannel("custom", brokenline.default_channel(0.3).terms)
     b = WalkChannel("custom", random_hop2_channel().terms)
     for channel in (a, b, a, b):
         state = init_state("symmetric")
@@ -355,9 +352,9 @@ def test_fold_is_keyed_by_channel_value():
 
 
 def test_step_leaves_input_untouched_and_returns_fresh_array():
-    state = evolve(init_state("symmetric"), broken_line(0.3), 5)
+    state = evolve(init_state("symmetric"), brokenline.default_channel(0.3), 5)
     before = state.rho.copy()
-    after = step(state, broken_line(0.3))
+    after = step(state, brokenline.default_channel(0.3))
     np.testing.assert_array_equal(state.rho, before)
     assert not np.shares_memory(after.rho, state.rho)
 
@@ -365,7 +362,7 @@ def test_step_leaves_input_untouched_and_returns_fresh_array():
 @pytest.mark.parametrize(
     "channel, real",
     [
-        (broken_line(0.3), True),
+        (brokenline.default_channel(0.3), True),
         (dephasing_channel(0.4), True),
         (HAD, True),
         (BROKEN_THETA1, False),
@@ -392,8 +389,8 @@ def test_step_allocates_only_its_output_and_tile_buffer():
     # rows, 16 for a complex state (a real start turns complex on the first
     # step of complex rows)
     cases = [
-        (broken_line(0.3), "mixed", 8),
-        (broken_line(0.3), "symmetric", 16),
+        (brokenline.default_channel(0.3), "mixed", 8),
+        (brokenline.default_channel(0.3), "symmetric", 16),
         (BROKEN_THETA1, "mixed", 16),
     ]
     for channel, coin, itemsize in cases:
@@ -445,11 +442,11 @@ def test_init_state_is_real_exactly_when_the_coin_density_is(coin, real):
 @pytest.mark.parametrize(
     "channel, coin, steps, real",
     [
-        (broken_line(0.3), "R", 120, True),
+        (brokenline.default_channel(0.3), "R", 120, True),
         (dephasing_channel(0.4), "mixed", 120, True),
         (HAD, "L", 120, True),
         (MEASURE, "mixed", 120, True),
-        (broken_line(0.3), "symmetric", 5, False),
+        (brokenline.default_channel(0.3), "symmetric", 5, False),
         (BROKEN_THETA1, "R", 1, False),
         (random_hop2_channel(), "mixed", 1, False),
         (RANDOM_COIN, "R", 1, False),
@@ -483,7 +480,7 @@ def fold_calls(monkeypatch):
 
 
 def test_evolve_folds_the_channel_once(fold_calls):
-    evolve(init_state("mixed"), broken_line(0.3), 30)
+    evolve(init_state("mixed"), brokenline.default_channel(0.3), 30)
     assert len(fold_calls) == 1
 
 
