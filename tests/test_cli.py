@@ -523,17 +523,31 @@ def test_diffusion_rejects_oversized_sweep_before_building_it(flags, capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_xcheck_clean_build_passes(tmp_path):
-    out = tmp_path / "xcheck.txt"
-    assert main(["xcheck", "--out", str(out)]) == 0
-    report = out.read_text()
+@pytest.fixture(scope="module")
+def xcheck_run(tmp_path_factory):
+    """One clean ``xcheck`` run, shared: its exit code and its report."""
+    out = tmp_path_factory.mktemp("xcheck") / "xcheck.txt"
+    code = main(["xcheck", "--out", str(out)])
+    return code, out.read_text()
+
+
+def test_xcheck_clean_build_passes(xcheck_run):
+    code, report = xcheck_run
+    assert code == 0
     assert "FAIL" not in report
     assert report.strip().endswith("26/26 checks passed")
     # both the half-grid sweep and the full-grid one are played against the
     # oracle, with a real and a complex start on the complex-row channel
     assert "theta1=0.4, coin R: second moment vs oracle" in report
     assert "theta1=0.4, symmetric coin: second moment vs oracle" in report
-    # the coin-noise reduction to the Brun formalism, at every dephasing strength
+
+
+def test_xcheck_coin_reduction_suite(xcheck_run):
+    # the coin-noise reduction to the Brun formalism runs in every xcheck,
+    # at every dephasing strength
+    code, report = xcheck_run
+    assert code == 0
+    assert "26/26 checks passed" in report
     for q in ("0", "0.2", "0.5", "1"):
         assert f"coin-dephasing q={q}: generic vs coin-specialized, t<=20" in report
         assert f"coin-dephasing q={q}: dispersion term vs t" in report
