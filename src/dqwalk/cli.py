@@ -379,16 +379,9 @@ def cmd_xcheck(config: RunConfig) -> int:
 
 # --- argument parsing --------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dqwalk",
-        description="Decoherent quantum walks on the line: exact moments "
-        "and diffusion constants.",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    channel_parent = argparse.ArgumentParser(add_help=False)
-    group = channel_parent.add_argument_group("channel")
+def _channel_flags(parser: argparse.ArgumentParser) -> None:
+    """The channel, coin and output flags that ``walk`` and ``moments`` share."""
+    group = parser.add_argument_group("channel")
     group.add_argument("--channel", choices=_BUILTIN_CHANNELS)
     group.add_argument("--channel-file", metavar="PATH",
                        help="load a channel from JSON instead of --channel")
@@ -398,48 +391,85 @@ def build_parser() -> argparse.ArgumentParser:
                        help="coin-dephasing measurement probability")
     for i in (1, 2, 3, 4):
         group.add_argument(f"--theta{i}", type=float, help=argparse.SUPPRESS)
-    channel_parent.add_argument(
+    parser.add_argument(
         "--coin", type=_parse_coin,
         help="initial coin: preset name or four comma-separated Pauli coordinates",
     )
-    channel_parent.add_argument("--out", help="output path ('-' or omitted = stdout)")
+    parser.add_argument("--out", help="output path ('-' or omitted = stdout)")
 
-    p_walk = sub.add_parser("walk", parents=[channel_parent],
-                            help="run the brute-force density-matrix simulator")
-    p_walk.add_argument("--t", type=int, help="number of steps")
-    p_walk.add_argument("--x0", type=int, help="starting site")
-    p_walk.add_argument("--moments-out", metavar="PATH",
+
+def _walk_flags(parser: argparse.ArgumentParser) -> None:
+    _channel_flags(parser)
+    parser.add_argument("--t", type=int, help="number of steps")
+    parser.add_argument("--x0", type=int, help="starting site")
+    parser.add_argument("--moments-out", metavar="PATH",
                         help="also write the per-step moment table here")
 
-    p_mom = sub.add_parser("moments", parents=[channel_parent],
-                           help="run the momentum-space moment engine")
-    p_mom.add_argument("--t", type=int, help="horizon")
-    p_mom.add_argument("--nk", type=int, dest="n_k",
-                       help="momentum node count override")
-    p_mom.add_argument("--naive", action="store_true",
-                       help="use the literal double sum for the second moment")
-    p_mom.add_argument("--asymptotic", action="store_true",
-                       help="print the long-time first moment instead of a series")
-    p_mom.add_argument("--format", choices=("csv", "json"), dest="fmt")
 
-    p_diff = sub.add_parser("diffusion",
-                            help="broken-line diffusion-constant sweep")
-    p_diff.add_argument("--p-min", type=float)
-    p_diff.add_argument("--p-max", type=float)
-    p_diff.add_argument("--p-step", type=float)
-    p_diff.add_argument("--critical", action="store_true",
+def _moments_flags(parser: argparse.ArgumentParser) -> None:
+    _channel_flags(parser)
+    parser.add_argument("--t", type=int, help="horizon")
+    parser.add_argument("--nk", type=int, dest="n_k",
+                        help="momentum node count override")
+    parser.add_argument("--naive", action="store_true",
+                        help="use the literal double sum for the second moment")
+    parser.add_argument("--asymptotic", action="store_true",
+                        help="print the long-time first moment instead of a series")
+    parser.add_argument("--format", choices=("csv", "json"), dest="fmt")
+
+
+def _diffusion_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--p-min", type=float)
+    parser.add_argument("--p-max", type=float)
+    parser.add_argument("--p-step", type=float)
+    parser.add_argument("--critical", action="store_true",
                         help="print the p where D = 1/2 and exit")
-    p_diff.add_argument("--with-slope", action="store_true",
+    parser.add_argument("--with-slope", action="store_true",
                         help="add a D_slope column from the finite-horizon engine")
-    p_diff.add_argument("--t-lo", type=int)
-    p_diff.add_argument("--t-hi", type=int)
-    p_diff.add_argument("--nk", type=int, dest="n_k")
-    p_diff.add_argument("--out")
+    parser.add_argument("--t-lo", type=int)
+    parser.add_argument("--t-hi", type=int)
+    parser.add_argument("--nk", type=int, dest="n_k")
+    parser.add_argument("--out")
 
-    p_x = sub.add_parser("xcheck",
-                         help="cross-check the independent computation routes")
-    p_x.add_argument("--out")
 
+def _xcheck_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--out")
+
+
+# name: (help line, flags, command)
+_SUBCOMMANDS = {
+    "walk": ("run the brute-force density-matrix simulator", _walk_flags, cmd_walk),
+    "moments": ("run the momentum-space moment engine", _moments_flags, cmd_moments),
+    "diffusion": ("broken-line diffusion-constant sweep", _diffusion_flags,
+                  cmd_diffusion),
+    "xcheck": ("cross-check the independent computation routes", _xcheck_flags,
+               cmd_xcheck),
+}
+
+
+def build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
+    """The parser of one subcommand or, given none, the usage parser.
+
+    A subcommand's parser is one flat ``dqwalk <name>`` parser with that
+    subcommand's flags only.  The usage parser lists the subcommands and
+    takes no flags: ``main`` runs it only when the first argument names no
+    subcommand, to print the usage, the help or the error.  Each call builds
+    its parser anew; nothing is kept between calls.
+    """
+    if subcommand is None:
+        parser = argparse.ArgumentParser(
+            prog="dqwalk",
+            description="Decoherent quantum walks on the line: exact moments "
+            "and diffusion constants.",
+        )
+        sub = parser.add_subparsers(dest="subcommand", required=True)
+        for name, (help_line, _, _) in _SUBCOMMANDS.items():
+            sub.add_parser(name, help=help_line)
+        return parser
+    _, add_flags, _ = _SUBCOMMANDS[subcommand]
+    parser = argparse.ArgumentParser(prog=f"dqwalk {subcommand}")
+    add_flags(parser)
+    parser.set_defaults(subcommand=subcommand)
     return parser
 
 
@@ -494,14 +524,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**values)
 
 
-_DISPATCH = {
-    "walk": cmd_walk,
-    "moments": cmd_moments,
-    "diffusion": cmd_diffusion,
-    "xcheck": cmd_xcheck,
-}
-
-
 def _attach_negative_values(argv: list[str]) -> list[str]:
     """Rewrite ``--flag -1e-3`` as ``--flag=-1e-3``.
 
@@ -521,15 +543,22 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(_attach_negative_values(argv))
+    name = argv[0] if argv else None
+    if name not in _SUBCOMMANDS:
+        usage = build_parser()
+        usage.parse_args(argv)  # prints the usage, the help or the error, and exits
+        # reached only if argparse accepts a subcommand after a leading "--"
+        usage.error("the subcommand must come first")
+    parser = build_parser(name)
+    args = parser.parse_args(_attach_negative_values(argv[1:]))
     ignored = _ignored_flag(args)
     if ignored is not None:
         parser.error(ignored)
     config = config_from_args(args)
+    _, _, command = _SUBCOMMANDS[name]
     try:
-        return _DISPATCH[config.subcommand](config)
+        return command(config)
     except (NotContractingError, BallisticRegimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

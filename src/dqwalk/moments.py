@@ -478,14 +478,19 @@ def _series_sums(
 def write_moment_csv(fh, first, second, variance) -> None:
     """Write the ``t,first,second,variance`` table, one row per t from 0.
 
-    The columns are sequences of floats (``.tolist()`` of an array formats
-    fastest); every value is written with 17 significant digits.
+    The columns are equally long sequences of floats (``.tolist()`` of an
+    array formats fastest); every value is written with 17 significant
+    digits.  The whole table is formatted by one ``%`` operation over the
+    interleaved columns: the same bytes as a per-row f-string, in less time.
     """
-    rows = zip(first, second, variance)
-    fh.write("t,first,second,variance\n" + "".join(
-        f"{t},{m1:.17g},{m2:.17g},{var:.17g}\n"
-        for t, (m1, m2, var) in enumerate(rows)
-    ))
+    n = len(first)
+    flat = [None] * (4 * n)
+    flat[0::4] = range(n)
+    flat[1::4] = first
+    flat[2::4] = second
+    flat[3::4] = variance
+    fh.write("t,first,second,variance\n"
+             + ("%d,%.17g,%.17g,%.17g\n" * n) % tuple(flat))
 
 
 @dataclass(frozen=True)

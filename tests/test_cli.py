@@ -1,6 +1,7 @@
 """End-to-end CLI tests; every invocation goes through ``cli.main`` in-process."""
 
 import json
+import sys
 import tracemalloc
 
 import numpy as np
@@ -442,7 +443,10 @@ def test_flag_the_channel_would_ignore_exits_2(argv, flag, tmp_path, capsys):
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and not (tmp_path / "out.csv").exists()
-    assert f"error: {flag} " in captured.err
+    # the subcommand's own parser reports it, under its own usage line
+    sub = argv[0]
+    assert captured.err.startswith(f"usage: dqwalk {sub} [-h]")
+    assert f"\ndqwalk {sub}: error: {flag} " in captured.err
 
 
 def test_unknown_channel_is_an_argparse_error():
@@ -605,9 +609,127 @@ def test_runconfig_round_trips_through_json():
         assert back == config
 
 
-@pytest.mark.parametrize("sub", ["walk", "moments", "diffusion", "xcheck"])
+SUBCOMMANDS = ["walk", "moments", "diffusion", "xcheck"]
+
+
+@pytest.mark.parametrize("sub", SUBCOMMANDS)
 def test_parser_defaults_are_runconfig_defaults(sub):
-    assert config_from_args(build_parser().parse_args([sub])) == RunConfig(subcommand=sub)
+    assert config_from_args(build_parser(sub).parse_args([])) == RunConfig(subcommand=sub)
+
+
+# ``--help`` of each subcommand as printed at 80 columns by Python 3.11 when
+# every subcommand was a subparser of one root parser; the flat per-subcommand
+# parsers must print the same bytes.
+PINNED_HELP = {
+    "walk": """\
+usage: dqwalk walk [-h] [--channel {coherent,broken-line,coin-dephasing}]
+                   [--channel-file PATH] [--p P] [--q Q] [--coin COIN]
+                   [--out OUT] [--t T] [--x0 X0] [--moments-out PATH]
+
+options:
+  -h, --help            show this help message and exit
+  --coin COIN           initial coin: preset name or four comma-separated
+                        Pauli coordinates
+  --out OUT             output path ('-' or omitted = stdout)
+  --t T                 number of steps
+  --x0 X0               starting site
+  --moments-out PATH    also write the per-step moment table here
+
+channel:
+  --channel {coherent,broken-line,coin-dephasing}
+  --channel-file PATH   load a channel from JSON instead of --channel
+  --p P                 broken-line link-failure probability
+  --q Q                 coin-dephasing measurement probability
+""",
+    "moments": """\
+usage: dqwalk moments [-h] [--channel {coherent,broken-line,coin-dephasing}]
+                      [--channel-file PATH] [--p P] [--q Q] [--coin COIN]
+                      [--out OUT] [--t T] [--nk N_K] [--naive] [--asymptotic]
+                      [--format {csv,json}]
+
+options:
+  -h, --help            show this help message and exit
+  --coin COIN           initial coin: preset name or four comma-separated
+                        Pauli coordinates
+  --out OUT             output path ('-' or omitted = stdout)
+  --t T                 horizon
+  --nk N_K              momentum node count override
+  --naive               use the literal double sum for the second moment
+  --asymptotic          print the long-time first moment instead of a series
+  --format {csv,json}
+
+channel:
+  --channel {coherent,broken-line,coin-dephasing}
+  --channel-file PATH   load a channel from JSON instead of --channel
+  --p P                 broken-line link-failure probability
+  --q Q                 coin-dephasing measurement probability
+""",
+    "diffusion": """\
+usage: dqwalk diffusion [-h] [--p-min P_MIN] [--p-max P_MAX] [--p-step P_STEP]
+                        [--critical] [--with-slope] [--t-lo T_LO]
+                        [--t-hi T_HI] [--nk N_K] [--out OUT]
+
+options:
+  -h, --help       show this help message and exit
+  --p-min P_MIN
+  --p-max P_MAX
+  --p-step P_STEP
+  --critical       print the p where D = 1/2 and exit
+  --with-slope     add a D_slope column from the finite-horizon engine
+  --t-lo T_LO
+  --t-hi T_HI
+  --nk N_K
+  --out OUT
+""",
+    "xcheck": """\
+usage: dqwalk xcheck [-h] [--out OUT]
+
+options:
+  -h, --help  show this help message and exit
+  --out OUT
+""",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse's help layout differs between Python versions")
+@pytest.mark.parametrize("sub", SUBCOMMANDS)
+def test_subcommand_help_is_pinned(sub, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as err:
+        main([sub, "--help"])
+    assert err.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out == PINNED_HELP[sub] and captured.err == ""
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["--channel", "coherent", "walk"]],
+                         ids=["none", "unknown", "flag-first"])
+def test_no_subcommand_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # the usage line lists every subcommand
+    assert captured.err.startswith("usage: dqwalk [-h] {walk,moments,diffusion,xcheck} ...\n")
+    assert "\ndqwalk: error: " in captured.err
+
+
+def test_root_help_lists_every_subcommand(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as err:
+        main(["--help"])
+    assert err.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: dqwalk [-h] {walk,moments,diffusion,xcheck} ...\n")
+    for sub, line in [
+        ("walk", "run the brute-force density-matrix simulator"),
+        ("moments", "run the momentum-space moment engine"),
+        ("diffusion", "broken-line diffusion-constant sweep"),
+        ("xcheck", "cross-check the independent computation routes"),
+    ]:
+        assert f"    {sub:<20}{line}\n" in out
 
 
 def test_parse_coin_forms():

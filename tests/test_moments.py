@@ -1033,10 +1033,15 @@ def test_csv_export_shape():
 
 @pytest.mark.parametrize("kind", ["series", "edge-values"])
 def test_writers_match_row_by_row_format(kind):
-    series = moment_series(brokenline.default_channel(0.3), GENERIC_COIN, 200)
+    # the CSV writer formats the whole table at once; the per-row f-string
+    # below is the reference, byte for byte
+    series = moment_series(brokenline.default_channel(0.3), GENERIC_COIN, 1000)
     if kind == "edge-values":
-        vals = np.array([0.0, -0.0, 5e-324, -1e300, 1 / 3, 0.1, 123456789.125])
-        series = dataclasses.replace(series, first=vals, second=-vals[::-1], variance=0.5 * vals)
+        vals = np.array([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1 / 3, -0.1,
+                         123456789.125, -2.5])
+        series = dataclasses.replace(series, first=-vals, second=vals[::-1], variance=0.5 * vals)
+    else:
+        assert series.t_max == 1000 and np.any(series.first < 0)
     buf = io.StringIO()
     series.to_csv(buf)
     want = "t,first,second,variance\n" + "".join(
