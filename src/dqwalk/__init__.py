@@ -15,8 +15,6 @@ from .brokenline import (
     critical_p,
     diffusion_closed_form,
     diffusion_integral,
-    diffusion_slope_estimate,
-    write_sweep_csv,
 )
 from .channels import (
     HADAMARD,

@@ -15,8 +15,10 @@ D crosses the classical value 1/2 at a single link-failure probability
 (near p = 0.417): below it the walker out-diffuses the classical random
 walk, above it the blocked, reflected walker under-performs it.
 
-Everything here is independent of the generic engine in ``moments``; the
-test suite plays the two against each other.
+Everything here is independent of the generic engine in ``moments`` (this
+module imports only ``channels`` and ``errors``); the test suite, and the
+``D_slope`` column of ``dqwalk diffusion --with-slope``, play the two
+against each other.  Nothing here does I/O: ``cli`` writes the sweep.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import numpy as np
 
 from .channels import BrokenLineParams, build_broken_line
 from .errors import BallisticRegimeError, BracketingError, DomainError
-from .moments import diffusion_from_slope
 
 
 def _check_p(p: float) -> float:
@@ -74,18 +75,12 @@ def diffusion_integral(x: float) -> float:
 
 @dataclass(frozen=True)
 class DiffusionResult:
-    """One evaluation of the diffusion constant.
-
-    ``method`` is "closed-form" for the integral route and "slope" for the
-    finite-horizon variance-slope estimate; ``prefactor`` and ``integral``
-    are back-derived (or nan) in the latter case.
-    """
+    """One evaluation of the closed form: D(p) = (1 - p) / p * K(p), K from I(1 - p)."""
 
     p: float
     prefactor: float
     diffusion: float
     integral: float
-    method: str
 
 
 def diffusion_closed_form(p: float) -> DiffusionResult:
@@ -104,8 +99,7 @@ def diffusion_closed_form(p: float) -> DiffusionResult:
         )
     if p == 1.0:
         # I(x) -> 0 as x -> 0+, so report the limiting values.
-        return DiffusionResult(p=1.0, prefactor=0.5, diffusion=0.0,
-                               integral=0.0, method="closed-form")
+        return DiffusionResult(p=1.0, prefactor=0.5, diffusion=0.0, integral=0.0)
     integral = diffusion_integral(1.0 - p)
     prefactor = 0.5 * (1.0 - (1.0 - p) * integral)
     return DiffusionResult(
@@ -113,40 +107,6 @@ def diffusion_closed_form(p: float) -> DiffusionResult:
         prefactor=prefactor,
         diffusion=(1.0 - p) / p * prefactor,
         integral=integral,
-        method="closed-form",
-    )
-
-
-def diffusion_slope_estimate(
-    p: float,
-    t_lo: int = 400,
-    t_hi: int = 500,
-    n_k: int | None = None,
-) -> DiffusionResult:
-    """D(p) from the finite-horizon variance slope of the generic engine.
-
-    The walker starts from the mixed coin.  This route never touches the
-    closed forms above, which is what makes comparing the two a meaningful
-    check.
-    """
-    p = _check_p(p)
-    if p == 0.0:
-        raise BallisticRegimeError(
-            "the coherent walk (p = 0) spreads ballistically; "
-            "a variance slope does not converge"
-        )
-    diffusion = diffusion_from_slope(
-        default_channel(p), "mixed", t_lo=t_lo, t_hi=t_hi, n_k=n_k
-    )
-    if p < 1.0:
-        prefactor = p / (1.0 - p) * diffusion
-        integral = (1.0 - 2.0 * prefactor) / (1.0 - p)
-    else:
-        prefactor = float("nan")
-        integral = float("nan")
-    return DiffusionResult(
-        p=p, prefactor=prefactor, diffusion=diffusion,
-        integral=integral, method="slope",
     )
 
 
@@ -178,17 +138,3 @@ def critical_p(tol: float = 1e-10) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def write_sweep_csv(results, fh, slopes=None) -> None:
-    """CSV with columns p,K,D,I,method (plus D_slope when ``slopes`` given)."""
-    header = "p,K,D,I,method"
-    fh.write(header + ",D_slope\n" if slopes is not None else header + "\n")
-    for idx, res in enumerate(results):
-        row = (
-            f"{res.p:.17g},{res.prefactor:.17g},{res.diffusion:.17g},"
-            f"{res.integral:.17g},{res.method}"
-        )
-        if slopes is not None:
-            row += f",{slopes[idx]:.17g}"
-        fh.write(row + "\n")

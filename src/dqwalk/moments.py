@@ -66,6 +66,12 @@ The weights go into the start vector, so the sweep itself is unchanged.
 This is the same n_k-node rule, not a coarser one: ``n_k``, the exactness
 bound and the coarse-grid warning keep their meaning.  Any other channel
 sweeps all n_k nodes.
+
+Besides the sweep, the module holds the checks the sweep is played against:
+the literal double sum (``naive=True``), the coin-noise reduction of Brun
+et al. (``second_moment_coin_specialized``, a whole series in one pass) and
+the finite-horizon variance slope (``diffusion_from_slope``).  Everything
+here returns numbers; ``cli`` writes them.
 """
 
 from __future__ import annotations
@@ -162,22 +168,24 @@ def _fourier_coefficients(channel: WalkChannel) -> tuple[np.ndarray, np.ndarray,
     return freqs, np.einsum("wpd,px->wxd", fold, pairs).reshape(48, -1), real
 
 
-def transfer_grids(
-    channel: WalkChannel,
-    ks: np.ndarray,
-    coefficients: tuple[np.ndarray, np.ndarray, bool] | None = None,
-) -> TransferGrids:
+def transfer_grids(channel: WalkChannel, ks: np.ndarray) -> TransferGrids:
     """Evaluate step/drift/dispersion maps on a whole momentum grid at once.
 
-    One (48, n_d) @ (n_d, n_k) product of the channel's Fourier coefficients
-    with e^{-idk}, which are checked first (``_coefficient_residue``).
-    ``coefficients`` (from ``_fourier_coefficients(channel)``, already
-    checked) lets a caller evaluating several chunks of one grid build and
-    check them once.
+    The channel's Fourier coefficients are built and checked
+    (``_coefficient_residue``), then evaluated by ``_evaluate_grids``.
     """
-    if coefficients is None:
-        coefficients = _fourier_coefficients(channel)
-        _coefficient_residue(coefficients[1])
+    coefficients = _fourier_coefficients(channel)
+    _coefficient_residue(coefficients[1])
+    return _evaluate_grids(coefficients, ks)
+
+
+def _evaluate_grids(
+    coefficients: tuple[np.ndarray, np.ndarray, bool], ks: np.ndarray
+) -> TransferGrids:
+    """The maps at ``ks`` from ``_fourier_coefficients`` that are already checked.
+
+    One (48, n_d) @ (n_d, n_k) product of the coefficients with e^{-idk}.
+    """
     freqs, coef, _ = coefficients
     grid = (coef @ np.exp(-1j * np.multiply.outer(freqs, ks))).reshape(3, 4, 4, -1)
     step, drift, dispersion = np.moveaxis(grid, -1, 1)
@@ -214,16 +222,6 @@ def _coefficient_residue(coef: np.ndarray) -> float:
 
 
 # --- the moment sweep -------------------------------------------------------
-
-def _nodes_last(mats: np.ndarray) -> np.ndarray:
-    """(n_k, 4, ...) -> contiguous (4, ..., n_k): the momentum axis innermost."""
-    return np.ascontiguousarray(np.moveaxis(mats, 0, -1))
-
-
-def _mv(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Per-node matrix @ vector on the (4, 4, n_k) x (4, n_k) layout."""
-    return np.einsum("ijn,jn->in", mats, vecs)
-
 
 def _naive_cross(grids: TransferGrids, start: np.ndarray, t_max: int) -> np.ndarray:
     """Literal complex double sum of the cross term, O(t^2) per momentum.
@@ -441,7 +439,7 @@ def _series_sums(
     sigma_y part, with weight 2 except at the self-paired nodes -pi and
     (for even n_k) 0 (see the module docstring).  Any other channel sweeps
     every node with weight 1.  With ``naive`` the cross sum is the complex
-    literal double sum, from the chunk's ``transfer_grids``.  Returns the
+    literal double sum, from the chunk's ``_evaluate_grids``.  Returns the
     three sums and the residue: the coefficients' and, with ``naive``, the
     imaginary part of the literal double sum.
     """
@@ -465,7 +463,7 @@ def _series_sums(
                     weights[i:i + _CHUNK], work)
         if naive:
             naive_cross = naive_cross + np.cumsum(_naive_cross(
-                transfer_grids(channel, part, coefficients),
+                _evaluate_grids(coefficients, part),
                 np.multiply.outer(rho_vec, weights[i:i + _CHUNK]), t_max,
             ))
     first, cross, jsum = work.series(t_max)
@@ -473,24 +471,6 @@ def _series_sums(
         residue = max(residue, _imag_residue(naive_cross / n_k, "naive cross term"))
         cross = naive_cross.real
     return first, cross, jsum, residue
-
-
-def write_moment_csv(fh, first, second, variance) -> None:
-    """Write the ``t,first,second,variance`` table, one row per t from 0.
-
-    The columns are equally long sequences of floats (``.tolist()`` of an
-    array formats fastest); every value is written with 17 significant
-    digits.  The whole table is formatted by one ``%`` operation over the
-    interleaved columns: the same bytes as a per-row f-string, in less time.
-    """
-    n = len(first)
-    flat = [None] * (4 * n)
-    flat[0::4] = range(n)
-    flat[1::4] = first
-    flat[2::4] = second
-    flat[3::4] = variance
-    fh.write("t,first,second,variance\n"
-             + ("%d,%.17g,%.17g,%.17g\n" * n) % tuple(flat))
 
 
 @dataclass(frozen=True)
@@ -515,23 +495,6 @@ class MomentSeries:
     @property
     def t_max(self) -> int:
         return len(self.first) - 1
-
-    def to_csv(self, fh) -> None:
-        write_moment_csv(
-            fh, self.first.tolist(), self.second.tolist(), self.variance.tolist()
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "channel": self.channel_label,
-            "coin": list(self.coin),
-            "n_k": self.n_k,
-            "max_imag_residue": self.max_imag_residue,
-            "t": list(range(self.t_max + 1)),
-            "first": self.first.tolist(),
-            "second": self.second.tolist(),
-            "variance": self.variance.tolist(),
-        }
 
 
 def _imag_residue(val, what: str) -> float:
@@ -642,9 +605,9 @@ def j_term(
 
 
 def second_moment_coin_specialized(
-    channel: WalkChannel, coin, t: int, n_k: int | None = None
-) -> float:
-    """<x^2>_t for coin-noise channels via the reduced recursion.
+    channel: WalkChannel, coin, t_max: int, n_k: int | None = None
+) -> np.ndarray:
+    """<x^2>_t for t = 0 .. t_max for coin-noise channels via the reduced recursion.
 
     When every Kraus operator is (shift) * (coin operator), the derivative
     maps collapse onto multiplication by the coin-basis sign operator Z and
@@ -653,7 +616,8 @@ def second_moment_coin_specialized(
         <x^2>_t = t + Int dk/2pi sum_{m'<m<=t} [ Tr{ Z L^{m-m'}(Z b_{m'}) }
                                                + Tr{ Z L^{m-m'}(b_{m'} Z) } ]
 
-    with b_m = L^m rho0.  Both traces are evaluated with one running vector.
+    with b_m = L^m rho0.  Both traces are evaluated with one running vector,
+    whose partial sums over m give every horizon in one pass.
 
     Raises:
         NotACoinChannelError: if the channel has any other shift structure.
@@ -662,21 +626,21 @@ def second_moment_coin_specialized(
         raise NotACoinChannelError(
             f"channel {channel.label!r} is not of coin-noise form"
         )
-    rho_vec, n_k = _prepare(channel, coin, t, n_k)
+    rho_vec, n_k = _prepare(channel, coin, t_max, n_k)
     grids = transfer_grids(channel, momentum_grid(n_k))
-    step = _nodes_last(grids.step.real)
-    b = _mv(step, np.repeat(rho_vec[:, None], n_k, axis=1))
+    # (4, 4, n_k): the momentum axis innermost
+    step = np.ascontiguousarray(np.moveaxis(grids.step.real, 0, -1))
+    b = np.einsum("ijn,j->in", step, rho_vec)
     u = np.zeros((4, n_k))
-    acc = 0.0
-    for _ in range(1, t + 1):
-        acc += 2.0 * u[3].sum()  # Tr{Z u} = 2 u_3
+    traces = np.zeros(t_max + 1)
+    for m in range(2, t_max + 1):
         # anticommutator {Z, b} in Pauli coordinates: swaps components 0 and 3
-        y = np.zeros_like(u)
-        y[0] = 2.0 * b[3]
-        y[3] = 2.0 * b[0]
-        u = _mv(step, u + y)
-        b = _mv(step, b)
-    return float(t + acc / n_k)
+        u[0] += 2.0 * b[3]
+        u[3] += 2.0 * b[0]
+        u = np.einsum("ijn,jn->in", step, u)
+        b = np.einsum("ijn,jn->in", step, b)
+        traces[m] = 2.0 * u[3].sum()  # Tr{Z u} = 2 u_3
+    return np.arange(t_max + 1) + np.cumsum(traces) / n_k
 
 
 # --- long-time behaviour ----------------------------------------------------

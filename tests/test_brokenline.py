@@ -4,25 +4,27 @@ the quantum-to-classical crossover probability.
 The exact residue form of the integral is cross-checked against scipy's
 adaptive quadrature (an entirely independent algorithm), against its
 small-x series and against frozen regression values recorded from converged
-quadrature runs of this package.
+quadrature runs of this package.  The variance slope of the generic engine
+(``moments.diffusion_from_slope``) is the dynamical check on D(p).
 """
 
-import io
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from dqwalk import brokenline, cli
 from dqwalk.brokenline import (
-    DiffusionResult,
     critical_p,
+    default_channel,
     diffusion_closed_form,
     diffusion_integral,
-    diffusion_slope_estimate,
-    write_sweep_csv,
 )
 from dqwalk.errors import BallisticRegimeError, DomainError
+from dqwalk.moments import diffusion_from_slope
 
 
 def integrand(k, x):
@@ -141,7 +143,6 @@ def test_diffusion_result_identity():
     for p in (0.1, 0.417, 0.9, 1.0):
         res = diffusion_closed_form(p)
         assert res.diffusion == pytest.approx((1 - p) / p * res.prefactor, abs=1e-12)
-        assert res.method == "closed-form"
 
 
 def test_frozen_walker_has_zero_diffusion():
@@ -166,24 +167,38 @@ def test_ballistic_regime_is_an_error():
 
 def test_slope_estimate_agrees_with_closed_form():
     closed = diffusion_closed_form(0.7).diffusion
-    est = diffusion_slope_estimate(0.7, t_lo=100, t_hi=140)
-    assert est.method == "slope"
-    assert abs(est.diffusion - closed) / closed < 0.02
-    # back-derived prefactor obeys the same identity
-    assert est.diffusion == pytest.approx(
-        (1 - est.p) / est.p * est.prefactor, abs=1e-12
-    )
+    est = diffusion_from_slope(default_channel(0.7), "mixed", t_lo=100, t_hi=140)
+    assert abs(est - closed) / closed < 0.02
 
 
 def test_slope_estimate_ballistic_error():
+    # no diffusion constant at p = 0: the closed form refuses, and the
+    # variance slope does not converge but doubles with the horizon
     with pytest.raises(BallisticRegimeError):
-        diffusion_slope_estimate(0.0, t_lo=10, t_hi=20)
+        diffusion_closed_form(0.0)
+    coherent = default_channel(0.0)
+    early = diffusion_from_slope(coherent, "mixed", t_lo=10, t_hi=20)
+    late = diffusion_from_slope(coherent, "mixed", t_lo=20, t_hi=40)
+    assert late / early == pytest.approx(2.0, rel=0.1)
 
 
 def test_slope_estimate_frozen_walker():
-    est = diffusion_slope_estimate(1.0, t_lo=5, t_hi=10)
-    assert est.diffusion == pytest.approx(0.0, abs=1e-12)
-    assert math.isnan(est.prefactor) and math.isnan(est.integral)
+    est = diffusion_from_slope(default_channel(1.0), "mixed", t_lo=5, t_hi=10)
+    assert est == pytest.approx(0.0, abs=1e-12)
+
+
+def test_independent_of_the_engine():
+    # the closed forms are a check on the engine only if they never call it
+    tree = ast.parse(Path(brokenline.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").rpartition(".")[2])
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.rpartition(".")[2] for alias in node.names)
+    assert not imported & {"moments", "simulator"}
+    assert {"channels", "errors"} <= imported
 
 
 # ---------------------------------------------------------------------------
@@ -223,23 +238,21 @@ def test_sweep_reproduces_prefactor_curve():
         assert r.diffusion == pytest.approx((1 - r.p) / r.p * r.prefactor, abs=1e-12)
 
 
-def test_sweep_csv_format():
-    rows = [diffusion_closed_form(p) for p in (0.5, 1.0)]
-    buf = io.StringIO()
-    write_sweep_csv(rows, buf)
-    lines = buf.getvalue().strip().splitlines()
+def test_sweep_csv_format(capsys):
+    assert cli.main(["diffusion", "--p-min", "0.5", "--p-max", "1", "--p-step", "0.5"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "p,K,D,I,method"
     fields = lines[1].split(",")
     assert float(fields[0]) == 0.5
-    assert float(fields[2]) == pytest.approx(rows[0].diffusion)
+    assert float(fields[2]) == pytest.approx(diffusion_closed_form(0.5).diffusion)
     assert fields[4] == "closed-form"
+    assert lines[2] == "1,0.5,0,0,closed-form"
 
 
-def test_sweep_csv_with_slope_column():
-    rows = [DiffusionResult(p=0.5, prefactor=0.4, diffusion=0.4, integral=0.6,
-                            method="closed-form")]
-    buf = io.StringIO()
-    write_sweep_csv(rows, buf, slopes=[0.39])
-    lines = buf.getvalue().strip().splitlines()
+def test_sweep_csv_with_slope_column(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "diffusion_from_slope", lambda *args: 0.39)
+    assert cli.main(["diffusion", "--p-min", "0.5", "--p-max", "0.5",
+                     "--with-slope"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "p,K,D,I,method,D_slope"
-    assert lines[1].endswith(",0.39000000000000001")
+    assert lines[1].endswith(",closed-form,0.39000000000000001")

@@ -494,6 +494,26 @@ def test_diffusion_with_slope_column(tmp_path):
         assert abs(d_slope - d_closed) / d_closed < 0.02
 
 
+def test_diffusion_coherent_row_is_annotated(capsys):
+    # p = 0 has no diffusion constant: the row names the error, nan values
+    # and no slope, and the sweep goes on
+    assert main(["diffusion", "--p-min", "0", "--p-max", "0.1", "--p-step", "0.1",
+                 "--with-slope", "--t-lo", "5", "--t-hi", "10"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["p,K,D,I,method,D_slope",
+                         "0,nan,nan,nan,error: BallisticRegimeError,nan"]
+    assert len(lines) == 3 and lines[2].split(",")[4] == "closed-form"
+
+
+def test_diffusion_last_point_is_clamped_to_p_max(capsys):
+    # 0.09 + 13 * 0.07 lands just above 1; the row is p = 1, not outside [0, 1]
+    assert main(["diffusion", "--p-min", "0.09", "--p-max", "1",
+                 "--p-step", "0.07"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 15
+    assert lines[-1] == "1,0.5,0,0,closed-form"
+
+
 def test_diffusion_bad_grid_exits_2(capsys):
     assert main(["diffusion", "--p-min", "0.8", "--p-max", "0.2"]) == 2
     assert "error" in capsys.readouterr().err

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqwalk import brokenline, moments, simulator
+from dqwalk.cli import _series_json, _write_moment_csv
 from dqwalk.channels import (
     COIN_INDEX,
     HADAMARD,
@@ -623,10 +624,20 @@ def test_j_term_rejects_negative_horizon():
 def test_specialized_second_moment_matches_generic():
     for q in (0.0, 0.2, 0.5, 1.0):
         ch = dephasing_channel(q)
-        for t in (1, 5, 13, 20):
-            generic = moment_series(ch, "R", t).second[t]
-            special = second_moment_coin_specialized(ch, "R", t)
-            assert abs(generic - special) <= 1e-10, (q, t)
+        generic = moment_series(ch, "R", 20).second
+        special = second_moment_coin_specialized(ch, "R", 20)
+        assert special.shape == (21,)
+        assert np.max(np.abs(generic - special)) <= 1e-10, q
+
+
+def test_specialized_series_extends_shorter_series():
+    # one pass at t_max = 20 (41 nodes) reads every shorter horizon, where a
+    # call at that horizon uses its own, smaller exact grid
+    ch = dephasing_channel(0.3)
+    series = second_moment_coin_specialized(ch, "symmetric", 20)
+    for t in (0, 1, 7):
+        short = second_moment_coin_specialized(ch, "symmetric", t)
+        assert np.max(np.abs(series[:t + 1] - short)) <= 1e-13 * max(t, 1)
 
 
 def test_specialized_rejects_shift_noise():
@@ -1015,14 +1026,19 @@ def test_half_grid_sweep_matches_full_grid_reference(channel, t, n_k, coin):
 
 
 # ---------------------------------------------------------------------------
-# exports
+# exports: the CLI's writers of a series
 # ---------------------------------------------------------------------------
+
+
+def write_csv(buf, series):
+    _write_moment_csv(buf, series.first.tolist(), series.second.tolist(),
+                      series.variance.tolist())
 
 
 def test_csv_export_shape():
     series = moment_series(brokenline.default_channel(0.5), "R", 4)
     buf = io.StringIO()
-    series.to_csv(buf)
+    write_csv(buf, series)
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "t,first,second,variance"
     assert len(lines) == 6
@@ -1043,7 +1059,7 @@ def test_writers_match_row_by_row_format(kind):
     else:
         assert series.t_max == 1000 and np.any(series.first < 0)
     buf = io.StringIO()
-    series.to_csv(buf)
+    write_csv(buf, series)
     want = "t,first,second,variance\n" + "".join(
         f"{t},{series.first[t]:.17g},{series.second[t]:.17g},{series.variance[t]:.17g}\n"
         for t in range(series.t_max + 1)
@@ -1059,12 +1075,12 @@ def test_writers_match_row_by_row_format(kind):
         "second": [float(v) for v in series.second],
         "variance": [float(v) for v in series.variance],
     }
-    assert json.dumps(series.to_json_dict()) == json.dumps(want_json)
+    assert json.dumps(_series_json(series)) == json.dumps(want_json)
 
 
 def test_json_export_round_trips():
     series = moment_series(dephasing_channel(0.4), "symmetric", 6)
-    blob = json.dumps(series.to_json_dict())
+    blob = json.dumps(_series_json(series))
     data = json.loads(blob)
     assert data["n_k"] == series.n_k
     assert data["channel"] == series.channel_label
