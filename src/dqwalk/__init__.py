@@ -51,10 +51,8 @@ from .errors import (
 )
 from .moments import (
     MomentSeries,
-    TransferGrids,
     asymptotic_first_moment,
     diffusion_from_slope,
-    j_term,
     moment_series,
     second_moment_coin_specialized,
     transfer_grids,

@@ -389,10 +389,12 @@ def _is_integer(value) -> bool:
 
 def channel_from_dict(data: dict) -> WalkChannel:
     """Inverse of ``channel_to_dict``.  Performs schema checks only."""
+    if not isinstance(data, dict):
+        raise ValueError(f"channel must be a JSON object, got {type(data).__name__}")
     try:
         label = data["label"]
         raw_terms = data["terms"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ValueError(f"channel dict is missing field {exc}") from None
     if not isinstance(label, str):
         raise ValueError("channel label must be a string")

@@ -49,7 +49,6 @@ from .moments import (
     MomentSeries,
     asymptotic_first_moment,
     diffusion_from_slope,
-    j_term,
     moment_series,
     second_moment_coin_specialized,
 )
@@ -357,7 +356,7 @@ def _xcheck_rows() -> list[tuple[str, float, float]]:
     ))
     rows.append((
         "broken-line p=0.3: dispersion term vs (1-p)t",
-        abs(j_term(bl, "mixed", 10) - 0.7 * 10),
+        abs(moment_series(bl, "mixed", 10).dispersion[10] - 0.7 * 10),
         1e-12,
     ))
     series_fast = moment_series(bl, "R", 10)
@@ -390,7 +389,7 @@ def _xcheck_rows() -> list[tuple[str, float, float]]:
         ))
         rows.append((
             f"coin-dephasing q={q:g}: dispersion term vs t",
-            abs(j_term(chan, "mixed", 15) - 15.0),
+            abs(moment_series(chan, "mixed", 15).dispersion[15] - 15.0),
             1e-12,
         ))
     return rows
@@ -555,9 +554,20 @@ def _ignored_flag(args: argparse.Namespace) -> str | None:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
+    """The run configuration of parsed flags, defaults filled in.
+
+    Raises:
+        ValueError: if ``--with-slope`` is given with a slope range that is
+            not 1 <= t_lo < t_hi, so no sweep row runs before it is refused.
+    """
     fields = {f.name for f in dataclasses.fields(RunConfig)}
     values = {k: v for k, v in vars(args).items() if k in fields and v is not None}
-    return RunConfig(**values)
+    config = RunConfig(**values)
+    if config.with_slope and not 1 <= config.t_lo < config.t_hi:
+        raise ValueError(
+            f"need 1 <= --t-lo < --t-hi, got {config.t_lo}, {config.t_hi}"
+        )
+    return config
 
 
 def _attach_negative_values(argv: list[str]) -> list[str]:
@@ -591,7 +601,10 @@ def main(argv=None) -> int:
     ignored = _ignored_flag(args)
     if ignored is not None:
         parser.error(ignored)
-    config = config_from_args(args)
+    try:
+        config = config_from_args(args)
+    except ValueError as exc:
+        parser.error(str(exc))
     _, _, command = _SUBCOMMANDS[name]
     try:
         return command(config)

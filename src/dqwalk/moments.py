@@ -47,9 +47,10 @@ A uniform n-node rule integrates e^{ijk} exactly for every |j| < n, so
 n_k = 2 * max_hop * t + 1 nodes suffice (``exact_node_bound``).  The same
 frequencies build the maps: the channel's terms fold into one Fourier
 coefficient per frequency l - l' and map (``_fourier_coefficients``).
-``transfer_grids`` evaluates the complex maps with one matrix product per
-grid; the sweep evaluates only the real parts it reads, from the cosine and
-sine parts of the checked coefficients (``_node_maps``).
+Every route evaluates only the real parts it reads, the block map B and
+the readout R, from the cosine and sine parts of the checked coefficients
+(``_node_maps``; ``transfer_grids`` returns them at given momenta).  Only
+``naive=True`` evaluates the complex maps (``_complex_maps``).
 
 Many channels need only half of that grid.  If the coin-pair maps of
 ``channels.coin_pair_maps`` are real (every Kraus operator real up to a
@@ -130,21 +131,6 @@ def exact_node_bound(channel: WalkChannel, t_max: int) -> int:
 
 # --- transfer matrices ------------------------------------------------------
 
-@dataclass(frozen=True)
-class TransferGrids:
-    """The step, drift and dispersion maps evaluated on a momentum grid.
-
-    Arrays have shape (len(ks), 4, 4).  The partner map
-    O -> sum_n C_n O C_n'^dag of the drift is its complex conjugate, so it is
-    not stored.
-    """
-
-    ks: np.ndarray
-    step: np.ndarray
-    drift: np.ndarray
-    dispersion: np.ndarray
-
-
 def _fourier_coefficients(channel: WalkChannel) -> tuple[np.ndarray, np.ndarray, bool]:
     """Frequencies d and Fourier coefficients of the step, drift and dispersion maps.
 
@@ -168,28 +154,31 @@ def _fourier_coefficients(channel: WalkChannel) -> tuple[np.ndarray, np.ndarray,
     return freqs, np.einsum("wpd,px->wxd", fold, pairs).reshape(48, -1), real
 
 
-def transfer_grids(channel: WalkChannel, ks: np.ndarray) -> TransferGrids:
-    """Evaluate step/drift/dispersion maps on a whole momentum grid at once.
+def transfer_grids(channel: WalkChannel, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The real block map B (n, 8, 8) and readout R (n, 3, 8) at the momenta ``ks``.
 
-    The channel's Fourier coefficients are built and checked
-    (``_coefficient_residue``), then evaluated by ``_evaluate_grids``.
+    The channel's Fourier coefficients are built and checked once
+    (``_coefficient_residue``), then evaluated by ``_node_maps``: the maps
+    every route but ``naive=True`` reads (see ``_real_coefficients``).
     """
-    coefficients = _fourier_coefficients(channel)
-    _coefficient_residue(coefficients[1])
-    return _evaluate_grids(coefficients, ks)
+    freqs, coef, _ = _fourier_coefficients(channel)
+    _coefficient_residue(coef)
+    return _node_maps((freqs, _real_coefficients(coef)), ks, np.empty(88 * len(ks)))
 
 
-def _evaluate_grids(
+def _complex_maps(
     coefficients: tuple[np.ndarray, np.ndarray, bool], ks: np.ndarray
-) -> TransferGrids:
-    """The maps at ``ks`` from ``_fourier_coefficients`` that are already checked.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The complex step, drift and dispersion maps (n, 4, 4) at ``ks``, for ``naive``.
 
-    One (48, n_d) @ (n_d, n_k) product of the coefficients with e^{-idk}.
+    One (48, n_d) @ (n_d, n_k) product of ``_fourier_coefficients`` that are
+    already checked with e^{-idk}.  The drift's partner map
+    O -> sum_n C_n O C_n'^dag is its complex conjugate.
     """
     freqs, coef, _ = coefficients
     grid = (coef @ np.exp(-1j * np.multiply.outer(freqs, ks))).reshape(3, 4, 4, -1)
     step, drift, dispersion = np.moveaxis(grid, -1, 1)
-    return TransferGrids(ks=ks, step=step, drift=drift, dispersion=dispersion)
+    return step, drift, dispersion
 
 
 def _coefficient_residue(coef: np.ndarray) -> float:
@@ -223,27 +212,30 @@ def _coefficient_residue(coef: np.ndarray) -> float:
 
 # --- the moment sweep -------------------------------------------------------
 
-def _naive_cross(grids: TransferGrids, start: np.ndarray, t_max: int) -> np.ndarray:
+def _naive_cross(
+    maps: tuple[np.ndarray, np.ndarray, np.ndarray], start: np.ndarray, t_max: int
+) -> np.ndarray:
     """Literal complex double sum of the cross term, O(t^2) per momentum.
 
     Kept as an independent route to catch bookkeeping errors in the
-    telescoped real recursion.  Returns, for each m, the chunk sum of the
-    m-th inner sum over m' < m (not yet accumulated over m).
+    telescoped real recursion; ``maps`` are the chunk's ``_complex_maps``.
+    Returns, for each m, the chunk sum of the m-th inner sum over m' < m
+    (not yet accumulated over m).
     """
     def mv(mats, vecs):
         return np.matmul(mats, vecs[..., None])[..., 0]
 
-    step = grids.step
+    step, drift, _ = maps
     # Tr{A O} = 2 * (row 0 of A) . (Pauli vector of O); fold in the factor 2.
-    partner = grids.drift.conj()  # G*: O -> sum_n C_n O C_n'^dag
-    g_row = 2.0 * grids.drift[:, 0, :]
+    partner = drift.conj()  # G*: O -> sum_n C_n O C_n'^dag
+    g_row = 2.0 * drift[:, 0, :]
     gd_row = 2.0 * partner[:, 0, :]
     a_list = [start.T.astype(complex)]
     for _ in range(1, t_max):
         a_list.append(mv(step, a_list[-1]))
     inner = np.zeros(t_max + 1, dtype=complex)
     for m_prime in range(1, t_max):
-        y1 = mv(grids.drift, a_list[m_prime - 1])
+        y1 = mv(drift, a_list[m_prime - 1])
         y2 = mv(partner, a_list[m_prime - 1])
         for m in range(m_prime + 1, t_max + 1):
             inner[m] += np.einsum("ni,ni->", gd_row, y1)
@@ -439,7 +431,7 @@ def _series_sums(
     sigma_y part, with weight 2 except at the self-paired nodes -pi and
     (for even n_k) 0 (see the module docstring).  Any other channel sweeps
     every node with weight 1.  With ``naive`` the cross sum is the complex
-    literal double sum, from the chunk's ``_evaluate_grids``.  Returns the
+    literal double sum, from the chunk's ``_complex_maps``.  Returns the
     three sums and the residue: the coefficients' and, with ``naive``, the
     imaginary part of the literal double sum.
     """
@@ -463,7 +455,7 @@ def _series_sums(
                     weights[i:i + _CHUNK], work)
         if naive:
             naive_cross = naive_cross + np.cumsum(_naive_cross(
-                _evaluate_grids(coefficients, part),
+                _complex_maps(coefficients, part),
                 np.multiply.outer(rho_vec, weights[i:i + _CHUNK]), t_max,
             ))
     first, cross, jsum = work.series(t_max)
@@ -477,6 +469,10 @@ def _series_sums(
 class MomentSeries:
     """First and second position moments for t = 0 .. t_max.
 
+    ``dispersion`` is the single-sum part of the second moment,
+    Int dk/2pi sum_{m<=t} Tr{ J_k a_m }: the mean squared hop per step times
+    t for any channel whose Kraus operators each displace by a fixed +-1
+    or 0, which makes it a structural probe on its own.
     ``max_imag_residue`` records the largest deviation of the channel's
     Fourier coefficients from the structure the real sweep assumes (see
     ``_coefficient_residue``) and, with ``naive=True``, the imaginary part of
@@ -490,6 +486,7 @@ class MomentSeries:
     first: np.ndarray
     second: np.ndarray
     variance: np.ndarray
+    dispersion: np.ndarray
     max_imag_residue: float
 
     @property
@@ -534,6 +531,7 @@ def _finalize(
         first=first,
         second=second,
         variance=second - first**2,
+        dispersion=j_sums / n_k,
         max_imag_residue=residue,
     )
 
@@ -587,23 +585,6 @@ def moment_series(
     return _finalize(first, cross, jsum, n_k, channel.label, rho_vec, residue)
 
 
-def j_term(
-    channel: WalkChannel,
-    coin,
-    t: int,
-    n_k: int | None = None,
-) -> float:
-    """The single-sum (dispersion) part of <x^2>_t.
-
-    For any channel whose Kraus operators each displace by a fixed +-1 or 0,
-    this equals the mean squared hop per step times t; it is a useful
-    structural probe on its own.
-    """
-    rho_vec, n_k = _prepare(channel, coin, t, n_k)
-    _, _, jsum, _ = _series_sums(channel, rho_vec, t, n_k, naive=False)
-    return float(jsum[t] / n_k)
-
-
 def second_moment_coin_specialized(
     channel: WalkChannel, coin, t_max: int, n_k: int | None = None
 ) -> np.ndarray:
@@ -627,9 +608,9 @@ def second_moment_coin_specialized(
             f"channel {channel.label!r} is not of coin-noise form"
         )
     rho_vec, n_k = _prepare(channel, coin, t_max, n_k)
-    grids = transfer_grids(channel, momentum_grid(n_k))
-    # (4, 4, n_k): the momentum axis innermost
-    step = np.ascontiguousarray(np.moveaxis(grids.step.real, 0, -1))
+    block, _ = transfer_grids(channel, momentum_grid(n_k))
+    # the step map L, (4, 4, n_k): the momentum axis innermost
+    step = np.ascontiguousarray(np.moveaxis(block[:, 4:, 4:], 0, -1))
     b = np.einsum("ijn,j->in", step, rho_vec)
     u = np.zeros((4, n_k))
     traces = np.zeros(t_max + 1)
@@ -655,8 +636,9 @@ def asymptotic_first_moment(channel: WalkChannel, coin, n_k: int = 512) -> float
         lim_t <x>_t = i * Int dk/2pi  2 gamma(k) . (I - M_k)^{-1} (r_init - r*(k))
 
     provided the k-average of the stationary drift vanishes (it must, or no
-    limit exists).  Everything runs in real arithmetic: M_k and c_k are real,
-    and the drift top row gamma is i times a real row (module docstring).
+    limit exists).  Everything runs in real arithmetic on the maps of
+    ``transfer_grids``: M_k and c_k are blocks of L, and i * 2 gamma is the
+    real first-moment row of the readout R (``_real_coefficients``).
 
     Raises:
         NotContractingError: if some momentum block has spectral radius
@@ -666,10 +648,10 @@ def asymptotic_first_moment(channel: WalkChannel, coin, n_k: int = 512) -> float
     """
     rho_vec = coin_state(coin)
     ks = momentum_grid(n_k)
-    grids = transfer_grids(channel, ks)
-    step = grids.step.real
-    block = step[:, 1:, 1:]
-    radius = np.abs(np.linalg.eigvals(block)).max(axis=1)
+    block, readout = transfer_grids(channel, ks)
+    step = block[:, 4:, 4:]
+    bloch = step[:, 1:, 1:]
+    radius = np.abs(np.linalg.eigvals(bloch)).max(axis=1)
     worst = int(np.argmax(radius))
     if radius[worst] >= 1.0 - 1e-9:
         raise NotContractingError(
@@ -679,19 +661,19 @@ def asymptotic_first_moment(channel: WalkChannel, coin, n_k: int = 512) -> float
             spectral_radius=float(radius[worst]),
         )
     r0 = rho_vec[0]
-    relax = np.eye(3) - block
+    relax = np.eye(3) - bloch
     r_star = np.linalg.solve(relax, step[:, 1:, 0:1] * r0)[..., 0]
-    # i * 2 * (i g) . r = -2 g . r with g = Im of the drift top row
-    gamma = grids.drift[:, 0, :].imag
-    stationary = gamma[:, 0] * r0 + np.einsum("ni,ni->n", gamma[:, 1:], r_star)
-    drift = -2.0 * float(stationary.mean())
+    # R's first-moment row: i * 2 * (i g) = -2 g, g = Im of the drift top row
+    velocity = readout[:, 0, 4:]
+    stationary = velocity[:, 0] * r0 + np.einsum("ni,ni->n", velocity[:, 1:], r_star)
+    drift = float(stationary.mean())
     if not abs(drift) <= _IMAG_TOL:
         raise BallisticRegimeError(
             f"channel has nonzero stationary drift {drift:.6g}; "
             "the first moment grows linearly and has no limit"
         )
     transient = np.linalg.solve(relax, (rho_vec[1:] - r_star)[..., None])[..., 0]
-    val = -2.0 * np.einsum("ni,ni->n", gamma[:, 1:], transient).mean()
+    val = np.einsum("ni,ni->n", velocity[:, 1:], transient).mean()
     _imag_residue(val, "asymptotic first moment")
     return float(val)
 

@@ -1,9 +1,11 @@
-"""Pauli-basis (Bloch) representation of coin operators and superoperators.
+"""Pauli-basis (Bloch) coordinates of coin operators, and coin-state validation.
 
 A 2x2 coin operator O is stored as the real/complex 4-vector r with
 O = sum_i r_i sigma_i, where (sigma_0..sigma_3) = (I, X, Y, Z).  Linear maps
 on coin operators then become 4x4 matrices acting on these vectors, which is
-the representation the moment engine works in.
+the representation the moment engine works in; it changes basis with
+``PAULI`` directly (``moments._fourier_coefficients``).  This module holds
+the basis, the conversions and the validated initial coin states.
 """
 
 from __future__ import annotations
@@ -41,26 +43,10 @@ def to_pauli(op: np.ndarray) -> np.ndarray:
     """Expand a (..., 2, 2) operator into Pauli coordinates r_i = Tr(sigma_i O) / 2."""
     return 0.5 * np.einsum("iab,...ba->...i", PAULI, np.asarray(op, dtype=complex))
 
+
 def from_pauli(vec: np.ndarray) -> np.ndarray:
     """Rebuild the (..., 2, 2) operator from Pauli coordinates."""
     return np.einsum("...i,iab->...ab", np.asarray(vec, dtype=complex), PAULI)
-
-
-def sandwich_superop(lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
-    """Pauli matrix of the map O -> sum_n L_n @ O @ R_n^dag.
-
-    ``lefts`` and ``rights`` have shape (n, ..., 2, 2) with a shared leading
-    Kraus axis; any extra batch axes (e.g. a momentum grid) are carried
-    through to the output, which has shape (..., 4, 4).  Column j holds the
-    Pauli coordinates of sum_n L_n sigma_j R_n^dag.  The moment engine reads
-    ``channels.coin_pair_maps`` instead; this is the independent route.
-    """
-    lefts = np.asarray(lefts, dtype=complex)
-    rights = np.asarray(rights, dtype=complex)
-    return 0.5 * np.einsum(
-        "iab,m...bc,jcd,m...ad->...ij", PAULI, lefts, PAULI, rights.conj(),
-        optimize=True,
-    )
 
 
 def coin_state(coin) -> np.ndarray:

@@ -24,13 +24,15 @@ from dqwalk.errors import PhaseConstraintError
 from dqwalk.moments import (
     diffusion_from_slope,
     exact_node_bound,
-    j_term,
     moment_series,
     second_moment_coin_specialized,
     transfer_grids,
 )
 from dqwalk.simulator import evolve, init_state, moment_direct
 from test_moments import (
+    CLOSED_FORMS,
+    at_k,
+    block_maps,
     dispersion_matrix_closed_form,
     drift_matrix_closed_form,
     transfer_matrix_closed_form,
@@ -135,9 +137,10 @@ def test_criterion_5_coin_noise_reduction():
         worst = max(worst, float(np.max(np.abs(delta))))
     worst_j = 0.0
     for q in (0.0, 0.2, 0.5, 1.0):
-        worst_j = max(worst_j, abs(j_term(dephasing_channel(q), "R", 15) - 15.0))
+        dispersion = moment_series(dephasing_channel(q), "R", 15).dispersion[15]
+        worst_j = max(worst_j, abs(dispersion - 15.0))
     for p in (0.0, 0.3, 0.7, 1.0):
-        dispersion = j_term(brokenline.default_channel(p), "mixed", 10)
+        dispersion = moment_series(brokenline.default_channel(p), "mixed", 10).dispersion[10]
         worst_j = max(worst_j, abs(dispersion - (1 - p) * 10))
     ok = worst <= 1e-10 and worst_j <= 1e-12
     report(5, "coin-noise reduction identities", ok,
@@ -169,23 +172,30 @@ def test_criterion_6_regime_properties():
 
 
 def test_criterion_7_structural_matrices():
-    """Affine maps match the printed closed forms; phase constraint enforced."""
+    """Affine maps match the printed closed forms; phase constraint enforced.
+
+    The complex maps are those of the naive route; the real block map and
+    readout, which every other route reads, are checked where all three
+    printed forms are.
+    """
     worst = 0.0
     for p in (0.1, 0.3, 0.5, 0.7, 0.9):
         channel = brokenline.default_channel(p)
         for k in np.linspace(-np.pi, np.pi, 9):
-            grids = transfer_grids(channel, np.array([k]))
+            step, _, dispersion = at_k(channel, k)
             worst = max(worst, float(np.max(np.abs(
-                grids.step[0] - transfer_matrix_closed_form(p, k)))))
+                step - transfer_matrix_closed_form(p, k)))))
             worst = max(worst, float(np.max(np.abs(
-                grids.dispersion[0]
-                - dispersion_matrix_closed_form(p, k)))))
+                dispersion - dispersion_matrix_closed_form(p, k)))))
     for p in (0.3, 0.7):
         channel = brokenline.default_channel(p)
         for k in (0.0, 1.0, 2.0):
-            grids = transfer_grids(channel, np.array([k]))
+            _, drift, _ = at_k(channel, k)
             worst = max(worst, float(np.max(np.abs(
-                grids.drift[0] - drift_matrix_closed_form(p, k)))))
+                drift - drift_matrix_closed_form(p, k)))))
+            want = block_maps(*(form(p, np.array([k])) for form in CLOSED_FORMS))
+            for got, ref in zip(transfer_grids(channel, np.array([k])), want):
+                worst = max(worst, float(np.max(np.abs(got - ref))))
 
     good_phase = True
     try:

@@ -194,6 +194,18 @@ def test_ill_typed_channel_file_exits_2(mutate, tmp_path, capsys):
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("doc, kind", [([1, 2], "list"), ("broken-line", "str"),
+                                       (None, "NoneType"), (0.5, "float")])
+def test_channel_file_that_is_not_an_object_exits_2(doc, kind, tmp_path, capsys):
+    # the message names the type, not a missing field
+    chan = tmp_path / "chan.json"
+    chan.write_text(json.dumps(doc))
+    assert main(["moments", "--channel-file", str(chan), "--t", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: channel must be a JSON object, got {kind}\n"
+
+
 def test_walk_accepts_good_channel_file(tmp_path):
     chan = tmp_path / "chan.json"
     # the coherent Hadamard walk, written out by hand
@@ -492,6 +504,26 @@ def test_diffusion_with_slope_column(tmp_path):
     for r in rows:
         d_closed, d_slope = float(r[2]), float(r[5])
         assert abs(d_slope - d_closed) / d_closed < 0.02
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--p-min", "0", "--p-max", "0", "--t-lo", "5", "--t-hi", "3"],
+     ["--p-min", "0.5", "--p-max", "0.5", "--t-lo", "0", "--t-hi", "3"],
+     ["--t-lo", "600"]],
+    ids=["ballistic-row-only", "t-lo-zero", "t-lo-past-default-t-hi"],
+)
+def test_diffusion_slope_range_is_checked_before_any_row(flags, tmp_path, capsys):
+    # checked before any row: the p = 0 row computes no slope, so a check
+    # inside the slope estimate never runs there
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(SystemExit) as err:
+        main(["diffusion", "--with-slope", *flags, "--out", str(out)])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("usage: dqwalk diffusion [-h]")
+    assert "\ndqwalk diffusion: error: need 1 <= --t-lo < --t-hi, got " in captured.err
 
 
 def test_diffusion_coherent_row_is_annotated(capsys):

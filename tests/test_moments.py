@@ -1,14 +1,15 @@
 """Momentum-space moment engine tests.
 
-Covers the affine superoperator grids (transfer, drift, dispersion),
-the finite-time moment recursions and their naive double-sum twin, the
-coin-noise specialization, the asymptotic first moment, quadrature
-exactness, and the half-grid sweep of conjugation-symmetric channels.
-Structural matrices are pinned against the independently coded broken-line
-closed forms and against the node-by-node route, both kept here as
-references (``transfer_matrix_closed_form`` ..., ``reference_grids``);
-moments are pinned against the direct simulator and the one-step,
-full-grid ``reference_series``.
+Covers the superoperator maps (transfer, drift, dispersion: complex, as
+the naive route evaluates them, and the real block map and readout every
+other route reads), the finite-time moment recursions and their naive
+double-sum twin, the coin-noise specialization, the asymptotic first
+moment, quadrature exactness, and the half-grid sweep of
+conjugation-symmetric channels.  Structural matrices are pinned against the
+independently coded broken-line closed forms and against the node-by-node
+route, both kept here as references (``transfer_matrix_closed_form`` ...,
+``reference_grids``, ``block_maps``); moments are pinned against the direct
+simulator and the one-step, full-grid ``reference_series``.
 """
 
 import dataclasses
@@ -47,19 +48,18 @@ from dqwalk.moments import (
     _BLOCK,
     _CHUNK,
     _GROUP,
-    TransferGrids,
     _fourier_coefficients,
     asymptotic_first_moment,
     diffusion_from_slope,
     exact_node_bound,
-    j_term,
     moment_series,
     momentum_grid,
     second_moment_coin_specialized,
     transfer_grids,
 )
-from dqwalk.pauli import coin_state, sandwich_superop
+from dqwalk.pauli import coin_state
 from dqwalk.simulator import evolve, init_state, moment_direct
+from test_pauli import sandwich_superop
 
 
 HAD = build_coherent(HADAMARD)
@@ -71,9 +71,37 @@ MEASURE = WalkChannel(
 )
 
 
+def complex_maps(channel, ks):
+    """The complex step, drift and dispersion maps at ``ks``, (n, 4, 4) each.
+
+    The evaluator of the naive route, the only one that builds them.
+    """
+    return moments._complex_maps(_fourier_coefficients(channel), np.asarray(ks))
+
+
 def at_k(channel, k):
-    """The four transfer grids at the single momentum k."""
-    return transfer_grids(channel, np.array([k]))
+    """The complex step, drift and dispersion maps (4x4) at the single momentum k."""
+    return tuple(mats[0] for mats in complex_maps(channel, np.array([k])))
+
+
+def block_maps(step, drift, dispersion):
+    """Test-only reference: the real B (n, 8, 8) and R (n, 3, 8) of complex maps.
+
+    B = [[L, 2 Im G], [0, L]] advances the sweep's (w_r, a); the rows of R
+    read the first moment (0, -2 Im G[0]), the dispersion (0, 2 Re J[0])
+    and the cross sum (2 Im G[0], 0).  Written from the docstring of
+    ``moments._real_coefficients``, not from its code.
+    """
+    n = len(step)
+    drive = 2.0 * drift.imag
+    block = np.zeros((n, 8, 8))
+    block[:, :4, :4] = block[:, 4:, 4:] = step.real
+    block[:, :4, 4:] = drive
+    readout = np.zeros((n, 3, 8))
+    readout[:, 0, 4:] = -drive[:, 0]
+    readout[:, 1, 4:] = 2.0 * dispersion[:, 0].real
+    readout[:, 2, :4] = drive[:, 0]
+    return block, readout
 
 
 def _efgh(p, k):
@@ -134,6 +162,11 @@ def dispersion_matrix_closed_form(p, k):
     return out
 
 
+# the printed step, drift and dispersion maps, in that order
+CLOSED_FORMS = (transfer_matrix_closed_form, drift_matrix_closed_form,
+                dispersion_matrix_closed_form)
+
+
 def reference_coin_matrices(channel, k, derivative=False):
     """Test-only reference: C_n(k), or dC_n/dk, summed term by term.
 
@@ -154,60 +187,45 @@ def reference_coin_matrices(channel, k, derivative=False):
 
 
 def reference_grids(channel, ks):
-    """Test-only reference: the grids built node by node from C_n(k).
+    """Test-only reference: the step, drift and dispersion maps, node by node.
 
     Stacks C_n(k) and C_n'(k) per Kraus operator and contracts each map with
-    ``sandwich_superop``; ``transfer_grids`` must agree with it.
+    ``sandwich_superop``; ``complex_maps`` must agree with it, and
+    ``transfer_grids`` with its ``block_maps``.
     """
     cs = reference_coin_matrices(channel, ks)
     ds = reference_coin_matrices(channel, ks, derivative=True)
-    return TransferGrids(
-        ks=ks,
-        step=sandwich_superop(cs, cs),
-        drift=sandwich_superop(ds, cs),
-        dispersion=sandwich_superop(ds, ds),
-    )
+    return (sandwich_superop(cs, cs), sandwich_superop(ds, cs),
+            sandwich_superop(ds, ds))
 
 
 def reference_series(channel, coin, t_max, n_k=None):
     """Test-only reference: the moment sweep advanced one step at a time.
 
     Per chunk of ``_CHUNK`` nodes, horizon m reads R v_m and then advances
-    v_{m+1} = B v_m, with the block map B and readout R of ``_accumulate``.
-    The engine reads ``_BLOCK`` horizons per advance from a
-    table of rows R B^j instead, so the two agree to rounding, not bit for
-    bit.  Returns (first, second, variance).
+    v_{m+1} = B v_m, with the block map B and readout R built node by node
+    (``block_maps`` of ``reference_grids``).  The engine reads ``_BLOCK``
+    horizons per advance from a table of rows R B^j instead, so the two
+    agree to rounding, not bit for bit.  Returns (first, second, variance).
     """
     rho_vec = coin_state(coin)
     if n_k is None:
         n_k = exact_node_bound(channel, t_max)
     ks = momentum_grid(n_k)
 
-    def nodes_last(mats):
-        return np.ascontiguousarray(np.moveaxis(mats, 0, -1))
-
     first = cross = jsum = 0.0
     for i in range(0, n_k, _CHUNK):
-        grids = transfer_grids(channel, ks[i:i + _CHUNK])
-        n = len(grids.ks)
-        step = nodes_last(grids.step.real)
-        drift_adj = grids.drift.conj()  # O -> sum_n C_n O C_n'^dag
-        block = np.zeros((8, 8, n))
-        block[:4, :4] = step
-        block[:4, 4:] = nodes_last((grids.drift - drift_adj).imag)
-        block[4:, 4:] = step
-        readout = np.zeros((3, 8, n))
-        readout[0, 4:] = nodes_last(-2.0 * grids.drift[:, 0, :].imag)
-        readout[1, :4] = nodes_last(-2.0 * drift_adj[:, 0, :].imag)
-        readout[2, 4:] = nodes_last(2.0 * grids.dispersion[:, 0, :].real)
-        readout = readout.reshape(3, 8 * n)
+        block, readout = block_maps(*reference_grids(channel, ks[i:i + _CHUNK]))
+        n = len(block)
+        block = np.ascontiguousarray(np.moveaxis(block, 0, -1))  # (8, 8, n)
+        readout = np.moveaxis(readout, 0, -1).reshape(3, 8 * n)
         sums = np.zeros((3, t_max + 1))
         v = np.zeros((8, n))
         v[4:] = rho_vec[:, None]
         for m in range(1, t_max + 1):
             sums[:, m] = readout @ v.ravel()
             v = np.einsum("ijn,jn->in", block, v)
-        part_first, part_cross, part_j = np.cumsum(sums, axis=1)
+        part_first, part_j, part_cross = np.cumsum(sums, axis=1)
         first = first + part_first
         cross = cross + part_cross
         jsum = jsum + part_j
@@ -223,14 +241,14 @@ def reference_asymptotic(channel, coin, n_k=512):
     ``asymptotic_first_moment`` are left out.
     """
     rho_vec = coin_state(coin)
-    grids = reference_grids(channel, momentum_grid(n_k))
-    block = grids.step[:, 1:, 1:]
+    step, drift, _ = reference_grids(channel, momentum_grid(n_k))
+    block = step[:, 1:, 1:]
     r0 = rho_vec[0]
     r_init = np.asarray(rho_vec, dtype=complex)[1:]
     eye3 = np.eye(3, dtype=complex)
-    r_star = np.linalg.solve(eye3 - block, (grids.step[:, 1:, 0] * r0)[..., None])[..., 0]
+    r_star = np.linalg.solve(eye3 - block, (step[:, 1:, 0] * r0)[..., None])[..., 0]
     transient = np.linalg.solve(eye3 - block, (r_init - r_star)[..., None])[..., 0]
-    gamma = grids.drift[:, 0, 1:]
+    gamma = drift[:, 0, 1:]
     return 1j * (2.0 * np.einsum("ni,ni->n", gamma, transient)).mean()
 
 
@@ -307,21 +325,21 @@ K_GRID = (0.0, 0.5, 1.0, 2.0, -2.5, np.pi)
 @pytest.mark.parametrize("p", P_GRID)
 @pytest.mark.parametrize("k", K_GRID)
 def test_transfer_matrix_matches_closed_form(p, k):
-    got = at_k(brokenline.default_channel(p), k).step[0]
+    got, _, _ = at_k(brokenline.default_channel(p), k)
     assert np.max(np.abs(got - transfer_matrix_closed_form(p, k))) <= 1e-12
 
 
 @pytest.mark.parametrize("p", (0.3, 0.7))
 @pytest.mark.parametrize("k", (0.0, 1.0, 2.0))
 def test_drift_matrix_matches_closed_form(p, k):
-    got = at_k(brokenline.default_channel(p), k).drift[0]
+    _, got, _ = at_k(brokenline.default_channel(p), k)
     assert np.max(np.abs(got - drift_matrix_closed_form(p, k))) <= 1e-12
 
 
 @pytest.mark.parametrize("p", P_GRID)
 @pytest.mark.parametrize("k", K_GRID)
 def test_dispersion_matrix_matches_closed_form(p, k):
-    got = at_k(brokenline.default_channel(p), k).dispersion[0]
+    _, _, got = at_k(brokenline.default_channel(p), k)
     assert np.max(np.abs(got - dispersion_matrix_closed_form(p, k))) <= 1e-12
     assert got[0, 0] == pytest.approx(1 - p)  # printed top-left entry
 
@@ -337,7 +355,7 @@ def test_transfer_matrix_coherent_limit_at_k0():
         ],
         dtype=complex,
     )
-    assert np.allclose(at_k(brokenline.default_channel(0.0), 0.0).step[0], want, atol=1e-14)
+    assert np.allclose(at_k(brokenline.default_channel(0.0), 0.0)[0], want, atol=1e-14)
 
 
 @pytest.mark.parametrize(
@@ -347,7 +365,7 @@ def test_transfer_matrix_coherent_limit_at_k0():
 )
 def test_transfer_matrix_is_trace_preserving(channel):
     for k in K_GRID:
-        mat = at_k(channel, k).step[0]
+        mat, _, _ = at_k(channel, k)
         assert np.allclose(mat[0], [1, 0, 0, 0], atol=1e-13)
 
 
@@ -355,7 +373,7 @@ def test_trace_preserved_under_iteration():
     ch = brokenline.default_channel(0.3)
     for k in (0.0, 0.9, -1.7):
         vec = np.array([0.5, 0.1, -0.2, 0.3], dtype=complex)
-        step = at_k(ch, k).step[0]
+        step, _, _ = at_k(ch, k)
         for _ in range(50):
             vec = step @ vec
             assert abs(2 * vec[0] - 1.0) <= 1e-12
@@ -363,7 +381,7 @@ def test_trace_preserved_under_iteration():
 
 def test_coherent_transfer_has_unit_modulus_spectrum():
     for k in K_GRID:
-        eig = np.linalg.eigvals(at_k(HAD, k).step[0])
+        eig = np.linalg.eigvals(at_k(HAD, k)[0])
         assert np.allclose(np.abs(eig), 1.0, atol=1e-12)
 
 
@@ -380,7 +398,7 @@ def test_drift_adjoint_is_conjugate():
         cs = reference_coin_matrices(ch, np.array([k]))
         ds = reference_coin_matrices(ch, np.array([k]), derivative=True)
         adjoint = sandwich_superop(cs, ds)[0]
-        assert np.allclose(adjoint, at_k(ch, k).drift[0].conj())
+        assert np.allclose(adjoint, at_k(ch, k)[1].conj())
 
 
 def test_drift_matches_mixed_momentum_finite_difference():
@@ -395,7 +413,7 @@ def test_drift_matches_mixed_momentum_finite_difference():
     for ch in (HAD, brokenline.default_channel(0.35), dephasing_channel(0.25)):
         for k in (0.0, 1.1):
             fd = (mixed(ch, k + h, k) - mixed(ch, k - h, k)) / (2 * h)
-            assert np.max(np.abs(fd - at_k(ch, k).drift[0])) < 1e-7
+            assert np.max(np.abs(fd - at_k(ch, k)[1])) < 1e-7
 
 
 def test_coin_channel_drift_is_minus_iz_after_transfer():
@@ -413,16 +431,16 @@ def test_coin_channel_drift_is_minus_iz_after_transfer():
     )
     for ch in (HAD, dephasing_channel(0.7)):
         for k in (0.0, 0.8, -1.9):
-            grids = at_k(ch, k)
-            assert np.allclose(grids.drift[0], z_left @ grids.step[0], atol=1e-13)
+            step, drift, _ = at_k(ch, k)
+            assert np.allclose(drift, z_left @ step, atol=1e-13)
 
 
 def test_coin_channel_dispersion_is_z_sandwich_of_transfer():
     z_conj = np.diag([1.0, -1.0, -1.0, 1.0])
     for ch in (HAD, dephasing_channel(0.3)):
         for k in (0.0, 2.2):
-            grids = at_k(ch, k)
-            assert np.allclose(grids.dispersion[0], z_conj @ grids.step[0], atol=1e-13)
+            step, _, dispersion = at_k(ch, k)
+            assert np.allclose(dispersion, z_conj @ step, atol=1e-13)
 
 
 @pytest.mark.parametrize("n_k", [1, 7, 512, 1200])
@@ -435,11 +453,16 @@ def test_coin_channel_dispersion_is_z_sandwich_of_transfer():
 )
 def test_transfer_grids_match_per_node_reference(channel, n_k):
     ks = momentum_grid(n_k)
-    got, want = transfer_grids(channel, ks), reference_grids(channel, ks)
-    for name in ("step", "drift", "dispersion"):
-        np.testing.assert_allclose(
-            getattr(got, name), getattr(want, name), rtol=0.0, atol=1e-14, err_msg=name
-        )
+    want = reference_grids(channel, ks)
+    for got, ref, name in zip(complex_maps(channel, ks), want,
+                              ("step", "drift", "dispersion")):
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-14, err_msg=name)
+    # the real maps drop only parts that vanish, and agree at the same atol
+    step, drift, dispersion = want
+    dropped = (step.imag, drift[:, 0].real, dispersion[:, 0].imag)
+    assert max(np.abs(part).max() for part in dropped) <= 1e-14
+    for got, ref, name in zip(transfer_grids(channel, ks), block_maps(*want), ("B", "R")):
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-14, err_msg=name)
 
 
 # ---------------------------------------------------------------------------
@@ -598,22 +621,20 @@ def test_series_health_fields():
 
 
 def test_j_term_linear_in_t_for_coin_channels():
+    # MomentSeries.dispersion: the J term at every horizon up to t
     for q in (0.0, 0.4, 1.0):
         ch = dephasing_channel(q)
         for t in (1, 7, 20):
-            assert abs(j_term(ch, "R", t) - t) <= 1e-12
+            dispersion = moment_series(ch, "R", t).dispersion
+            assert np.max(np.abs(dispersion - np.arange(t + 1))) <= 1e-12
 
 
 def test_j_term_broken_line():
     for p in (0.0, 0.3, 0.7, 1.0):
         ch = brokenline.default_channel(p)
         for t in (1, 10):
-            assert abs(j_term(ch, "mixed", t) - (1 - p) * t) <= 1e-12
-
-
-def test_j_term_rejects_negative_horizon():
-    with pytest.raises(ValueError):
-        j_term(HAD, "R", -1)
+            dispersion = moment_series(ch, "mixed", t).dispersion
+            assert np.max(np.abs(dispersion - (1 - p) * np.arange(t + 1))) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -834,7 +855,7 @@ def _structure_routes():
               for t, n_k in SWEEP_CASES]
     return series + [
         lambda: moment_series(bl, "R", 6, naive=True),
-        lambda: j_term(bl, "R", 8),
+        lambda: transfer_grids(bl, momentum_grid(8)),
         lambda: second_moment_coin_specialized(deph, "R", 8),
         lambda: asymptotic_first_moment(bl, "R"),
     ]
@@ -882,9 +903,40 @@ def test_structure_check_runs_once_per_call(monkeypatch):
         assert len(checks) == 1
 
 
+def test_only_the_naive_route_evaluates_complex_maps(monkeypatch):
+    # one map representation: every route reads the real node maps, and
+    # only the literal double sum (naive=True) also builds the complex ones
+    calls = {"real": 0, "complex": 0}
+    node_maps, complex_eval = moments._node_maps, moments._complex_maps
+
+    def node_spy(*args):
+        calls["real"] += 1
+        return node_maps(*args)
+
+    def complex_spy(*args):
+        calls["complex"] += 1
+        return complex_eval(*args)
+
+    monkeypatch.setattr(moments, "_node_maps", node_spy)
+    monkeypatch.setattr(moments, "_complex_maps", complex_spy)
+    bl, deph = brokenline.default_channel(0.4), dephasing_channel(0.4)
+    routes = {
+        "moment_series": lambda: moment_series(bl, "R", 6),
+        "naive": lambda: moment_series(bl, "R", 6, naive=True),
+        "transfer_grids": lambda: transfer_grids(bl, momentum_grid(8)),
+        "coin-specialized": lambda: second_moment_coin_specialized(deph, "R", 8),
+        "asymptotic": lambda: asymptotic_first_moment(bl, "R"),
+    }
+    for name, route in routes.items():
+        calls.update(real=0, complex=0)
+        route()
+        assert calls["real"] >= 1, name
+        assert (calls["complex"] > 0) == (name == "naive"), name
+
+
 @pytest.mark.parametrize("n_k", [0, -4])
 @pytest.mark.parametrize(
-    "route", [moment_series, j_term, second_moment_coin_specialized]
+    "route", [moment_series, second_moment_coin_specialized]
 )
 def test_nonpositive_node_count_rejected_without_warning(route, n_k, recwarn):
     with pytest.raises(ValueError, match="node count must be positive"):
@@ -908,7 +960,7 @@ def test_nan_channel_data_fail_closed():
     with pytest.raises(NonRealMomentError):
         moment_series(ch, "R", 4, naive=True)
     with pytest.raises(NonRealMomentError):
-        j_term(ch, "R", 4)
+        transfer_grids(ch, momentum_grid(4))
     with pytest.raises(NonRealMomentError):
         second_moment_coin_specialized(ch, "R", 4)
     with pytest.raises(NonRealMomentError):
@@ -950,9 +1002,7 @@ BL_THETA1 = build_broken_line(BrokenLineParams(p=0.3, theta1=0.4))
 def test_closed_forms_obey_mirror_relations(p):
     # L(-k) = P conj(L(k)) P, G(-k) = -P conj(G(k)) P, J(-k) = P conj(J(k)) P
     ks = np.array(K_GRID)
-    forms = (transfer_matrix_closed_form, drift_matrix_closed_form,
-             dispersion_matrix_closed_form)
-    for form, (name, sign) in zip(forms, MIRROR_SIGNS):
+    for form, (name, sign) in zip(CLOSED_FORMS, MIRROR_SIGNS):
         np.testing.assert_allclose(
             form(p, -ks), mirrored(form(p, ks), sign), rtol=0.0, atol=1e-15, err_msg=name
         )
@@ -975,10 +1025,10 @@ def test_conjugation_symmetry_check_matches_grids(channel, folds):
     assert real == folds
     assert _fourier_coefficients(channel)[2] == real
     ks = np.linspace(-3.0, 3.0, 13)
-    plus, minus = transfer_grids(channel, ks), transfer_grids(channel, -ks)
+    plus, minus = complex_maps(channel, ks), complex_maps(channel, -ks)
     gap = max(
-        np.abs(getattr(minus, name) - mirrored(getattr(plus, name), sign)).max()
-        for name, sign in MIRROR_SIGNS
+        np.abs(m - mirrored(p, sign)).max()
+        for p, m, (_, sign) in zip(plus, minus, MIRROR_SIGNS)
     )
     assert gap <= 1e-14 if real else gap > 1e-2
     dtypes = {rows.dtype for rows, _ in simulator.fold(channel).groups}

@@ -9,12 +9,29 @@ from dqwalk.pauli import (
     PAULI,
     coin_state,
     from_pauli,
-    sandwich_superop,
     to_pauli,
     validate_coin_state,
 )
 
 RNG = np.random.default_rng(20240817)
+
+
+def sandwich_superop(lefts, rights):
+    """Test-only reference: the Pauli matrix of O -> sum_n L_n @ O @ R_n^dag.
+
+    ``lefts`` and ``rights`` have shape (n, ..., 2, 2) with a shared leading
+    Kraus axis; any extra batch axes (e.g. a momentum grid) are carried
+    through to the output, which has shape (..., 4, 4).  Column j holds the
+    Pauli coordinates of sum_n L_n sigma_j R_n^dag.  The moment engine
+    builds its maps from ``channels.coin_pair_maps`` instead; this is the
+    independent, node-by-node route the tests play it against.
+    """
+    lefts = np.asarray(lefts, dtype=complex)
+    rights = np.asarray(rights, dtype=complex)
+    return 0.5 * np.einsum(
+        "iab,m...bc,jcd,m...ad->...ij", PAULI, lefts, PAULI, rights.conj(),
+        optimize=True,
+    )
 
 
 def random_op():
