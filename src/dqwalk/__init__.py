@@ -47,6 +47,7 @@ from .errors import (
     NotContractingError,
     PhaseConstraintError,
     QuadratureTooCoarseWarning,
+    ResourceLimitError,
     UnnormalizedCoinError,
 )
 from .moments import (

@@ -67,6 +67,14 @@ class BallisticRegimeError(DQWalkError, ValueError):
     p -> 0) or the walker drifts at a nonzero stationary velocity."""
 
 
+class ResourceLimitError(DQWalkError, ValueError):
+    """A requested size (horizon, node count, work) exceeds the package's limit.
+
+    Raised before anything of that size is allocated; the message names
+    the limit.
+    """
+
+
 class BracketingError(DQWalkError, RuntimeError):
     """Root bracketing for the crossover probability failed."""
 

@@ -46,10 +46,12 @@ horizon t, a product of at most t such maps, has degree <= 2 * max_hop * t.
 A uniform n-node rule integrates e^{ijk} exactly for every |j| < n, so
 n_k = 2 * max_hop * t + 1 nodes suffice (``exact_node_bound``).  The same
 frequencies build the maps: the channel's terms fold into one Fourier
-coefficient per frequency l - l' and map (``_fourier_coefficients``).
-Every route evaluates only the real parts it reads, the block map B and
-the readout R, from the cosine and sine parts of the checked coefficients
-(``_node_maps``; ``transfer_grids`` returns them at given momenta).  Only
+coefficient per frequency l - l' and map (``_fourier_coefficients``), with
+the change to Pauli coordinates a constant matrix (``_PAULI_MAP``).  Every
+route evaluates only the real parts it reads, the block map B and the
+readout R, laid out by another constant (``_LAYOUT``) and built from the
+cosine and sine parts of the checked coefficients (``_node_maps``;
+``transfer_grids`` returns them at given momenta).  Only
 ``naive=True`` evaluates the complex maps (``_complex_maps``).
 
 Many channels need only half of that grid.  If the coin-pair maps of
@@ -61,12 +63,18 @@ where P = diag(1, 1, -1, 1) is complex conjugation in the Pauli basis.
 Node -k then carries the integrand of node k started from P rho0, and since
 the moments are linear in rho0 the pair sums to twice node k started from
 rho0 with its sigma_y part removed.  The same flag picks the oracle's real
-rows.  ``_series_sums`` then sweeps only nodes 0 .. n_k // 2, with weight 2
-except at the self-paired nodes -pi and 0.
-The weights go into the start vector, so the sweep itself is unchanged.
-This is the same n_k-node rule, not a coarser one: ``n_k``, the exactness
-bound and the coarse-grid warning keep their meaning.  Any other channel
-sweeps all n_k nodes.
+rows.  The series (``_series_sums``) and the limit
+(``asymptotic_first_moment``) then sweep only nodes 0 .. n_k // 2, with
+weight 2 except at the self-paired nodes -pi and 0 (``_swept_rule``).  In
+the series the weights go into the start vector, so the sweep itself is
+unchanged.  This is the same n_k-node rule, not a coarser one: ``n_k``, the
+exactness bound and the coarse-grid warning keep their meaning.  Any other
+channel sweeps all n_k nodes.
+
+The limit needs no eigenvalues where every node clearly contracts: a
+Frobenius-norm certificate on powers of the Bloch blocks decides first
+(``_check_contracting``).  Its rule checks itself against the rule of half
+as many nodes that an even n_k contains.
 
 Besides the sweep, the module holds the checks the sweep is played against:
 the literal double sum (``naive=True``), the coin-noise reduction of Brun
@@ -90,6 +98,7 @@ from .errors import (
     NotACoinChannelError,
     NotContractingError,
     QuadratureTooCoarseWarning,
+    ResourceLimitError,
 )
 from .pauli import PAULI, coin_state
 
@@ -113,9 +122,39 @@ _GROUP = 16
 # than silently truncated.
 _IMAG_TOL = 1e-8
 
-# Column j is sigma_j flattened row-major: the change of basis from Pauli
-# coordinates to the coin pair (i, i') of ``coin_pair_maps``.
-_PAULI_COLUMNS = PAULI.reshape(4, 4).T
+# The change of basis of a coin-pair map A (``coin_pair_maps``) to Pauli
+# coordinates: vec(T^dag A T) / 2 = _PAULI_MAP @ vec(A), row-major, with T
+# the Pauli matrices as columns.
+_PAULI_MAP = np.kron(PAULI.reshape(4, 4).conj(), PAULI.reshape(4, 4)) / 2
+
+# The sweep's B (rows 0-63) and R (rows 64-87) as linear forms in the step,
+# drift and dispersion maps L, G, J (column 16 w + 4 i + j: entry (i, j) of
+# map w).  B = [[L, 2 Im G], [0, L]] advances (w_r, a), 2 Im G being the real
+# part of -2i G (see the module docstring); with d = 2 Im G[0], R's rows read
+# the first moment (0, -d), the dispersion (0, 2 Re J[0]) and the cross sum
+# (d, 0), each with its factors of i put back.
+_ENTRY = np.eye(16).reshape(4, 4, 16)
+_LAYOUT = np.zeros((11, 8, 3, 16), dtype=complex)
+_LAYOUT[:4, :4, 0] = _LAYOUT[4:8, 4:, 0] = _ENTRY
+_LAYOUT[:4, 4:, 1] = -2j * _ENTRY
+_LAYOUT[8, 4:, 1] = 2j * _ENTRY[0]
+_LAYOUT[9, 4:, 2] = 2.0 * _ENTRY[0]
+_LAYOUT[10, :4, 1] = -2j * _ENTRY[0]
+_LAYOUT = _LAYOUT.reshape(88, 48)
+
+# Sizes refused before they are allocated (``ResourceLimitError``): nodes,
+# horizon (a series holds O(t) arrays at any node count) and swept
+# node-steps (about 10 ns each on a 2-vCPU Xeon).  Each is over 100 times
+# what the tests and the benchmark use: 2001 nodes, t = 1000, 1e6 steps.
+_MAX_NODES = 10**6
+_MAX_HORIZON = 10**6
+_MAX_NODE_STEPS = 10**10
+
+# The contraction certificate (``_check_contracting``): squarings of each
+# Bloch block, and the squared Frobenius norm of M^(2^_SQUARINGS) below
+# which its radius is under 1 - 2e-9.
+_SQUARINGS = 10
+_CERTIFIED = (1.0 - 2e-9) ** (2 * 2**_SQUARINGS)
 
 
 def exact_node_bound(channel: WalkChannel, t_max: int) -> int:
@@ -134,24 +173,21 @@ def exact_node_bound(channel: WalkChannel, t_max: int) -> int:
 def _fourier_coefficients(channel: WalkChannel) -> tuple[np.ndarray, np.ndarray, bool]:
     """Frequencies d and Fourier coefficients of the step, drift and dispersion maps.
 
-    With C_n(k) = sum_l M_{n,l} e^{-ilk}, the Pauli matrix of
-    O -> sum_n M_{n,l} O M_{n,l'}^dag is S_{l,l'} = T^dag A_{l,l'} T / 2,
-    A_{l,l'} the coin-pair map of ``coin_pair_maps`` and T the Pauli
-    matrices as columns.  Each map is sum_{l,l'} w S_{l,l'} e^{-i(l-l')k}
-    with weight w = 1 (step), -i*l (drift: C_n' on the left) or l*l'
-    (dispersion: C_n' on both sides).  Returns the distinct frequencies
-    d = l - l' (at most 4 * max_hop + 1), the (48, n_d) array whose column
-    d stacks the three 4x4 coefficients of e^{-idk}, and whether the
-    coin-pair maps are real, which licenses the half-grid sweep.
+    With C_n(k) = sum_l M_{n,l} e^{-ilk}, each map sums w S_{l,l'} e^{-i(l-l')k}
+    over hop pairs: S_{l,l'} is A_{l,l'} of ``coin_pair_maps`` in Pauli
+    coordinates, w = 1 (step), -i*l (drift: C_n' on the left) or l*l'
+    (dispersion: C_n' on both sides).  Returns the distinct d = l - l', the
+    (48, n_d) array whose column d stacks the three 4x4 coefficients of
+    e^{-idk}, and whether the maps A are real (licensing the half grid).
     """
     hops, maps, real = coin_pair_maps(channel)
-    pairs = (_PAULI_COLUMNS.conj().T @ maps @ _PAULI_COLUMNS).reshape(-1, 16) / 2
-    left, right = (a.ravel() for a in np.meshgrid(hops, hops, indexing="ij"))
-    weights = np.stack([np.ones(len(left)), -1j * left, left * right])
+    left, right = np.repeat(hops, len(hops)), np.tile(hops, len(hops))
     freqs, slot = np.unique(left - right, return_inverse=True)
-    # weights (3, P) spread over the frequency columns, then summed over pairs P
-    fold = weights[:, :, None] * (slot[:, None] == np.arange(len(freqs)))
-    return freqs, np.einsum("wpd,px->wxd", fold, pairs).reshape(48, -1), real
+    # (3, n_d, pairs): each pair's three weights in its frequency's row
+    fold = np.zeros((3, len(freqs), len(left)), dtype=complex)
+    fold[:, slot, np.arange(len(left))] = (np.ones(len(left)), -1j * left, left * right)
+    coef = fold @ (maps.reshape(-1, 16) @ _PAULI_MAP.T)
+    return freqs, coef.transpose(0, 2, 1).reshape(48, -1), real
 
 
 def transfer_grids(channel: WalkChannel, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -247,30 +283,14 @@ def _naive_cross(
 
 
 def _real_coefficients(coef: np.ndarray) -> np.ndarray:
-    """The (2 n_d, 88) real coefficients of the sweep's block map B and readout R.
-
-    The sweep stacks its two running vectors as v = (w_r, a) and advances
-    them by B = [[L, 2 Im G], [0, L]]: G - G^dag' = G - conj(G) is i times
-    the real map 2 Im G, so the telescoping vector is w = i * w_r.  R reads
-    Tr{A O} = 2 * (row 0 of A) . (Pauli vector of O); the drift rows are i
-    times a real row and meet one more factor i (the i of <x>, or that of
-    w), so with d = 2 Im G[0] the rows of R are the first moment (0, -d),
-    the dispersion (0, 2 Re J[0]) and the cross sum (d, 0).
+    """The (2 n_d, 88) real coefficients of the sweep's B and R (``_LAYOUT``).
 
     Every entry is the real part of a map sum_d A_d e^{-idk}, which is
     sum_d Re A_d cos(dk) + Im A_d sin(dk), so [cos(dk), sin(dk)] @ this
     array gives the 64 entries of B and the 24 of R at momentum k.  Valid
     once ``_coefficient_residue`` has passed.
     """
-    step, drift, dispersion = coef.reshape(3, 4, 4, -1)
-    drive = -2j * drift  # real part 2 Im G
-    zero = np.zeros_like(step)
-    block = np.concatenate([np.concatenate([step, drive], axis=1),
-                            np.concatenate([zero, step], axis=1)])
-    readout = np.stack([np.concatenate([zero[0], -drive[0]]),
-                        np.concatenate([zero[0], 2.0 * dispersion[0]]),
-                        np.concatenate([drive[0], zero[0]])])
-    parts = np.concatenate([block.reshape(64, -1), readout.reshape(24, -1)])
+    parts = _LAYOUT @ coef
     return np.concatenate([parts.real, parts.imag], axis=1).T
 
 
@@ -416,6 +436,49 @@ def _accumulate(
         work.sums[b:b + size] += work.reads[:size]
 
 
+def _rule_weights(n_k: int, real: bool) -> np.ndarray:
+    """Weights of the n_k-node rule on the nodes it sweeps, in grid order.
+
+    Weight 1 at every node, or for real coin-pair maps at nodes
+    0 .. n_k // 2 only: 2, except 1 at the self-paired -pi and (even n_k) 0.
+    """
+    if not real:
+        return np.ones(n_k)
+    weights = np.full(n_k // 2 + 1, 2.0)
+    weights[0] = 1.0
+    if n_k % 2 == 0:
+        weights[-1] = 1.0
+    return weights
+
+
+def _swept_rule(
+    n_k: int, real: bool, rho_vec: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The swept momenta, weights (``_rule_weights``) and start of the n_k-node rule.
+
+    For real coin-pair maps the half grid starts from rho0 without its
+    sigma_y part (see the module docstring).
+    """
+    ks = momentum_grid(n_k)
+    weights = _rule_weights(n_k, real)
+    if real:
+        rho_vec = rho_vec * (1.0, 1.0, 0.0, 1.0)
+    return ks[:len(weights)], weights, rho_vec
+
+
+def _check_size(count: int, limit: int, what: str) -> None:
+    """Raise ``ResourceLimitError`` if the ``what`` of a call exceeds ``limit``."""
+    if count > limit:
+        raise ResourceLimitError(f"{what} {count} exceeds the limit of {limit}")
+
+
+def _check_nodes(n_k: int) -> None:
+    """Reject a node count below 1 (``ValueError``) or past ``_MAX_NODES``."""
+    if n_k < 1:
+        raise ValueError(f"node count must be positive, got {n_k}")
+    _check_size(n_k, _MAX_NODES, "momentum node count")
+
+
 def _series_sums(
     channel: WalkChannel,
     rho_vec: np.ndarray,
@@ -427,26 +490,16 @@ def _series_sums(
 
     The channel's coefficients are built and checked once
     (``_coefficient_residue``).  A channel whose coin-pair maps are real is
-    swept on the nodes j = 0 .. n_k // 2 only, from rho0 without its
-    sigma_y part, with weight 2 except at the self-paired nodes -pi and
-    (for even n_k) 0 (see the module docstring).  Any other channel sweeps
-    every node with weight 1.  With ``naive`` the cross sum is the complex
-    literal double sum, from the chunk's ``_complex_maps``.  Returns the
-    three sums and the residue: the coefficients' and, with ``naive``, the
-    imaginary part of the literal double sum.
+    swept on half the grid (``_swept_rule``).  With ``naive`` the cross sum
+    is the complex literal double sum, from the chunk's ``_complex_maps``.
+    Returns the three sums and the residue: the coefficients' and, with
+    ``naive``, the imaginary part of the literal double sum.
     """
-    ks = momentum_grid(n_k)
     coefficients = _fourier_coefficients(channel)
     residue = _coefficient_residue(coefficients[1])
     real_maps = (coefficients[0], _real_coefficients(coefficients[1]))
-    weights = np.ones(n_k)
-    if coefficients[2]:  # real coin-pair maps: sweep half the grid
-        ks = ks[:n_k // 2 + 1]
-        weights = np.full(len(ks), 2.0)
-        weights[0] = 1.0
-        if n_k % 2 == 0:
-            weights[-1] = 1.0
-        rho_vec = rho_vec * (1.0, 1.0, 0.0, 1.0)
+    ks, weights, rho_vec = _swept_rule(n_k, coefficients[2], rho_vec)
+    _check_size(len(ks) * t_max, _MAX_NODE_STEPS, "swept node-step count")
     work = _Workspace(t_max, min(_CHUNK, len(ks)))
     naive_cross = 0.0
     for i in range(0, len(ks), _CHUNK):
@@ -541,17 +594,18 @@ def _prepare(
 ) -> tuple[np.ndarray, int]:
     """The start vector and node count of a moment call.
 
-    Rejects a negative horizon and a nonpositive node count; ``n_k``
-    defaults to ``exact_node_bound``, and fewer nodes warn.
+    Rejects a negative horizon, a nonpositive node count and sizes past
+    ``_MAX_HORIZON`` or ``_MAX_NODES``; ``n_k`` defaults to
+    ``exact_node_bound``, and fewer nodes warn.
     """
     if t_max < 0:
         raise ValueError(f"horizon must be nonnegative, got {t_max}")
+    _check_size(t_max, _MAX_HORIZON, "horizon")
     rho_vec = coin_state(coin)
     bound = exact_node_bound(channel, t_max)
     if n_k is None:
         n_k = bound
-    if n_k < 1:
-        raise ValueError(f"node count must be positive, got {n_k}")
+    _check_nodes(n_k)
     if n_k < bound:
         warnings.warn(
             QuadratureTooCoarseWarning(
@@ -608,6 +662,7 @@ def second_moment_coin_specialized(
             f"channel {channel.label!r} is not of coin-noise form"
         )
     rho_vec, n_k = _prepare(channel, coin, t_max, n_k)
+    _check_size(n_k * t_max, _MAX_NODE_STEPS, "swept node-step count")
     block, _ = transfer_grids(channel, momentum_grid(n_k))
     # the step map L, (4, 4, n_k): the momentum axis innermost
     step = np.ascontiguousarray(np.moveaxis(block[:, 4:, 4:], 0, -1))
@@ -626,6 +681,33 @@ def second_moment_coin_specialized(
 
 # --- long-time behaviour ----------------------------------------------------
 
+def _check_contracting(bloch: np.ndarray, ks: np.ndarray) -> None:
+    """Raise ``NotContractingError`` if a Bloch block has spectral radius >= 1 - 1e-9.
+
+    A certificate decides first: rho(M)^m <= ||M^m||_F, m = 2^``_SQUARINGS``
+    by batched squarings, so ||M^m||_F < (1 - 2e-9)^m at every node passes.
+    Otherwise the eigenvalues of every block decide.  The margin between
+    2e-9 and 1e-9 absorbs the squarings' rounding; an overflowing power (a
+    channel that is not trace preserving) fails the certificate.
+    """
+    power = bloch
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_SQUARINGS):
+            power = power @ power
+        norms = np.einsum("nij,nij->n", power, power)
+    if (norms < _CERTIFIED).all():
+        return
+    radius = np.abs(np.linalg.eigvals(bloch)).max(axis=1)
+    worst = int(np.argmax(radius))
+    if radius[worst] >= 1.0 - 1e-9:
+        raise NotContractingError(
+            f"momentum block at k = {ks[worst]:.6f} has spectral radius "
+            f"{radius[worst]:.12f}; no stationary first moment exists",
+            k=float(ks[worst]),
+            spectral_radius=float(radius[worst]),
+        )
+
+
 def asymptotic_first_moment(channel: WalkChannel, coin, n_k: int = 512) -> float:
     """Limit of <x>_t for channels whose Bloch block is a strict contraction.
 
@@ -640,41 +722,61 @@ def asymptotic_first_moment(channel: WalkChannel, coin, n_k: int = 512) -> float
     ``transfer_grids``: M_k and c_k are blocks of L, and i * 2 gamma is the
     real first-moment row of the readout R (``_real_coefficients``).
 
+    The integral is the n_k-node rule, on half the grid when the coin-pair
+    maps are real (``_swept_rule``, as for the series).  The rule checks
+    itself: an even n_k contains the (n_k / 2)-node rule on its
+    even-indexed nodes, and if the two differ by more than
+    1e-10 * max(1, |value|) a ``QuadratureTooCoarseWarning`` names both
+    counts.  An odd n_k or one below 4 has no such partner and warns too.
+
     Raises:
+        ValueError: if n_k < 1.
+        ResourceLimitError: if n_k exceeds ``_MAX_NODES``.
         NotContractingError: if some momentum block has spectral radius
-            within 1e-9 of 1 (e.g. the fully coherent walk).
+            within 1e-9 of 1 (e.g. the fully coherent walk); a certificate
+            spares the eigenvalues where every block is clearly inside
+            (``_check_contracting``).
         BallisticRegimeError: if the stationary drift is nonzero, so the
             first moment grows linearly.
     """
     rho_vec = coin_state(coin)
-    ks = momentum_grid(n_k)
+    _check_nodes(n_k)
+    if n_k < 4 or n_k % 2:
+        warnings.warn(QuadratureTooCoarseWarning(
+            f"{n_k} momentum nodes cannot be checked against a rule of half "
+            "as many; the asymptotic first moment is unchecked"), stacklevel=2)
+    # the flag picks the nodes, so it is read before transfer_grids folds
+    # the same maps again
+    real = coin_pair_maps(channel)[2]
+    ks, weights, rho_vec = _swept_rule(n_k, real, rho_vec)
     block, readout = transfer_grids(channel, ks)
     step = block[:, 4:, 4:]
     bloch = step[:, 1:, 1:]
-    radius = np.abs(np.linalg.eigvals(bloch)).max(axis=1)
-    worst = int(np.argmax(radius))
-    if radius[worst] >= 1.0 - 1e-9:
-        raise NotContractingError(
-            f"momentum block at k = {ks[worst]:.6f} has spectral radius "
-            f"{radius[worst]:.12f}; no stationary first moment exists",
-            k=float(ks[worst]),
-            spectral_radius=float(radius[worst]),
-        )
+    _check_contracting(bloch, ks)
     r0 = rho_vec[0]
     relax = np.eye(3) - bloch
     r_star = np.linalg.solve(relax, step[:, 1:, 0:1] * r0)[..., 0]
     # R's first-moment row: i * 2 * (i g) = -2 g, g = Im of the drift top row
     velocity = readout[:, 0, 4:]
     stationary = velocity[:, 0] * r0 + np.einsum("ni,ni->n", velocity[:, 1:], r_star)
-    drift = float(stationary.mean())
+    drift = float(weights @ stationary) / n_k
     if not abs(drift) <= _IMAG_TOL:
         raise BallisticRegimeError(
             f"channel has nonzero stationary drift {drift:.6g}; "
             "the first moment grows linearly and has no limit"
         )
     transient = np.linalg.solve(relax, (rho_vec[1:] - r_star)[..., None])[..., 0]
-    val = np.einsum("ni,ni->n", velocity[:, 1:], transient).mean()
+    per_node = np.einsum("ni,ni->n", velocity[:, 1:], transient)
+    val = weights @ per_node / n_k
     _imag_residue(val, "asymptotic first moment")
+    if n_k >= 4 and n_k % 2 == 0:
+        coarse = np.zeros(len(weights))
+        coarse[::2] = _rule_weights(n_k // 2, real)
+        gap = abs(val - coarse @ per_node / (n_k // 2))
+        if not gap <= 1e-10 * max(1.0, abs(val)):
+            warnings.warn(QuadratureTooCoarseWarning(
+                f"the {n_k}- and {n_k // 2}-node rules differ by {gap:.3g} in the "
+                "asymptotic first moment; more nodes are needed"), stacklevel=2)
     return float(val)
 
 

@@ -73,11 +73,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import WalkChannel, coin_pair_maps
+from .errors import ResourceLimitError
 from .pauli import coin_state, from_pauli
 
 # Fewest ket rows per tile of a step's product: below this the per-tile
 # numpy calls cost more than the smaller buffer saves.
 _TILE_FLOOR = 32
+
+# Site-pair-steps (n_sites^2 summed over the steps of a run) past which a
+# run is refused before it starts (``check_run_size``).  They set both the
+# time, 25-50 ns each on a 2-vCPU Xeon, and the state's size.  The tests and
+# the benchmark reach 1.1e7 (t = 200 on a max_hop-1 channel).
+_MAX_SITE_PAIR_STEPS = 2 * 10**9
 
 
 @dataclass
@@ -215,6 +222,23 @@ def step(state: DensityState, channel: WalkChannel | FoldedChannel) -> DensitySt
     )
 
 
+def check_run_size(n_sites: int, max_hop: int, steps: int) -> None:
+    """Refuse a run of ``steps`` steps from ``n_sites`` sites that is too large.
+
+    Step s holds n_sites + 2 * max_hop * s sites; the squares summed over
+    the run are counted exactly, and if they exceed ``_MAX_SITE_PAIR_STEPS``
+    a ``ResourceLimitError`` names the limit.
+    """
+    sum_s = steps * (steps + 1) // 2
+    sum_s2 = steps * (steps + 1) * (2 * steps + 1) // 6
+    count = (steps * n_sites**2 + 4 * max_hop * n_sites * sum_s
+             + 4 * max_hop**2 * sum_s2)
+    if count > _MAX_SITE_PAIR_STEPS:
+        raise ResourceLimitError(
+            f"site-pair-step count {count} exceeds the limit of {_MAX_SITE_PAIR_STEPS}"
+        )
+
+
 def evolve(
     state: DensityState,
     channel: WalkChannel,
@@ -228,6 +252,7 @@ def evolve(
     """
     if steps < 0:
         raise ValueError(f"step count must be nonnegative, got {steps}")
+    check_run_size(state.n_sites, channel.max_hop, steps)
     folded = fold(channel)
     for _ in range(steps):
         state = step(state, folded)

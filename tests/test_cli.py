@@ -1,5 +1,7 @@
 """End-to-end CLI tests; every invocation goes through ``cli.main`` in-process."""
 
+import dataclasses
+import io
 import json
 import sys
 import tracemalloc
@@ -13,6 +15,7 @@ from dqwalk.channels import (
     BrokenLineParams,
     build_broken_line,
     build_coherent,
+    load_channel,
     save_channel,
 )
 from dqwalk.cli import (
@@ -271,6 +274,34 @@ def test_moments_asymptotic_value(capsys):
     assert abs(value - 0.3033400534048355) < 1e-9
 
 
+@pytest.mark.parametrize("t", [0, 1, 60])
+def test_moments_json_bytes_match_json_dump(t, tmp_path):
+    # the direct writer against the json module, on a label that needs escaping
+    chan = tmp_path / "label.json"
+    label = 'tab\t "quoted" back\\slash \u00e9\n'
+    save_channel(dataclasses.replace(build_broken_line(BrokenLineParams(p=0.3)),
+                                     label=label), chan)
+    out = tmp_path / "series.json"
+    assert main(["moments", "--channel-file", str(chan), "--coin", "symmetric",
+                 "--t", str(t), "--format", "json", "--out", str(out)]) == 0
+    series = moments.moment_series(load_channel(chan), "symmetric", t)
+    assert series.channel_label == label
+    doc = {
+        "channel": series.channel_label,
+        "coin": list(series.coin),
+        "n_k": series.n_k,
+        "max_imag_residue": series.max_imag_residue,
+        "t": list(range(t + 1)),
+        "first": series.first.tolist(),
+        "second": series.second.tolist(),
+        "variance": series.variance.tolist(),
+    }
+    want = io.StringIO()
+    json.dump(doc, want, indent=2)
+    want.write("\n")
+    assert out.read_bytes() == want.getvalue().encode("utf-8")
+
+
 def test_moments_asymptotic_coherent_exits_3(capsys):
     code = main(["moments", "--channel", "coherent", "--coin", "R", "--asymptotic"])
     assert code == 3
@@ -383,6 +414,51 @@ def test_moments_asymptotic_zero_nodes_exits_2(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "node count" in captured.err
+
+
+@pytest.mark.parametrize("nk, value, message", [
+    ("1", "0.99999999999999944", "1 momentum nodes cannot be checked"),
+    ("2", "0.49999999999999972", "2 momentum nodes cannot be checked"),
+    ("3", "0.28571428571428553", "3 momentum nodes cannot be checked"),
+    ("8", "0.30357142857142838", "the 8- and 4-node rules differ"),
+])
+def test_moments_asymptotic_coarse_rule_warns(nk, value, message, capsys):
+    # the value is still printed (exit 0), but no longer silently: the
+    # converged limit is 0.3033400534048355
+    with pytest.warns(QuadratureTooCoarseWarning, match=message):
+        assert main(["moments", "--channel", "broken-line", "--p", "0.5", "--coin", "R",
+                     "--asymptotic", "--nk", nk]) == 0
+    assert capsys.readouterr().out == value + "\n"
+
+
+@pytest.mark.parametrize("argv, message, peak_bytes", [
+    (["moments", "--t", "1000000000"],
+     "horizon 1000000000 exceeds the limit of 1000000", 10**6),
+    (["moments", "--t", "20", "--nk", "100000000000"],
+     "momentum node count 100000000000 exceeds the limit of 1000000", 10**6),
+    (["moments", "--asymptotic", "--nk", "100000000000"],
+     "momentum node count 100000000000 exceeds the limit of 1000000", 10**6),
+    # the grid of 10^6 nodes is built (8 MB), the sweep over half of it is not
+    (["moments", "--t", "20000", "--nk", "1000000"],
+     "swept node-step count 10000020000 exceeds the limit of 10000000000", 4 * 10**7),
+    (["walk", "--t", "100000000"],
+     "site-pair-step count 1333333373333333700000000 exceeds the limit of 2000000000",
+     10**6),
+    (["diffusion", "--with-slope", "--p-min", "0.5", "--p-max", "0.5",
+      "--t-hi", "100000000"], "horizon 100000000 exceeds the limit of 1000000", 10**6),
+], ids=["horizon", "nodes", "asymptotic-nodes", "node-steps", "walk", "slope"])
+def test_infeasible_sizes_exit_2_before_allocating(argv, message, peak_bytes, capsys):
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert peak < peak_bytes
 
 
 @pytest.mark.parametrize("nk", ["0", "-4"])

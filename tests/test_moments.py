@@ -43,6 +43,7 @@ from dqwalk.errors import (
     NotACoinChannelError,
     NotContractingError,
     QuadratureTooCoarseWarning,
+    ResourceLimitError,
 )
 from dqwalk.moments import (
     _BLOCK,
@@ -967,6 +968,12 @@ def test_nan_channel_data_fail_closed():
         asymptotic_first_moment(ch, "R")
 
 
+def test_coin_specialized_sweep_past_the_node_step_limit_is_refused():
+    # the CLI tests cover the other limits; this route has no CLI of its own
+    with pytest.raises(ResourceLimitError, match="swept node-step count 10001000000 exceeds"):
+        second_moment_coin_specialized(dephasing_channel(0.3), "R", 10**4 + 1, n_k=10**6)
+
+
 def test_negative_horizon_rejected():
     with pytest.raises(ValueError):
         moment_series(HAD, "R", -3)
@@ -1075,6 +1082,123 @@ def test_half_grid_sweep_matches_full_grid_reference(channel, t, n_k, coin):
         assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
 
 
+def test_asymptotic_sweeps_half_the_grid_of_real_maps(monkeypatch):
+    # the limit uses the series' half-grid rule: real maps reach the grids
+    # with nodes 0 .. n_k // 2, complex ones with all n_k
+    swept = []
+    grids = moments.transfer_grids
+
+    def spy(channel, ks):
+        swept.append(len(ks))
+        return grids(channel, ks)
+
+    monkeypatch.setattr(moments, "transfer_grids", spy)
+    for channel, n_k in [(brokenline.default_channel(0.3), 512),
+                         (brokenline.default_channel(0.3), 510),
+                         (dephasing_channel(0.4), 512), (BL_THETA1, 512)]:
+        swept.clear()
+        asymptotic_first_moment(channel, "R", n_k=n_k)
+        assert swept == [n_k if channel is BL_THETA1 else n_k // 2 + 1]
+
+
+def full_grid_asymptotic(channel, coin, n_k=512):
+    """Test-only reference: the limit on all n_k nodes, each with weight 1."""
+    block, readout = transfer_grids(channel, momentum_grid(n_k))
+    rho_vec, step = coin_state(coin), block[:, 4:, 4:]
+    relax = np.eye(3) - step[:, 1:, 1:]
+    r_star = np.linalg.solve(relax, step[:, 1:, 0:1] * rho_vec[0])[..., 0]
+    transient = np.linalg.solve(relax, (rho_vec[1:] - r_star)[..., None])[..., 0]
+    return np.einsum("ni,ni->n", readout[:, 0, 5:], transient).mean()
+
+
+@pytest.mark.parametrize(
+    "channel",
+    [brokenline.default_channel(0.3), dephasing_channel(0.4), BL_THETA1],
+    ids=["bl03", "dephasing04", "theta1"],
+)
+def test_asymptotic_half_grid_matches_full_grid(channel):
+    # GENERIC_COIN has a sigma_y part, which the half grid drops
+    for coin in ("R", "L", "symmetric", "mixed", GENERIC_COIN):
+        want = full_grid_asymptotic(channel, coin)
+        assert abs(asymptotic_first_moment(channel, coin) - want) <= 1e-15, coin
+
+
+def eigvals_decision(bloch):
+    """Today's contraction test alone: does some block have radius >= 1 - 1e-9?"""
+    return bool(np.abs(np.linalg.eigvals(bloch)).max() >= 1.0 - 1e-9)
+
+
+def certified_decision(channel, n_k=512):
+    """The certificate-then-eigenvalues verdict and the eigenvalue-only one."""
+    ks = momentum_grid(n_k)
+    bloch = transfer_grids(channel, ks)[0][:, 5:, 5:]
+    try:
+        moments._check_contracting(bloch, ks)
+    except NotContractingError as err:
+        assert err.k in ks
+        return True, eigvals_decision(bloch)
+    return False, eigvals_decision(bloch)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), num_kraus=st.integers(1, 3), layers=st.integers(1, 2))
+def test_contraction_certificate_agrees_with_eigenvalues(seed, num_kraus, layers):
+    # one Kraus operator is a unitary walk (never contracting); more almost
+    # always contract, and the certificate alone decides those
+    got, want = certified_decision(random_layered_channel(seed, num_kraus, layers))
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "channel, contracting",
+    [(brokenline.default_channel(1.0), False), (brokenline.default_channel(1e-4), True),
+     (brokenline.default_channel(1e-3), True), (HAD, False), (DRIFTING, True)],
+    ids=["bl1", "bl1e-4", "bl1e-3", "coherent", "drifting"],
+)
+def test_contraction_certificate_near_the_threshold(channel, contracting):
+    # radius 1 to rounding (p = 1, coherent), 1 - 1e-4 (the certificate
+    # fails and the eigenvalues decide), 1 - 1e-3 and 0
+    got, want = certified_decision(channel)
+    assert got == want == (not contracting)
+
+
+def test_contraction_certificate_spares_the_eigenvalues(monkeypatch):
+    # a clearly contracting channel never reaches np.linalg.eigvals
+    def refuse(*args):
+        raise AssertionError("eigvals called")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    assert abs(asymptotic_first_moment(brokenline.default_channel(0.5), "R")
+               - 0.3033400534048355) <= 1e-12
+
+
+@pytest.mark.parametrize("n_k, message", [
+    (1, "1 momentum nodes cannot"), (2, "2 momentum nodes cannot"),
+    (3, "3 momentum nodes cannot"), (511, "511 momentum nodes cannot"),
+    (8, "the 8- and 4-node rules differ"), (4, "the 4- and 2-node rules differ"),
+    (10, "the 10- and 5-node rules differ"),
+])
+def test_asymptotic_coarse_rule_warns(n_k, message):
+    # an odd or tiny rule cannot check itself; an even one is compared with
+    # the rule of half as many nodes that it contains
+    with pytest.warns(QuadratureTooCoarseWarning, match=message):
+        asymptotic_first_moment(brokenline.default_channel(0.5), "R", n_k=n_k)
+
+
+@pytest.mark.parametrize("n_k", [512, 2048])
+@pytest.mark.parametrize(
+    "channel",
+    [*(brokenline.default_channel(p) for p in (0.1, 0.9)),
+     *(dephasing_channel(q) for q in (0.1, 0.9)), BL_THETA1],
+    ids=["bl01", "bl09", "dephasing01", "dephasing09", "theta1"],
+)
+def test_asymptotic_converged_rule_is_silent(channel, n_k):
+    # the ends of the benchmark's grid and a full-grid channel: the n_k and
+    # n_k / 2 rules agree (any warning fails the suite)
+    for coin in ("R", "symmetric"):
+        asymptotic_first_moment(channel, coin, n_k=n_k)
+
+
 # ---------------------------------------------------------------------------
 # exports: the CLI's writers of a series
 # ---------------------------------------------------------------------------
@@ -1125,13 +1249,12 @@ def test_writers_match_row_by_row_format(kind):
         "second": [float(v) for v in series.second],
         "variance": [float(v) for v in series.variance],
     }
-    assert json.dumps(_series_json(series)) == json.dumps(want_json)
+    assert _series_json(series) == json.dumps(want_json, indent=2) + "\n"
 
 
 def test_json_export_round_trips():
     series = moment_series(dephasing_channel(0.4), "symmetric", 6)
-    blob = json.dumps(_series_json(series))
-    data = json.loads(blob)
+    data = json.loads(_series_json(series))
     assert data["n_k"] == series.n_k
     assert data["channel"] == series.channel_label
     assert data["coin"] == [0.5, 0.0, 0.5, 0.0]

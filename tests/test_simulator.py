@@ -22,6 +22,7 @@ from dqwalk.channels import (
     build_coherent,
     dephasing_channel,
 )
+from dqwalk.errors import ResourceLimitError
 from dqwalk.pauli import coin_state, from_pauli
 from dqwalk.simulator import (
     DensityState,
@@ -185,6 +186,23 @@ def test_evolve_zero_steps_and_negative():
     assert evolve(state, HAD, 0) is state
     with pytest.raises(ValueError):
         evolve(state, HAD, -1)
+
+
+@pytest.mark.parametrize("n_sites, max_hop, steps", [(1, 1, 7), (5, 2, 4), (1, 1, 0)])
+def test_run_size_counts_site_pair_steps_exactly(n_sites, max_hop, steps, monkeypatch):
+    # the closed form against the sum of squared widths that the steps hold
+    count = sum((n_sites + 2 * max_hop * s) ** 2 for s in range(1, steps + 1))
+    monkeypatch.setattr(simulator, "_MAX_SITE_PAIR_STEPS", count)
+    simulator.check_run_size(n_sites, max_hop, steps)
+    monkeypatch.setattr(simulator, "_MAX_SITE_PAIR_STEPS", count - 1)
+    with pytest.raises(ResourceLimitError, match=f"site-pair-step count {count} exceeds"):
+        simulator.check_run_size(n_sites, max_hop, steps)
+
+
+def test_evolve_refuses_an_infeasible_run_before_stepping():
+    state = evolve(init_state("R"), HAD, 3)
+    with pytest.raises(ResourceLimitError, match="exceeds the limit of 2000000000"):
+        evolve(state, HAD, 10**6)
 
 
 def test_purity_decreases_under_noise():
