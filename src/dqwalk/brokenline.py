@@ -88,7 +88,7 @@ def diffusion_closed_form(p: float) -> DiffusionResult:
 
     Raises:
         BallisticRegimeError: at p = 0, where variance grows quadratically
-            and no diffusion constant exists.
+            and no diffusion constant exists, and wherever D overflows a float.
         DomainError: outside [0, 1].
     """
     p = _check_p(p)
@@ -102,10 +102,13 @@ def diffusion_closed_form(p: float) -> DiffusionResult:
         return DiffusionResult(p=1.0, prefactor=0.5, diffusion=0.0, integral=0.0)
     integral = diffusion_integral(1.0 - p)
     prefactor = 0.5 * (1.0 - (1.0 - p) * integral)
+    diffusion = (1.0 - p) / p * prefactor
+    if diffusion == math.inf:  # (1 - p) / p overflows below about 5.56e-309
+        raise BallisticRegimeError(f"the diffusion constant overflows a float at p = {p!r}")
     return DiffusionResult(
         p=p,
         prefactor=prefactor,
-        diffusion=(1.0 - p) / p * prefactor,
+        diffusion=diffusion,
         integral=integral,
     )
 

@@ -43,6 +43,7 @@ from .errors import (
     InvalidCoinKrausError,
     NonUnitaryCoinError,
     PhaseConstraintError,
+    ResourceLimitError,
 )
 
 COIN_LABELS = ("R", "L")
@@ -57,6 +58,13 @@ _COMPLETENESS_TOL = 1e-10
 # that count as real: the rounding that phases such as e^{i pi} leave (about
 # 1e-17); a broken line with theta1 = 1e-12 sits at 5e-13 and is complex.
 _REAL_TOL = 1e-15
+
+# Largest completeness certificate built (``completeness_residual``), in
+# entries of its (H, H, 4 max_hop + 1) phase array or of its (num_kraus, H)
+# coin blocks, H the number of distinct hops.  A phase entry costs about
+# 32 B, so the limit is about 32 MB; the tests and the benchmark need at
+# most 208 (81 for the benchmark's hop-2 channel).
+_MAX_CERTIFICATE_ENTRIES = 10**6
 
 
 @dataclass(frozen=True)
@@ -331,7 +339,14 @@ def completeness_residual(channel: WalkChannel) -> tuple[float, float]:
     Returns:
         (worst_k, residual): the momentum of the largest deviation and its
         max-norm.
+
+    Raises:
+        ResourceLimitError: past ``_MAX_CERTIFICATE_ENTRIES``, before any is built.
     """
+    num_hops = len({t.l for t in channel.terms})
+    size = max(num_hops**2 * (4 * channel.max_hop + 1), channel.num_kraus * num_hops)
+    ResourceLimitError.check(size, _MAX_CERTIFICATE_ENTRIES,
+                             "completeness certificate size")
     hops, blocks = _coin_blocks(channel)
     ks = momentum_grid(4 * channel.max_hop + 1)
     gram = np.einsum("nlba,nmbc->lmac", blocks.conj(), blocks)

@@ -91,12 +91,6 @@ class RunConfig:
     critical: bool = False
     with_slope: bool = False
 
-    def to_json_dict(self) -> dict:
-        data = dataclasses.asdict(self)
-        if not isinstance(self.coin, str):
-            data["coin"] = [float(v) for v in self.coin]
-        return data
-
 
 def _parse_coin(text: str):
     """A preset name, or four comma-separated Pauli coordinates."""
@@ -267,8 +261,7 @@ def cmd_moments(config: RunConfig) -> int:
     channel = _resolve_channel(config)
     coin = _coin_arg(config)
     if config.asymptotic:
-        nodes = {} if config.n_k is None else {"n_k": config.n_k}
-        value = asymptotic_first_moment(channel, coin, **nodes)
+        value = asymptotic_first_moment(channel, coin)
         with _out_stream(config.out) as fh:
             fh.write(f"{value:.17g}\n")
         return 0
@@ -526,7 +519,7 @@ def build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
 # only with ``diffusion --with-slope``.
 _SLOPE_FLAGS = {"t_lo": "--t-lo", "t_hi": "--t-hi", "n_k": "--nk"}
 _MODE_IGNORES = {
-    "asymptotic": {"t": "--t", "naive": "--naive", "fmt": "--format"},
+    "asymptotic": {"t": "--t", "n_k": "--nk", "naive": "--naive", "fmt": "--format"},
     "critical": {"p_min": "--p-min", "p_max": "--p-max", "p_step": "--p-step",
                  "with_slope": "--with-slope", **_SLOPE_FLAGS},
 }
@@ -544,7 +537,8 @@ def _ignored_flag(args: argparse.Namespace) -> str | None:
     for mode, ignored in _MODE_IGNORES.items():
         if getattr(args, mode, False):
             for name, flag in ignored.items():
-                if getattr(args, name) not in (None, False):
+                # compared by identity: 0 == False, yet --t 0 or --nk 0 is a given flag
+                if getattr(args, name) is not None and getattr(args, name) is not False:
                     return f"{flag} has no effect with --{mode}"
     if not getattr(args, "with_slope", True):
         for name, flag in _SLOPE_FLAGS.items():

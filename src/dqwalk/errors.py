@@ -74,6 +74,12 @@ class ResourceLimitError(DQWalkError, ValueError):
     the limit.
     """
 
+    @classmethod
+    def check(cls, count: int, limit: int, what: str) -> None:
+        """Raise if ``count``, the ``what`` of a call, exceeds ``limit``."""
+        if count > limit:
+            raise cls(f"{what} {count} exceeds the limit of {limit}")
+
 
 class BracketingError(DQWalkError, RuntimeError):
     """Root bracketing for the crossover probability failed."""

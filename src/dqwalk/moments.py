@@ -71,10 +71,11 @@ unchanged.  This is the same n_k-node rule, not a coarser one: ``n_k``, the
 exactness bound and the coarse-grid warning keep their meaning.  Any other
 channel sweeps all n_k nodes.
 
-The limit needs no eigenvalues where every node clearly contracts: a
-Frobenius-norm certificate on powers of the Bloch blocks decides first
-(``_check_contracting``).  Its rule checks itself against the rule of half
-as many nodes that an even n_k contains.
+The limit picks its own node count: from ``_LIMIT_NODES`` it doubles until
+its rule agrees with the rule of half as many nodes that it contains.  It
+needs no eigenvalues where every node clearly contracts: a Frobenius-norm
+certificate on powers of the Bloch blocks decides first
+(``_check_contracting``).
 
 Besides the sweep, the module holds the checks the sweep is played against:
 the literal double sum (``naive=True``), the coin-noise reduction of Brun
@@ -155,6 +156,18 @@ _MAX_NODE_STEPS = 10**10
 # which its radius is under 1 - 2e-9.
 _SQUARINGS = 10
 _CERTIFIED = (1.0 - 2e-9) ** (2 * 2**_SQUARINGS)
+
+# The first node count of the limit's rule (``asymptotic_first_moment``).  At 64
+# nodes all 648 limits of the benchmark's grid agree with the 32-node rule
+# (0.59 ms a call on a 2-vCPU Xeon, numpy 2.4); starting at 32, 142 of them
+# double once and a call takes 0.66 ms.
+_LIMIT_NODES = 64
+# The last count, which returns with a warning if its rule still disagrees
+# with the rule of half as many nodes.  A call that reaches it peaks at 42 MiB
+# (tracemalloc) in 0.25 s on the full grid (broken line, theta1 = 0.4,
+# p = 1e-8, symmetric coin) and at 21 MiB in 0.11 s on a half grid (p = 2e-9,
+# coin R, where rounding limits the agreement); 2**16 doubles both.
+_MAX_LIMIT_NODES = 2**15
 
 
 def exact_node_bound(channel: WalkChannel, t_max: int) -> int:
@@ -466,19 +479,6 @@ def _swept_rule(
     return ks[:len(weights)], weights, rho_vec
 
 
-def _check_size(count: int, limit: int, what: str) -> None:
-    """Raise ``ResourceLimitError`` if the ``what`` of a call exceeds ``limit``."""
-    if count > limit:
-        raise ResourceLimitError(f"{what} {count} exceeds the limit of {limit}")
-
-
-def _check_nodes(n_k: int) -> None:
-    """Reject a node count below 1 (``ValueError``) or past ``_MAX_NODES``."""
-    if n_k < 1:
-        raise ValueError(f"node count must be positive, got {n_k}")
-    _check_size(n_k, _MAX_NODES, "momentum node count")
-
-
 def _series_sums(
     channel: WalkChannel,
     rho_vec: np.ndarray,
@@ -499,7 +499,7 @@ def _series_sums(
     residue = _coefficient_residue(coefficients[1])
     real_maps = (coefficients[0], _real_coefficients(coefficients[1]))
     ks, weights, rho_vec = _swept_rule(n_k, coefficients[2], rho_vec)
-    _check_size(len(ks) * t_max, _MAX_NODE_STEPS, "swept node-step count")
+    ResourceLimitError.check(len(ks) * t_max, _MAX_NODE_STEPS, "swept node-step count")
     work = _Workspace(t_max, min(_CHUNK, len(ks)))
     naive_cross = 0.0
     for i in range(0, len(ks), _CHUNK):
@@ -600,12 +600,14 @@ def _prepare(
     """
     if t_max < 0:
         raise ValueError(f"horizon must be nonnegative, got {t_max}")
-    _check_size(t_max, _MAX_HORIZON, "horizon")
+    ResourceLimitError.check(t_max, _MAX_HORIZON, "horizon")
     rho_vec = coin_state(coin)
     bound = exact_node_bound(channel, t_max)
     if n_k is None:
         n_k = bound
-    _check_nodes(n_k)
+    if n_k < 1:
+        raise ValueError(f"node count must be positive, got {n_k}")
+    ResourceLimitError.check(n_k, _MAX_NODES, "momentum node count")
     if n_k < bound:
         warnings.warn(
             QuadratureTooCoarseWarning(
@@ -662,7 +664,7 @@ def second_moment_coin_specialized(
             f"channel {channel.label!r} is not of coin-noise form"
         )
     rho_vec, n_k = _prepare(channel, coin, t_max, n_k)
-    _check_size(n_k * t_max, _MAX_NODE_STEPS, "swept node-step count")
+    ResourceLimitError.check(n_k * t_max, _MAX_NODE_STEPS, "swept node-step count")
     block, _ = transfer_grids(channel, momentum_grid(n_k))
     # the step map L, (4, 4, n_k): the momentum axis innermost
     step = np.ascontiguousarray(np.moveaxis(block[:, 4:, 4:], 0, -1))
@@ -708,7 +710,7 @@ def _check_contracting(bloch: np.ndarray, ks: np.ndarray) -> None:
         )
 
 
-def asymptotic_first_moment(channel: WalkChannel, coin, n_k: int = 512) -> float:
+def asymptotic_first_moment(channel: WalkChannel, coin) -> float:
     """Limit of <x>_t for channels whose Bloch block is a strict contraction.
 
     Writing the one-step map as the affine action r -> M_k r + c_k r_0 on the
@@ -722,16 +724,15 @@ def asymptotic_first_moment(channel: WalkChannel, coin, n_k: int = 512) -> float
     ``transfer_grids``: M_k and c_k are blocks of L, and i * 2 gamma is the
     real first-moment row of the readout R (``_real_coefficients``).
 
-    The integral is the n_k-node rule, on half the grid when the coin-pair
-    maps are real (``_swept_rule``, as for the series).  The rule checks
-    itself: an even n_k contains the (n_k / 2)-node rule on its
-    even-indexed nodes, and if the two differ by more than
-    1e-10 * max(1, |value|) a ``QuadratureTooCoarseWarning`` names both
-    counts.  An odd n_k or one below 4 has no such partner and warns too.
+    The integral is an n-node rule, on half the grid when the coin-pair
+    maps are real (``_swept_rule``, as for the series).  From n =
+    ``_LIMIT_NODES`` it is compared with the (n / 2)-node rule on its
+    even-indexed nodes, and while the two differ by more than
+    1e-10 * max(1, |value|), n doubles and the value is computed afresh.
+    If they still differ at n = ``_MAX_LIMIT_NODES``, that value is
+    returned and a ``QuadratureTooCoarseWarning`` names both counts.
 
     Raises:
-        ValueError: if n_k < 1.
-        ResourceLimitError: if n_k exceeds ``_MAX_NODES``.
         NotContractingError: if some momentum block has spectral radius
             within 1e-9 of 1 (e.g. the fully coherent walk); a certificate
             spares the eigenvalues where every block is clearly inside
@@ -740,44 +741,43 @@ def asymptotic_first_moment(channel: WalkChannel, coin, n_k: int = 512) -> float
             first moment grows linearly.
     """
     rho_vec = coin_state(coin)
-    _check_nodes(n_k)
-    if n_k < 4 or n_k % 2:
-        warnings.warn(QuadratureTooCoarseWarning(
-            f"{n_k} momentum nodes cannot be checked against a rule of half "
-            "as many; the asymptotic first moment is unchecked"), stacklevel=2)
     # the flag picks the nodes, so it is read before transfer_grids folds
     # the same maps again
     real = coin_pair_maps(channel)[2]
-    ks, weights, rho_vec = _swept_rule(n_k, real, rho_vec)
-    block, readout = transfer_grids(channel, ks)
-    step = block[:, 4:, 4:]
-    bloch = step[:, 1:, 1:]
-    _check_contracting(bloch, ks)
-    r0 = rho_vec[0]
-    relax = np.eye(3) - bloch
-    r_star = np.linalg.solve(relax, step[:, 1:, 0:1] * r0)[..., 0]
-    # R's first-moment row: i * 2 * (i g) = -2 g, g = Im of the drift top row
-    velocity = readout[:, 0, 4:]
-    stationary = velocity[:, 0] * r0 + np.einsum("ni,ni->n", velocity[:, 1:], r_star)
-    drift = float(weights @ stationary) / n_k
-    if not abs(drift) <= _IMAG_TOL:
-        raise BallisticRegimeError(
-            f"channel has nonzero stationary drift {drift:.6g}; "
-            "the first moment grows linearly and has no limit"
-        )
-    transient = np.linalg.solve(relax, (rho_vec[1:] - r_star)[..., None])[..., 0]
-    per_node = np.einsum("ni,ni->n", velocity[:, 1:], transient)
-    val = weights @ per_node / n_k
-    _imag_residue(val, "asymptotic first moment")
-    if n_k >= 4 and n_k % 2 == 0:
-        coarse = np.zeros(len(weights))
-        coarse[::2] = _rule_weights(n_k // 2, real)
-        gap = abs(val - coarse @ per_node / (n_k // 2))
-        if not gap <= 1e-10 * max(1.0, abs(val)):
+    n_k = _LIMIT_NODES
+    while True:
+        ks, weights, rho_vec = _swept_rule(n_k, real, rho_vec)
+        block, readout = transfer_grids(channel, ks)
+        step = block[:, 4:, 4:]
+        bloch = step[:, 1:, 1:]
+        _check_contracting(bloch, ks)
+        r0 = rho_vec[0]
+        relax = np.eye(3) - bloch
+        r_star = np.linalg.solve(relax, step[:, 1:, 0:1] * r0)[..., 0]
+        # R's first-moment row: i * 2 * (i g) = -2 g, g = Im of the drift top row
+        velocity = readout[:, 0, 4:]
+        stationary = velocity[:, 0] * r0 + np.einsum("ni,ni->n", velocity[:, 1:], r_star)
+        drift = float(weights @ stationary) / n_k
+        if not abs(drift) <= _IMAG_TOL:
+            raise BallisticRegimeError(
+                f"channel has nonzero stationary drift {drift:.6g}; "
+                "the first moment grows linearly and has no limit"
+            )
+        transient = np.linalg.solve(relax, (rho_vec[1:] - r_star)[..., None])[..., 0]
+        per_node = np.einsum("ni,ni->n", velocity[:, 1:], transient)
+        val = weights @ per_node / n_k
+        _imag_residue(val, "asymptotic first moment")
+        # n_k is a power of two, so the even-indexed swept nodes are those
+        # of the (n_k / 2)-node rule
+        gap = abs(val - _rule_weights(n_k // 2, real) @ per_node[::2] / (n_k // 2))
+        if gap <= 1e-10 * max(1.0, abs(val)):
+            return float(val)
+        if n_k >= _MAX_LIMIT_NODES:
             warnings.warn(QuadratureTooCoarseWarning(
                 f"the {n_k}- and {n_k // 2}-node rules differ by {gap:.3g} in the "
                 "asymptotic first moment; more nodes are needed"), stacklevel=2)
-    return float(val)
+            return float(val)
+        n_k *= 2
 
 
 def diffusion_from_slope(

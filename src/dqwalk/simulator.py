@@ -233,10 +233,7 @@ def check_run_size(n_sites: int, max_hop: int, steps: int) -> None:
     sum_s2 = steps * (steps + 1) * (2 * steps + 1) // 6
     count = (steps * n_sites**2 + 4 * max_hop * n_sites * sum_s
              + 4 * max_hop**2 * sum_s2)
-    if count > _MAX_SITE_PAIR_STEPS:
-        raise ResourceLimitError(
-            f"site-pair-step count {count} exceeds the limit of {_MAX_SITE_PAIR_STEPS}"
-        )
+    ResourceLimitError.check(count, _MAX_SITE_PAIR_STEPS, "site-pair-step count")
 
 
 def evolve(

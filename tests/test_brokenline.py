@@ -163,6 +163,17 @@ def test_ballistic_regime_is_an_error():
         diffusion_closed_form(1.5)
 
 
+@pytest.mark.parametrize("p", [5e-324, 1e-309, 5e-309])
+def test_subnormal_p_overflowing_the_diffusion_constant_is_an_error(p):
+    # (1 - p) / p overflows below 1 / max float, about 5.56e-309
+    with pytest.raises(BallisticRegimeError, match="overflows a float at p = "):
+        diffusion_closed_form(p)
+
+
+def test_smallest_normal_p_has_a_finite_diffusion_constant():
+    assert diffusion_closed_form(1e-308).diffusion == 1.8979838029930002e+307
+
+
 # ---------------------------------------------------------------------------
 # slope-method agreement (small horizons here; the full [400,500] run lives
 # in the acceptance suite)

@@ -29,6 +29,7 @@ from dqwalk.errors import (
     InvalidCoinKrausError,
     NonUnitaryCoinError,
     PhaseConstraintError,
+    ResourceLimitError,
 )
 from test_moments import random_layered_channel, reference_coin_matrices
 
@@ -58,6 +59,8 @@ def test_coherent_rejects_nonunitary():
         build_coherent(np.array([[1.0, 0.0], [0.0, 0.5]]))
     with pytest.raises(NonUnitaryCoinError):
         build_coherent(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    with pytest.raises(NonUnitaryCoinError, match="coin must be 2x2"):
+        build_coherent(np.eye(3))
 
 
 def test_coherent_coin_matrix_and_derivative():
@@ -223,6 +226,21 @@ def test_coin_channel_weight_validation():
         build_coin_channel(HADAMARD, [(np.nan, ident), (1.0, ident)])
     with pytest.raises(InvalidCoinKrausError):
         build_coin_channel(HADAMARD, [(0.5, ident), (0.5, np.diag([np.nan, 1.0]))])
+    with pytest.raises(InvalidCoinKrausError):
+        build_coin_channel(HADAMARD, [(1.0, np.eye(3))])
+
+
+def test_certificate_size_counts_the_coin_blocks(monkeypatch):
+    # 30 Kraus operators on 2 hops: 60 coin blocks against 20 phase entries
+    scale = 30 ** -0.5
+    channel = WalkChannel("thirty-copies", tuple(
+        KrausTerm(n, t.l, t.i, t.j, t.amp * scale)
+        for n in range(30) for t in build_coherent(HADAMARD).terms
+    ))
+    validate_completeness(channel)
+    monkeypatch.setattr(channels, "_MAX_CERTIFICATE_ENTRIES", 59)
+    with pytest.raises(ResourceLimitError, match="certificate size 60 exceeds the limit of 59"):
+        validate_completeness(channel)
 
 
 def test_random_coin_channels_are_complete():

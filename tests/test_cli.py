@@ -209,6 +209,41 @@ def test_channel_file_that_is_not_an_object_exits_2(doc, kind, tmp_path, capsys)
     assert captured.err == f"error: channel must be a JSON object, got {kind}\n"
 
 
+def test_channel_file_amplitude_too_large_for_a_float_exits_2(tmp_path, capsys):
+    # JSON integers are unbounded; 10**400 has no float
+    chan = tmp_path / "chan.json"
+    terms = [dict(_hand_rolled_hadamard()[0], im=10**400)]
+    chan.write_text(json.dumps({"label": "huge", "terms": terms}))
+    assert main(["moments", "--channel-file", str(chan), "--t", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "int too large to convert to float" in captured.err
+
+
+@pytest.mark.parametrize("terms, size", [
+    # four terms, but a hop of 1e8: about 93 GB of phases
+    ([dict(t, l=t["l"] * 10**8) for t in _hand_rolled_hadamard()], 4 * (4 * 10**8 + 1)),
+    # one term at each hop from -500 to 500: about 64 GB
+    ([{"n": 0, "l": l, "i": "R", "j": "R", "re": 1.0, "im": 0.0} for l in range(-500, 501)],
+     1001**2 * 2001),
+], ids=["hop-1e8", "1001-hops"])
+def test_channel_file_too_large_to_certify_exits_2(terms, size, tmp_path, capsys):
+    chan = tmp_path / "chan.json"
+    chan.write_text(json.dumps({"label": "huge", "terms": terms}))
+    tracemalloc.start()
+    try:
+        code = main(["moments", "--channel-file", str(chan), "--t", "3"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: completeness certificate size {size} "
+                            "exceeds the limit of 1000000\n")
+    assert peak < 2 * 10**6
+
+
 def test_walk_accepts_good_channel_file(tmp_path):
     chan = tmp_path / "chan.json"
     # the coherent Hadamard walk, written out by hand
@@ -410,33 +445,19 @@ def test_walk_negative_horizon_exits_2(capsys):
 
 
 def test_moments_asymptotic_zero_nodes_exits_2(capsys):
-    assert main(["moments", "--coin", "R", "--asymptotic", "--nk", "0"]) == 2
+    # the limit picks its own node count, so any --nk is a usage error
+    with pytest.raises(SystemExit) as err:
+        main(["moments", "--coin", "R", "--asymptotic", "--nk", "0"])
+    assert err.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "node count" in captured.err
-
-
-@pytest.mark.parametrize("nk, value, message", [
-    ("1", "0.99999999999999944", "1 momentum nodes cannot be checked"),
-    ("2", "0.49999999999999972", "2 momentum nodes cannot be checked"),
-    ("3", "0.28571428571428553", "3 momentum nodes cannot be checked"),
-    ("8", "0.30357142857142838", "the 8- and 4-node rules differ"),
-])
-def test_moments_asymptotic_coarse_rule_warns(nk, value, message, capsys):
-    # the value is still printed (exit 0), but no longer silently: the
-    # converged limit is 0.3033400534048355
-    with pytest.warns(QuadratureTooCoarseWarning, match=message):
-        assert main(["moments", "--channel", "broken-line", "--p", "0.5", "--coin", "R",
-                     "--asymptotic", "--nk", nk]) == 0
-    assert capsys.readouterr().out == value + "\n"
+    assert "--nk has no effect with --asymptotic" in captured.err
 
 
 @pytest.mark.parametrize("argv, message, peak_bytes", [
     (["moments", "--t", "1000000000"],
      "horizon 1000000000 exceeds the limit of 1000000", 10**6),
     (["moments", "--t", "20", "--nk", "100000000000"],
-     "momentum node count 100000000000 exceeds the limit of 1000000", 10**6),
-    (["moments", "--asymptotic", "--nk", "100000000000"],
      "momentum node count 100000000000 exceeds the limit of 1000000", 10**6),
     # the grid of 10^6 nodes is built (8 MB), the sweep over half of it is not
     (["moments", "--t", "20000", "--nk", "1000000"],
@@ -446,7 +467,7 @@ def test_moments_asymptotic_coarse_rule_warns(nk, value, message, capsys):
      10**6),
     (["diffusion", "--with-slope", "--p-min", "0.5", "--p-max", "0.5",
       "--t-hi", "100000000"], "horizon 100000000 exceeds the limit of 1000000", 10**6),
-], ids=["horizon", "nodes", "asymptotic-nodes", "node-steps", "walk", "slope"])
+], ids=["horizon", "nodes", "node-steps", "walk", "slope"])
 def test_infeasible_sizes_exit_2_before_allocating(argv, message, peak_bytes, capsys):
     tracemalloc.start()
     try:
@@ -476,6 +497,13 @@ def test_unparseable_coin_is_an_argparse_error():
     assert err.value.code == 2
 
 
+def test_coin_of_four_non_numbers_is_an_argparse_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["moments", "--coin", "a,b,c,d", "--t", "2"])
+    assert err.value.code == 2
+    assert "cannot parse coin 'a,b,c,d'" in capsys.readouterr().err
+
+
 def test_walk_rejects_node_count_flag(capsys):
     # the oracle has no momentum grid, so --nk would be silently ignored
     with pytest.raises(SystemExit) as err:
@@ -502,6 +530,8 @@ def test_walk_rejects_node_count_flag(capsys):
         (["moments", "--asymptotic", "--format", "json", "--t", "7", "--naive"], "--t"),
         (["moments", "--asymptotic", "--naive"], "--naive"),
         (["moments", "--asymptotic", "--format", "csv"], "--format"),
+        (["moments", "--asymptotic", "--nk", "8"], "--nk"),
+        (["moments", "--asymptotic", "--t", "0"], "--t"),
         (["diffusion", "--critical", "--p-min", "0.2"], "--p-min"),
         (["diffusion", "--critical", "--p-max", "0.8"], "--p-max"),
         (["diffusion", "--critical", "--p-step", "0.1"], "--p-step"),
@@ -509,6 +539,7 @@ def test_walk_rejects_node_count_flag(capsys):
         (["diffusion", "--critical", "--t-lo", "100"], "--t-lo"),
         (["diffusion", "--critical", "--t-hi", "200"], "--t-hi"),
         (["diffusion", "--critical", "--nk", "64"], "--nk"),
+        (["diffusion", "--critical", "--nk", "0"], "--nk"),
         # the slope flags act only with --with-slope
         (["diffusion", "--p-min", "0.5", "--p-max", "0.5", "--t-lo", "5", "--t-hi", "3",
           "--nk", "7"], "--t-lo"),
@@ -517,10 +548,10 @@ def test_walk_rejects_node_count_flag(capsys):
     ],
     ids=["q-coherent", "q-default", "p-dephasing", "theta1-coherent",
          "theta4-dephasing", "p-file", "q-file", "channel-and-file",
-         "t-asymptotic", "naive-asymptotic", "format-asymptotic", "p-min-critical",
-         "p-max-critical", "p-step-critical", "with-slope-critical", "t-lo-critical",
-         "t-hi-critical", "nk-critical", "t-lo-no-slope", "t-hi-no-slope",
-         "nk-no-slope"],
+         "t-asymptotic", "naive-asymptotic", "format-asymptotic", "nk-asymptotic",
+         "t0-asymptotic", "p-min-critical", "p-max-critical", "p-step-critical",
+         "with-slope-critical", "t-lo-critical", "t-hi-critical", "nk-critical",
+         "nk0-critical", "t-lo-no-slope", "t-hi-no-slope", "nk-no-slope"],
 )
 def test_flag_the_channel_would_ignore_exits_2(argv, flag, tmp_path, capsys):
     chan = tmp_path / "chan.json"
@@ -600,6 +631,14 @@ def test_diffusion_slope_range_is_checked_before_any_row(flags, tmp_path, capsys
     assert captured.out == "" and not out.exists()
     assert captured.err.startswith("usage: dqwalk diffusion [-h]")
     assert "\ndqwalk diffusion: error: need 1 <= --t-lo < --t-hi, got " in captured.err
+
+
+def test_diffusion_subnormal_row_is_annotated(capsys):
+    # D overflows at so small a p: the row is an error, not D = inf
+    assert main(["diffusion", "--p-min", "1e-310", "--p-max", "1e-310",
+                 "--p-step", "1"]) == 0
+    assert capsys.readouterr().out == (
+        "p,K,D,I,method\n9.9999999999999694e-311,nan,nan,nan,error: BallisticRegimeError\n")
 
 
 def test_diffusion_coherent_row_is_annotated(capsys):
@@ -722,7 +761,7 @@ def test_xcheck_detects_drift_corruption(tmp_path, monkeypatch):
 
 
 def config_from_json_dict(data):
-    """Test-only reference: the inverse of ``RunConfig.to_json_dict``."""
+    """Test-only reference: a ``RunConfig`` from its fields read back from JSON."""
     data = dict(data)
     if isinstance(data["coin"], list):
         data["coin"] = tuple(float(v) for v in data["coin"])
@@ -733,7 +772,7 @@ def test_runconfig_round_trips_through_json():
     for coin in ("symmetric", (0.5, 0.1, 0.2, 0.3)):
         config = RunConfig(subcommand="moments", channel="coin-dephasing",
                            q=0.25, coin=coin, t=17, n_k=64, naive=True)
-        back = config_from_json_dict(json.loads(json.dumps(config.to_json_dict())))
+        back = config_from_json_dict(json.loads(json.dumps(dataclasses.asdict(config))))
         assert back == config
 
 

@@ -702,7 +702,8 @@ def test_asymptotic_rejects_coherent_walk():
     with pytest.raises(NotContractingError) as err:
         asymptotic_first_moment(brokenline.default_channel(0.0), "R")
     assert err.value.spectral_radius >= 1 - 1e-9
-    assert err.value.k in momentum_grid(512)
+    # the first rule, of 64 nodes, already decides
+    assert err.value.k in momentum_grid(64)
     assert f"k = {err.value.k:.6f}" in str(err.value)
 
 
@@ -898,6 +899,7 @@ def test_structure_check_runs_once_per_call(monkeypatch):
     moment_series(brokenline.default_channel(0.7), "R", 600, n_k=1208)
     assert chunks == [256, 256, 93]
     assert len(checks) == 1
+    # the limit checks once per node count; its case converges at the first
     for route in _structure_routes():
         checks.clear()
         route()
@@ -1084,7 +1086,8 @@ def test_half_grid_sweep_matches_full_grid_reference(channel, t, n_k, coin):
 
 def test_asymptotic_sweeps_half_the_grid_of_real_maps(monkeypatch):
     # the limit uses the series' half-grid rule: real maps reach the grids
-    # with nodes 0 .. n_k // 2, complex ones with all n_k
+    # with nodes 0 .. n // 2 of the n-node rule, complex ones with all n;
+    # n starts at 64 and doubles until the n- and n/2-node rules agree
     swept = []
     grids = moments.transfer_grids
 
@@ -1093,12 +1096,13 @@ def test_asymptotic_sweeps_half_the_grid_of_real_maps(monkeypatch):
         return grids(channel, ks)
 
     monkeypatch.setattr(moments, "transfer_grids", spy)
-    for channel, n_k in [(brokenline.default_channel(0.3), 512),
-                         (brokenline.default_channel(0.3), 510),
-                         (dephasing_channel(0.4), 512), (BL_THETA1, 512)]:
+    for channel, coin, want in [(brokenline.default_channel(0.3), "R", [33]),
+                                (dephasing_channel(0.4), "R", [33]),
+                                (BL_THETA1, "R", [64]),
+                                (BL_THETA1, "symmetric", [64, 128])]:
         swept.clear()
-        asymptotic_first_moment(channel, "R", n_k=n_k)
-        assert swept == [n_k if channel is BL_THETA1 else n_k // 2 + 1]
+        asymptotic_first_moment(channel, coin)
+        assert swept == want, (channel.label, coin)
 
 
 def full_grid_asymptotic(channel, coin, n_k=512):
@@ -1172,31 +1176,48 @@ def test_contraction_certificate_spares_the_eigenvalues(monkeypatch):
                - 0.3033400534048355) <= 1e-12
 
 
-@pytest.mark.parametrize("n_k, message", [
-    (1, "1 momentum nodes cannot"), (2, "2 momentum nodes cannot"),
-    (3, "3 momentum nodes cannot"), (511, "511 momentum nodes cannot"),
-    (8, "the 8- and 4-node rules differ"), (4, "the 4- and 2-node rules differ"),
-    (10, "the 10- and 5-node rules differ"),
-])
-def test_asymptotic_coarse_rule_warns(n_k, message):
-    # an odd or tiny rule cannot check itself; an even one is compared with
-    # the rule of half as many nodes that it contains
-    with pytest.warns(QuadratureTooCoarseWarning, match=message):
-        asymptotic_first_moment(brokenline.default_channel(0.5), "R", n_k=n_k)
+def test_asymptotic_doubled_rule_matches_a_fine_reference():
+    # the symmetric coin stops at 128 nodes (the 128- and 64-node rules
+    # agree); 4096 nodes give the same limit
+    for coin in ("symmetric", GENERIC_COIN):
+        want = full_grid_asymptotic(BL_THETA1, coin, n_k=4096)
+        assert abs(asymptotic_first_moment(BL_THETA1, coin) - want) <= 1e-13, coin
 
 
-@pytest.mark.parametrize("n_k", [512, 2048])
+def test_asymptotic_rule_warns_at_the_cap(monkeypatch):
+    # this case doubles once (see the spy test above), so a cap at the first
+    # count leaves its rule unconverged: the last value comes with a warning
+    monkeypatch.setattr(moments, "_MAX_LIMIT_NODES", 64)
+    with pytest.warns(QuadratureTooCoarseWarning, match="the 64- and 32-node rules differ"):
+        asymptotic_first_moment(BL_THETA1, "symmetric")
+
+
+def test_asymptotic_rule_memory_at_the_cap():
+    # a full-grid channel whose rule never converges (the block of the
+    # slowest momentum relaxes over ~1e8 steps) runs every count up to
+    # _MAX_LIMIT_NODES = 2**15 and warns; its traced peak was 42 MiB
+    channel = build_broken_line(BrokenLineParams(p=1e-8, theta1=0.4))
+    tracemalloc.start()
+    try:
+        with pytest.warns(QuadratureTooCoarseWarning, match="the 32768- and 16384-node"):
+            asymptotic_first_moment(channel, "symmetric")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 50 * 2**20
+
+
 @pytest.mark.parametrize(
     "channel",
     [*(brokenline.default_channel(p) for p in (0.1, 0.9)),
      *(dephasing_channel(q) for q in (0.1, 0.9)), BL_THETA1],
     ids=["bl01", "bl09", "dephasing01", "dephasing09", "theta1"],
 )
-def test_asymptotic_converged_rule_is_silent(channel, n_k):
-    # the ends of the benchmark's grid and a full-grid channel: the n_k and
-    # n_k / 2 rules agree (any warning fails the suite)
+def test_asymptotic_converged_rule_is_silent(channel):
+    # the ends of the benchmark's grid and a full-grid channel: the rule
+    # converges below the cap (any warning fails the suite)
     for coin in ("R", "symmetric"):
-        asymptotic_first_moment(channel, coin, n_k=n_k)
+        asymptotic_first_moment(channel, coin)
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,11 @@ def test_amplitude_norm_message_prints_a_plain_float():
     assert str(err.value) == "amplitude norm is 0.848528137423857, expected 1"
 
 
+def test_validate_rejects_a_vector_of_the_wrong_length():
+    with pytest.raises(UnnormalizedCoinError, match="must be a 4-vector"):
+        validate_coin_state(np.zeros(3))
+
+
 def test_validate_returns_real_array():
     out = validate_coin_state(np.array([0.5 + 0j, 0.1, 0.2, 0.3]))
     assert out.dtype.kind == "f"

@@ -188,6 +188,11 @@ def test_evolve_zero_steps_and_negative():
         evolve(state, HAD, -1)
 
 
+def test_moment_direct_rejects_negative_order():
+    with pytest.raises(ValueError, match="moment order must be nonnegative"):
+        moment_direct(init_state("R"), -1)
+
+
 @pytest.mark.parametrize("n_sites, max_hop, steps", [(1, 1, 7), (5, 2, 4), (1, 1, 0)])
 def test_run_size_counts_site_pair_steps_exactly(n_sites, max_hop, steps, monkeypatch):
     # the closed form against the sum of squared widths that the steps hold
