@@ -1192,6 +1192,19 @@ def test_asymptotic_rule_warns_at_the_cap(monkeypatch):
         asymptotic_first_moment(BL_THETA1, "symmetric")
 
 
+@pytest.mark.parametrize("n_k, message", [
+    (8, "the 8- and 4-node rules differ"), (4, "the 4- and 2-node rules differ"),
+    (10, "the 10- and 5-node rules differ"),
+])
+def test_asymptotic_coarse_rule_warns(n_k, message, monkeypatch):
+    # a rule that starts at the cap gets one comparison with the rule of half
+    # as many nodes that it contains; these are too coarse, so it warns
+    monkeypatch.setattr(moments, "_LIMIT_NODES", n_k)
+    monkeypatch.setattr(moments, "_MAX_LIMIT_NODES", n_k)
+    with pytest.warns(QuadratureTooCoarseWarning, match=message):
+        asymptotic_first_moment(brokenline.default_channel(0.5), "R")
+
+
 def test_asymptotic_rule_memory_at_the_cap():
     # a full-grid channel whose rule never converges (the block of the
     # slowest momentum relaxes over ~1e8 steps) runs every count up to
@@ -1207,17 +1220,23 @@ def test_asymptotic_rule_memory_at_the_cap():
     assert peak <= 50 * 2**20
 
 
+@pytest.mark.parametrize("n_k", [512, 2048])
 @pytest.mark.parametrize(
     "channel",
     [*(brokenline.default_channel(p) for p in (0.1, 0.9)),
      *(dephasing_channel(q) for q in (0.1, 0.9)), BL_THETA1],
     ids=["bl01", "bl09", "dephasing01", "dephasing09", "theta1"],
 )
-def test_asymptotic_converged_rule_is_silent(channel):
+def test_asymptotic_converged_rule_is_silent(channel, n_k, monkeypatch):
     # the ends of the benchmark's grid and a full-grid channel: the rule
-    # converges below the cap (any warning fails the suite)
+    # converges below the cap (any warning fails the suite), and a rule
+    # started at n_k, whose n_k and n_k / 2 rules agree, gives the same value
     for coin in ("R", "symmetric"):
-        asymptotic_first_moment(channel, coin)
+        want = asymptotic_first_moment(channel, coin)
+        with monkeypatch.context() as patch:
+            patch.setattr(moments, "_LIMIT_NODES", n_k)
+            got = asymptotic_first_moment(channel, coin)
+        assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), coin
 
 
 # ---------------------------------------------------------------------------
