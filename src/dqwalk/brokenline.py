@@ -120,10 +120,11 @@ def critical_p(tol: float = 1e-10) -> float:
     first, so the bisection target is the unique crossing.
 
     Raises:
+        DomainError: unless ``tol > 0``; an infinite tolerance accepts any point.
         BracketingError: if the bracketing grid is not strictly decreasing
             or the interval [0.05, 0.95] does not straddle the crossing.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN too, which would skip the bisection
         raise DomainError(f"tolerance must be positive, got {tol!r}")
     lo, hi = 0.05, 0.95
     grid = np.linspace(lo, hi, 19)

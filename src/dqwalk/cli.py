@@ -79,7 +79,6 @@ class RunConfig:
     t: int = 20
     t_lo: int = 400
     t_hi: int = 500
-    n_k: int | None = None
     out: str | None = None
     moments_out: str | None = None
     fmt: str = "csv"
@@ -200,7 +199,7 @@ def _sweep_row(p: float, config: RunConfig) -> str:
                f"{res.integral:.17g},closed-form")
         if config.with_slope:
             slope = diffusion_from_slope(brokenline.default_channel(p), "mixed",
-                                         config.t_lo, config.t_hi, config.n_k)
+                                         config.t_lo, config.t_hi)
     return row + (f",{slope:.17g}\n" if config.with_slope else "\n")
 
 
@@ -265,9 +264,7 @@ def cmd_moments(config: RunConfig) -> int:
         with _out_stream(config.out) as fh:
             fh.write(f"{value:.17g}\n")
         return 0
-    series = moment_series(
-        channel, coin, config.t, n_k=config.n_k, naive=config.naive
-    )
+    series = moment_series(channel, coin, config.t, naive=config.naive)
     with _out_stream(config.out) as fh:
         if config.fmt == "json":
             fh.write(_series_json(series))
@@ -450,8 +447,6 @@ def _walk_flags(parser: argparse.ArgumentParser) -> None:
 def _moments_flags(parser: argparse.ArgumentParser) -> None:
     _channel_flags(parser)
     parser.add_argument("--t", type=int, help="horizon")
-    parser.add_argument("--nk", type=int, dest="n_k",
-                        help="momentum node count override")
     parser.add_argument("--naive", action="store_true",
                         help="use the literal double sum for the second moment")
     parser.add_argument("--asymptotic", action="store_true",
@@ -469,7 +464,6 @@ def _diffusion_flags(parser: argparse.ArgumentParser) -> None:
                         help="add a D_slope column from the finite-horizon engine")
     parser.add_argument("--t-lo", type=int)
     parser.add_argument("--t-hi", type=int)
-    parser.add_argument("--nk", type=int, dest="n_k")
     parser.add_argument("--out")
 
 
@@ -517,9 +511,9 @@ def build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
 # Flags that a mode flag turns off: ``moments --asymptotic`` prints one
 # number, and ``diffusion --critical`` runs no sweep.  The slope flags act
 # only with ``diffusion --with-slope``.
-_SLOPE_FLAGS = {"t_lo": "--t-lo", "t_hi": "--t-hi", "n_k": "--nk"}
+_SLOPE_FLAGS = {"t_lo": "--t-lo", "t_hi": "--t-hi"}
 _MODE_IGNORES = {
-    "asymptotic": {"t": "--t", "n_k": "--nk", "naive": "--naive", "fmt": "--format"},
+    "asymptotic": {"t": "--t", "naive": "--naive", "fmt": "--format"},
     "critical": {"p_min": "--p-min", "p_max": "--p-max", "p_step": "--p-step",
                  "with_slope": "--with-slope", **_SLOPE_FLAGS},
 }
@@ -537,7 +531,7 @@ def _ignored_flag(args: argparse.Namespace) -> str | None:
     for mode, ignored in _MODE_IGNORES.items():
         if getattr(args, mode, False):
             for name, flag in ignored.items():
-                # compared by identity: 0 == False, yet --t 0 or --nk 0 is a given flag
+                # compared by identity: 0 == False, yet --t 0 is a given flag
                 if getattr(args, name) is not None and getattr(args, name) is not False:
                     return f"{flag} has no effect with --{mode}"
     if not getattr(args, "with_slope", True):

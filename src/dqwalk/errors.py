@@ -96,4 +96,9 @@ class NonRealMomentError(DQWalkError, ArithmeticError):
 
 
 class QuadratureTooCoarseWarning(UserWarning):
-    """The momentum grid is too coarse for the requested horizon to be exact."""
+    """The long-time limit's momentum rules still disagree at its node cap.
+
+    ``moments.asymptotic_first_moment`` returns its last value with this
+    warning.  A finite-horizon series always runs on its exactness bound and
+    never warns.
+    """

@@ -44,7 +44,8 @@ C_n(k) (x) conj(C_n(k)) carry only the frequencies l - l' with
 (d/dk turns e^{ilk} into i*l*e^{ilk}), so every term of the integrand at
 horizon t, a product of at most t such maps, has degree <= 2 * max_hop * t.
 A uniform n-node rule integrates e^{ijk} exactly for every |j| < n, so
-n_k = 2 * max_hop * t + 1 nodes suffice (``exact_node_bound``).  The same
+n_k = 2 * max_hop * t + 1 nodes suffice (``exact_node_bound``), and every
+series runs on exactly that count; no caller sets it.  The same
 frequencies build the maps: the channel's terms fold into one Fourier
 coefficient per frequency l - l' and map (``_fourier_coefficients``), with
 the change to Pauli coordinates a constant matrix (``_PAULI_MAP``).  Every
@@ -67,9 +68,8 @@ rows.  The series (``_series_sums``) and the limit
 (``asymptotic_first_moment``) then sweep only nodes 0 .. n_k // 2, with
 weight 2 except at the self-paired nodes -pi and 0 (``_swept_rule``).  In
 the series the weights go into the start vector, so the sweep itself is
-unchanged.  This is the same n_k-node rule, not a coarser one: ``n_k``, the
-exactness bound and the coarse-grid warning keep their meaning.  Any other
-channel sweeps all n_k nodes.
+unchanged.  This is the same n_k-node rule, not a coarser one, and n_k is
+still the exactness bound.  Any other channel sweeps all n_k nodes.
 
 The limit picks its own node count: from ``_LIMIT_NODES`` it doubles until
 its rule agrees with the rule of half as many nodes that it contains.  It
@@ -589,61 +589,40 @@ def _finalize(
     )
 
 
-def _prepare(
-    channel: WalkChannel, coin, t_max: int, n_k: int | None
-) -> tuple[np.ndarray, int]:
-    """The start vector and node count of a moment call.
+def _prepare(channel: WalkChannel, coin, t_max: int) -> tuple[np.ndarray, int]:
+    """The start vector and node count, ``exact_node_bound``, of a moment call.
 
-    Rejects a negative horizon, a nonpositive node count and sizes past
-    ``_MAX_HORIZON`` or ``_MAX_NODES``; ``n_k`` defaults to
-    ``exact_node_bound``, and fewer nodes warn.
+    Rejects a negative horizon and sizes past ``_MAX_HORIZON`` or
+    ``_MAX_NODES``.
     """
     if t_max < 0:
         raise ValueError(f"horizon must be nonnegative, got {t_max}")
     ResourceLimitError.check(t_max, _MAX_HORIZON, "horizon")
     rho_vec = coin_state(coin)
-    bound = exact_node_bound(channel, t_max)
-    if n_k is None:
-        n_k = bound
-    if n_k < 1:
-        raise ValueError(f"node count must be positive, got {n_k}")
+    n_k = exact_node_bound(channel, t_max)
     ResourceLimitError.check(n_k, _MAX_NODES, "momentum node count")
-    if n_k < bound:
-        warnings.warn(
-            QuadratureTooCoarseWarning(
-                f"{n_k} momentum nodes < {bound} needed for exactness at t={t_max}; "
-                "results are approximate"
-            ),
-            stacklevel=3,
-        )
     return rho_vec, n_k
 
 
 def moment_series(
-    channel: WalkChannel,
-    coin,
-    t_max: int,
-    n_k: int | None = None,
-    naive: bool = False,
+    channel: WalkChannel, coin, t_max: int, naive: bool = False
 ) -> MomentSeries:
     """Exact <x>_t, <x^2>_t and variance for all t up to ``t_max``.
 
     The walker starts as a point mass at the origin with the given coin
-    state (any form accepted by ``pauli.coin_state``).  ``n_k`` defaults to
-    the exactness bound 2 * max_hop * t_max + 1 (``exact_node_bound``).
-    Smaller values are allowed but trigger ``QuadratureTooCoarseWarning``.
-    ``naive`` switches the second moment to the literal double sum.  The
-    momentum grid is swept in fixed 256-node chunks summed in order, so the
-    result depends only on the arguments.
+    state (any form accepted by ``pauli.coin_state``).  The momentum rule
+    has the exactness bound 2 * max_hop * t_max + 1 (``exact_node_bound``)
+    of nodes, recorded as ``MomentSeries.n_k``: fewer would alias and more
+    give the same numbers.  ``naive`` switches the second moment to the
+    literal double sum.  The momentum grid is swept in fixed 256-node
+    chunks summed in order, so the result depends only on the arguments.
     """
-    rho_vec, n_k = _prepare(channel, coin, t_max, n_k)
+    rho_vec, n_k = _prepare(channel, coin, t_max)
     first, cross, jsum, residue = _series_sums(channel, rho_vec, t_max, n_k, naive)
     return _finalize(first, cross, jsum, n_k, channel.label, rho_vec, residue)
 
 
-def second_moment_coin_specialized(
-    channel: WalkChannel, coin, t_max: int, n_k: int | None = None
-) -> np.ndarray:
+def second_moment_coin_specialized(channel: WalkChannel, coin, t_max: int) -> np.ndarray:
     """<x^2>_t for t = 0 .. t_max for coin-noise channels via the reduced recursion.
 
     When every Kraus operator is (shift) * (coin operator), the derivative
@@ -663,7 +642,7 @@ def second_moment_coin_specialized(
         raise NotACoinChannelError(
             f"channel {channel.label!r} is not of coin-noise form"
         )
-    rho_vec, n_k = _prepare(channel, coin, t_max, n_k)
+    rho_vec, n_k = _prepare(channel, coin, t_max)
     ResourceLimitError.check(n_k * t_max, _MAX_NODE_STEPS, "swept node-step count")
     block, _ = transfer_grids(channel, momentum_grid(n_k))
     # the step map L, (4, 4, n_k): the momentum axis innermost
@@ -781,16 +760,12 @@ def asymptotic_first_moment(channel: WalkChannel, coin) -> float:
 
 
 def diffusion_from_slope(
-    channel: WalkChannel,
-    coin,
-    t_lo: int = 400,
-    t_hi: int = 500,
-    n_k: int | None = None,
+    channel: WalkChannel, coin, t_lo: int = 400, t_hi: int = 500
 ) -> float:
     """Finite-horizon diffusion estimate D = (var(t_hi) - var(t_lo)) / 2 dt."""
     if not 1 <= t_lo < t_hi:
         raise ValueError(f"need 1 <= t_lo < t_hi, got {t_lo}, {t_hi}")
-    series = moment_series(channel, coin, t_hi, n_k=n_k)
+    series = moment_series(channel, coin, t_hi)
     return float(
         0.5 * (series.variance[t_hi] - series.variance[t_lo]) / (t_hi - t_lo)
     )

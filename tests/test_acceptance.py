@@ -35,6 +35,7 @@ from test_moments import (
     block_maps,
     dispersion_matrix_closed_form,
     drift_matrix_closed_form,
+    series_on_nodes,
     transfer_matrix_closed_form,
 )
 
@@ -228,8 +229,9 @@ def test_criterion_8_quadrature_exactness():
     ]:
         t = 20
         base = exact_node_bound(channel, t)
-        a = moment_series(channel, coin, t, n_k=base)
-        b = moment_series(channel, coin, t, n_k=2 * base)
+        a = moment_series(channel, coin, t)
+        b = series_on_nodes(2 * base, channel, coin, t)
+        assert (a.n_k, b.n_k) == (base, 2 * base)
         worst = max(worst, float(np.max(np.abs(a.first - b.first))))
         worst = max(worst, float(np.max(np.abs(a.second - b.second))))
     ok = worst <= 1e-12

@@ -232,8 +232,11 @@ def test_critical_p_respects_tolerance():
     coarse = critical_p(tol=1e-3)
     fine = critical_p(tol=1e-12)
     assert abs(coarse - fine) <= 1e-3
-    with pytest.raises(DomainError):
-        critical_p(tol=0.0)
+    for tol in (0.0, -1.0, float("nan")):
+        with pytest.raises(DomainError, match="tolerance must be positive"):
+            critical_p(tol=tol)
+    # any point of the bracket is within an infinite tolerance
+    assert 0.05 <= critical_p(tol=float("inf")) <= 0.95
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,17 @@
 """End-to-end CLI tests; every invocation goes through ``cli.main`` in-process."""
 
+import contextlib
 import dataclasses
 import io
 import json
+import re
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dqwalk import moments
 from dqwalk.channels import (
@@ -27,6 +31,7 @@ from dqwalk.cli import (
     main,
 )
 from dqwalk.errors import QuadratureTooCoarseWarning
+from dqwalk.pauli import COIN_PRESETS
 from dqwalk.simulator import evolve, init_state, position_distribution
 
 
@@ -444,24 +449,16 @@ def test_walk_negative_horizon_exits_2(capsys):
     assert "nonnegative" in captured.err
 
 
-def test_moments_asymptotic_zero_nodes_exits_2(capsys):
-    # the limit picks its own node count, so any --nk is a usage error
-    with pytest.raises(SystemExit) as err:
-        main(["moments", "--coin", "R", "--asymptotic", "--nk", "0"])
-    assert err.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "--nk has no effect with --asymptotic" in captured.err
-
-
 @pytest.mark.parametrize("argv, message, peak_bytes", [
     (["moments", "--t", "1000000000"],
      "horizon 1000000000 exceeds the limit of 1000000", 10**6),
-    (["moments", "--t", "20", "--nk", "100000000000"],
-     "momentum node count 100000000000 exceeds the limit of 1000000", 10**6),
-    # the grid of 10^6 nodes is built (8 MB), the sweep over half of it is not
-    (["moments", "--t", "20000", "--nk", "1000000"],
-     "swept node-step count 10000020000 exceeds the limit of 10000000000", 4 * 10**7),
+    (["moments", "--t", "500000"],
+     "momentum node count 1000001 exceeds the limit of 1000000", 10**6),
+    # complex link phases sweep the full grid: its 160001 nodes are built
+    # (1.3 MB), the sweep is not.  The default broken line would sweep half
+    # of them, 6.4e9 node-steps, under the limit
+    (["moments", "--channel", "broken-line", "--theta1", "0.4", "--t", "80000"],
+     "swept node-step count 12800080000 exceeds the limit of 10000000000", 4 * 10**7),
     (["walk", "--t", "100000000"],
      "site-pair-step count 1333333373333333700000000 exceeds the limit of 2000000000",
      10**6),
@@ -480,15 +477,6 @@ def test_infeasible_sizes_exit_2_before_allocating(argv, message, peak_bytes, ca
     assert captured.out == ""
     assert message in captured.err
     assert peak < peak_bytes
-
-
-@pytest.mark.parametrize("nk", ["0", "-4"])
-def test_moments_nonpositive_nodes_exit_2_without_warning(nk, capsys, recwarn):
-    assert main(["moments", "--coin", "R", "--t", "3", "--nk", nk]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "node count" in captured.err
-    assert not [w for w in recwarn if w.category is QuadratureTooCoarseWarning]
 
 
 def test_unparseable_coin_is_an_argparse_error():
@@ -512,6 +500,35 @@ def test_walk_rejects_node_count_flag(capsys):
     assert "--nk" in capsys.readouterr().err
 
 
+def assert_unrecognized_node_count(argv, capsys):
+    """``argv`` exits 2 as a usage error that names ``--nk``, printing nothing."""
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: unrecognized arguments: --nk" in captured.err
+
+
+@pytest.mark.parametrize("nk", ["0", "-4"])
+def test_moments_nonpositive_nodes_exit_2_without_warning(nk, capsys, recwarn):
+    # a series always runs on its exactness bound, so there is no --nk
+    assert_unrecognized_node_count(["moments", "--coin", "R", "--t", "3", "--nk", nk],
+                                   capsys)
+    assert not [w for w in recwarn if w.category is QuadratureTooCoarseWarning]
+
+
+def test_moments_asymptotic_zero_nodes_exits_2(capsys):
+    # the limit picks its own node count too
+    assert_unrecognized_node_count(["moments", "--coin", "R", "--asymptotic", "--nk", "0"],
+                                   capsys)
+
+
+def test_diffusion_slope_rejects_node_count_flag(capsys):
+    # the slope runs the series on its exactness bound
+    assert_unrecognized_node_count(["diffusion", "--with-slope", "--nk", "9"], capsys)
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [
@@ -530,7 +547,6 @@ def test_walk_rejects_node_count_flag(capsys):
         (["moments", "--asymptotic", "--format", "json", "--t", "7", "--naive"], "--t"),
         (["moments", "--asymptotic", "--naive"], "--naive"),
         (["moments", "--asymptotic", "--format", "csv"], "--format"),
-        (["moments", "--asymptotic", "--nk", "8"], "--nk"),
         (["moments", "--asymptotic", "--t", "0"], "--t"),
         (["diffusion", "--critical", "--p-min", "0.2"], "--p-min"),
         (["diffusion", "--critical", "--p-max", "0.8"], "--p-max"),
@@ -538,20 +554,17 @@ def test_walk_rejects_node_count_flag(capsys):
         (["diffusion", "--critical", "--with-slope"], "--with-slope"),
         (["diffusion", "--critical", "--t-lo", "100"], "--t-lo"),
         (["diffusion", "--critical", "--t-hi", "200"], "--t-hi"),
-        (["diffusion", "--critical", "--nk", "64"], "--nk"),
-        (["diffusion", "--critical", "--nk", "0"], "--nk"),
         # the slope flags act only with --with-slope
-        (["diffusion", "--p-min", "0.5", "--p-max", "0.5", "--t-lo", "5", "--t-hi", "3",
-          "--nk", "7"], "--t-lo"),
+        (["diffusion", "--p-min", "0.5", "--p-max", "0.5", "--t-lo", "5", "--t-hi", "3"],
+         "--t-lo"),
         (["diffusion", "--t-hi", "200"], "--t-hi"),
-        (["diffusion", "--p-min", "0.2", "--nk", "64"], "--nk"),
     ],
     ids=["q-coherent", "q-default", "p-dephasing", "theta1-coherent",
          "theta4-dephasing", "p-file", "q-file", "channel-and-file",
-         "t-asymptotic", "naive-asymptotic", "format-asymptotic", "nk-asymptotic",
+         "t-asymptotic", "naive-asymptotic", "format-asymptotic",
          "t0-asymptotic", "p-min-critical", "p-max-critical", "p-step-critical",
-         "with-slope-critical", "t-lo-critical", "t-hi-critical", "nk-critical",
-         "nk0-critical", "t-lo-no-slope", "t-hi-no-slope", "nk-no-slope"],
+         "with-slope-critical", "t-lo-critical", "t-hi-critical",
+         "t-lo-no-slope", "t-hi-no-slope"],
 )
 def test_flag_the_channel_would_ignore_exits_2(argv, flag, tmp_path, capsys):
     chan = tmp_path / "chan.json"
@@ -771,7 +784,7 @@ def config_from_json_dict(data):
 def test_runconfig_round_trips_through_json():
     for coin in ("symmetric", (0.5, 0.1, 0.2, 0.3)):
         config = RunConfig(subcommand="moments", channel="coin-dephasing",
-                           q=0.25, coin=coin, t=17, n_k=64, naive=True)
+                           q=0.25, coin=coin, t=17, naive=True)
         back = config_from_json_dict(json.loads(json.dumps(dataclasses.asdict(config))))
         assert back == config
 
@@ -786,7 +799,8 @@ def test_parser_defaults_are_runconfig_defaults(sub):
 
 # ``--help`` of each subcommand as printed at 80 columns by Python 3.11 when
 # every subcommand was a subparser of one root parser; the flat per-subcommand
-# parsers must print the same bytes.
+# parsers must print the same bytes.  The ``moments`` and ``diffusion`` texts
+# have since lost their ``--nk`` lines with the flag.
 PINNED_HELP = {
     "walk": """\
 usage: dqwalk walk [-h] [--channel {coherent,broken-line,coin-dephasing}]
@@ -811,7 +825,7 @@ channel:
     "moments": """\
 usage: dqwalk moments [-h] [--channel {coherent,broken-line,coin-dephasing}]
                       [--channel-file PATH] [--p P] [--q Q] [--coin COIN]
-                      [--out OUT] [--t T] [--nk N_K] [--naive] [--asymptotic]
+                      [--out OUT] [--t T] [--naive] [--asymptotic]
                       [--format {csv,json}]
 
 options:
@@ -820,7 +834,6 @@ options:
                         Pauli coordinates
   --out OUT             output path ('-' or omitted = stdout)
   --t T                 horizon
-  --nk N_K              momentum node count override
   --naive               use the literal double sum for the second moment
   --asymptotic          print the long-time first moment instead of a series
   --format {csv,json}
@@ -834,7 +847,7 @@ channel:
     "diffusion": """\
 usage: dqwalk diffusion [-h] [--p-min P_MIN] [--p-max P_MAX] [--p-step P_STEP]
                         [--critical] [--with-slope] [--t-lo T_LO]
-                        [--t-hi T_HI] [--nk N_K] [--out OUT]
+                        [--t-hi T_HI] [--out OUT]
 
 options:
   -h, --help       show this help message and exit
@@ -845,7 +858,6 @@ options:
   --with-slope     add a D_slope column from the finite-horizon engine
   --t-lo T_LO
   --t-hi T_HI
-  --nk N_K
   --out OUT
 """,
     "xcheck": """\
@@ -905,3 +917,68 @@ def test_parse_coin_forms():
     with pytest.raises(Exception):
         _parse_coin("1,2")
 
+
+
+# ---------------------------------------------------------------------------
+# fuzzed argv
+# ---------------------------------------------------------------------------
+
+# Float flag values at and past the edges of every domain.
+FUZZ_FLOATS = ["nan", "inf", "-inf", "0", "1", "5e-324", "1e-9", "1.0000001", "0.5",
+               "-0.1"]
+# The one row a command may write with nan in it: the coherent walk's, which
+# has no diffusion constant (with ``--with-slope`` its slope is nan too).
+BALLISTIC_ROW = re.compile(r"^[^,\n]*,nan,nan,nan,error: BallisticRegimeError(,nan)?$",
+                           re.MULTILINE)
+
+
+@st.composite
+def fuzzed_argv(draw):
+    """argv for ``moments`` (series or ``--asymptotic``), ``walk`` or ``diffusion``."""
+    value = st.sampled_from(FUZZ_FLOATS)
+    coin = st.one_of(st.sampled_from(sorted(COIN_PRESETS)),
+                     st.lists(value, min_size=4, max_size=4).map(",".join))
+    horizon = st.integers(-2, 10).map(str)
+
+    def maybe(flag, strategy):
+        return [flag, draw(strategy)] if draw(st.booleans()) else []
+
+    kind = draw(st.sampled_from(["moments", "asymptotic", "walk", "diffusion"]))
+    if kind == "diffusion":
+        mode = draw(st.sampled_from([[], ["--critical"], ["--with-slope"]]))
+        if mode == ["--critical"]:
+            return ["diffusion", *mode]
+        argv = ["diffusion", *mode]
+        for flag in ("--p-min", "--p-max", "--p-step"):
+            argv += maybe(flag, value)
+        if mode:
+            argv += maybe("--t-lo", horizon) + maybe("--t-hi", horizon)
+        return argv
+    channel = draw(st.sampled_from(["broken-line", "coin-dephasing", "coherent"]))
+    argv = ["moments" if kind == "asymptotic" else kind, "--channel", channel]
+    if channel == "broken-line":
+        for flag in ("--p", "--theta1", "--theta4"):
+            argv += maybe(flag, value)
+    elif channel == "coin-dephasing":
+        argv += maybe("--q", value)
+    argv += maybe("--coin", coin)
+    if kind == "asymptotic":
+        return argv + ["--asymptotic"]
+    return argv + maybe("--t", horizon)
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=fuzzed_argv())
+def test_fuzzed_argv_exits_cleanly_and_prints_no_nan(argv):
+    # every input is either answered with finite numbers or refused with a
+    # usage (2) or regime (3) exit; a numpy warning fails the suite
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    text = BALLISTIC_ROW.sub("", out.getvalue()).lower()
+    assert "nan" not in text and "inf" not in text, (argv, out.getvalue())
+    assert code == 0 or out.getvalue() == "", argv

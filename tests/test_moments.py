@@ -487,8 +487,22 @@ def oracle_prefix(channel, coin, t_max):
     return np.array(first), np.array(second)
 
 
-def deviation_at_nodes(channel, coin, t, n_k, oracle):
-    series = moment_series(channel, coin, t, n_k=n_k)
+def series_on_nodes(n_k, channel, coin, t):
+    """``moment_series`` run end to end on an n_k-node rule, not its exactness bound.
+
+    The probes of the rule itself (aliasing, node doubling, even grids,
+    chunk edges) patch ``moments.exact_node_bound``, which ``_prepare``
+    looks up at call time; ``n_k=None`` keeps the bound.
+    """
+    if n_k is None:
+        return moment_series(channel, coin, t)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(moments, "exact_node_bound", lambda channel, t_max: n_k)
+        return moment_series(channel, coin, t)
+
+
+def deviation_from_oracle(channel, coin, t, oracle):
+    series = moment_series(channel, coin, t)
     first, second = oracle
     # one np.max over both columns, so a NaN anywhere propagates
     return np.max(np.abs(np.concatenate(
@@ -524,14 +538,14 @@ def test_coherent_first_step_matches_oracle():
 def test_engine_matches_oracle(channel, coin):
     t = 12
     oracle = oracle_prefix(channel, coin, t)
-    assert deviation_at_nodes(channel, coin, t, None, oracle) <= 1e-9
+    assert deviation_from_oracle(channel, coin, t, oracle) <= 1e-9
 
 
 # Four full blocks of the moment sweep and one partial block.
 PAST_BLOCK_THRESHOLD = 65
-# (horizon, nodes): half a block, and four full blocks plus a partial one
-# on the broken line's exact grid
-SWEEP_CASES = [(8, 64), (65, 131)]
+# (horizon, nodes): half a block on 64 nodes, and four full blocks plus a
+# partial one on the exact grid (None: the bound)
+SWEEP_CASES = [(8, 64), (PAST_BLOCK_THRESHOLD, None)]
 
 
 @pytest.mark.parametrize(
@@ -541,16 +555,15 @@ SWEEP_CASES = [(8, 64), (65, 131)]
 )
 def test_engine_matches_oracle_past_block_threshold(channel, coin):
     t = PAST_BLOCK_THRESHOLD
-    n_k = exact_node_bound(channel, t)
     oracle = oracle_prefix(channel, coin, t)
-    assert deviation_at_nodes(channel, coin, t, n_k, oracle) <= 1e-9
+    assert deviation_from_oracle(channel, coin, t, oracle) <= 1e-9
 
 
 def test_naive_double_sum_agrees_with_recursion():
     ch = brokenline.default_channel(0.3)
-    for t, n_k in [(12, None), SWEEP_CASES[-1]]:
-        fast = moment_series(ch, "R", t, n_k=n_k)
-        slow = moment_series(ch, "R", t, n_k=n_k, naive=True)
+    for t in (12, PAST_BLOCK_THRESHOLD):
+        fast = moment_series(ch, "R", t)
+        slow = moment_series(ch, "R", t, naive=True)
         assert np.max(np.abs(fast.second - slow.second)) <= 1e-11
         assert np.array_equal(fast.first, slow.first)  # same code path
 
@@ -580,7 +593,7 @@ def test_blocked_sweep_matches_one_step_reference(channel):
         (63, 2 * (swept - 1) if folds else swept) for swept in SWEPT_NODES
     ]
     for t, n_k in cases:
-        series = moment_series(channel, GENERIC_COIN, t, n_k=n_k)
+        series = series_on_nodes(n_k, channel, GENERIC_COIN, t)
         got = (series.first, series.second, series.variance)
         want = reference_series(channel, GENERIC_COIN, t, n_k=n_k)
         for g, w in zip(got, want):
@@ -778,16 +791,11 @@ def test_node_doubling_changes_nothing():
     ch = brokenline.default_channel(0.3)
     t = 15
     base_n = exact_node_bound(ch, t)
-    a = moment_series(ch, "R", t, n_k=base_n)
-    b = moment_series(ch, "R", t, n_k=2 * base_n)
+    a = moment_series(ch, "R", t)
+    b = series_on_nodes(2 * base_n, ch, "R", t)
+    assert (a.n_k, b.n_k) == (base_n, 2 * base_n)
     assert np.max(np.abs(a.first - b.first)) <= 1e-12
     assert np.max(np.abs(a.second - b.second)) <= 1e-12
-
-
-def test_coarse_grid_warns():
-    ch = brokenline.default_channel(0.3)
-    with pytest.warns(QuadratureTooCoarseWarning):
-        moment_series(ch, "R", 10, n_k=exact_node_bound(ch, 10) - 2)
 
 
 GENERIC_COIN = np.array([0.5, 0.1, 0.2, -0.3])
@@ -804,20 +812,18 @@ def test_exact_node_bound_is_exact(channel):
     # up to horizon t without error, on each horizon's own grid
     oracle = oracle_prefix(channel, GENERIC_COIN, 10)
     for t in range(1, 11):
-        n_k = exact_node_bound(channel, t)
-        assert deviation_at_nodes(channel, GENERIC_COIN, t, n_k, oracle) <= 1e-9
+        assert deviation_from_oracle(channel, GENERIC_COIN, t, oracle) <= 1e-9
 
 
-def test_grid_below_exact_node_bound_aliases():
+def test_grid_below_exact_node_bound_aliases(monkeypatch):
     # the bound is tight enough to matter: two nodes fewer and the top
     # frequencies of the broken-line integrand alias onto the mean
     ch = brokenline.default_channel(0.3)
     t = 7
     n_k = exact_node_bound(ch, t) - 2
     assert n_k == 13
-    with pytest.warns(QuadratureTooCoarseWarning):
-        dev = deviation_at_nodes(ch, GENERIC_COIN, t, n_k,
-                                 oracle_prefix(ch, GENERIC_COIN, t))
+    monkeypatch.setattr(moments, "exact_node_bound", lambda channel, t_max: n_k)
+    dev = deviation_from_oracle(ch, GENERIC_COIN, t, oracle_prefix(ch, GENERIC_COIN, t))
     assert dev > 1e-6
 
 
@@ -831,9 +837,8 @@ def test_grid_below_exact_node_bound_aliases():
 )
 def test_engine_matches_oracle_on_random_channels(seed, num_kraus, layers, coin, t):
     channel = random_layered_channel(seed, num_kraus, layers)
-    n_k = exact_node_bound(channel, t)
     oracle = oracle_prefix(channel, coin, t)
-    assert deviation_at_nodes(channel, coin, t, n_k, oracle) <= 1e-9
+    assert deviation_from_oracle(channel, coin, t, oracle) <= 1e-9
 
 
 def _imaginary_step(freqs, coef, real):
@@ -853,7 +858,7 @@ def _real_drift_top_row(freqs, coef, real):
 def _structure_routes():
     """Every route that reads the transfer maps, as zero-argument calls."""
     bl, deph = brokenline.default_channel(0.4), dephasing_channel(0.4)
-    series = [lambda t=t, n_k=n_k: moment_series(bl, "R", t, n_k=n_k)
+    series = [lambda t=t, n_k=n_k: series_on_nodes(n_k, bl, "R", t)
               for t, n_k in SWEEP_CASES]
     return series + [
         lambda: moment_series(bl, "R", 6, naive=True),
@@ -896,7 +901,7 @@ def test_structure_check_runs_once_per_call(monkeypatch):
     monkeypatch.setattr(moments, "_coefficient_residue", check_spy)
     monkeypatch.setattr(moments, "_node_maps", maps_spy)
     # t = 600: a half grid of 605 of 1208 nodes, in three chunks
-    moment_series(brokenline.default_channel(0.7), "R", 600, n_k=1208)
+    series_on_nodes(1208, brokenline.default_channel(0.7), "R", 600)
     assert chunks == [256, 256, 93]
     assert len(checks) == 1
     # the limit checks once per node count; its case converges at the first
@@ -937,16 +942,6 @@ def test_only_the_naive_route_evaluates_complex_maps(monkeypatch):
         assert (calls["complex"] > 0) == (name == "naive"), name
 
 
-@pytest.mark.parametrize("n_k", [0, -4])
-@pytest.mark.parametrize(
-    "route", [moment_series, second_moment_coin_specialized]
-)
-def test_nonpositive_node_count_rejected_without_warning(route, n_k, recwarn):
-    with pytest.raises(ValueError, match="node count must be positive"):
-        route(dephasing_channel(0.3), "R", 3, n_k=n_k)
-    assert not [w for w in recwarn if w.category is QuadratureTooCoarseWarning]
-
-
 def _nan_coherent_channel():
     # built by hand, so no completeness certificate stands in the way
     terms = list(HAD.terms)
@@ -971,9 +966,11 @@ def test_nan_channel_data_fail_closed():
 
 
 def test_coin_specialized_sweep_past_the_node_step_limit_is_refused():
-    # the CLI tests cover the other limits; this route has no CLI of its own
-    with pytest.raises(ResourceLimitError, match="swept node-step count 10001000000 exceeds"):
-        second_moment_coin_specialized(dephasing_channel(0.3), "R", 10**4 + 1, n_k=10**6)
+    # the CLI tests cover the other limits; this route has no CLI of its own.
+    # Its n_k = 2t + 1 nodes take about 930 B each (tracemalloc at t = 2000
+    # and 8000), so the largest admissible call peaks near 132 MB
+    with pytest.raises(ResourceLimitError, match="swept node-step count 10000161753 exceeds"):
+        second_moment_coin_specialized(dephasing_channel(0.3), "R", 70711)
 
 
 def test_negative_horizon_rejected():
@@ -1059,7 +1056,7 @@ def test_symmetric_channel_sweeps_half_the_grid(monkeypatch):
                                (brokenline.default_channel(0.3), 1201, [256, 256, 89]),
                                (BL_THETA1, 48, [48])]:
         swept.clear()
-        assert moment_series(channel, "R", 20, n_k=n_k).n_k == n_k
+        assert series_on_nodes(n_k, channel, "R", 20).n_k == n_k
         assert swept == want
 
 
@@ -1077,7 +1074,7 @@ def test_half_grid_sweep_matches_full_grid_reference(channel, t, n_k, coin):
     assert coin_state(coin)[2] != 0
     # the exactness bound is odd; one node more gives an even grid
     n_k = exact_node_bound(channel, t) + (n_k == "even")
-    series = moment_series(channel, coin, t, n_k=n_k)
+    series = series_on_nodes(n_k, channel, coin, t)
     assert series.n_k == n_k
     want = reference_series(channel, coin, t, n_k=n_k)
     for g, w in zip((series.first, series.second, series.variance), want):
