@@ -33,6 +33,7 @@ from . import brokenline
 from .channels import (
     HADAMARD,
     BrokenLineParams,
+    KrausTerm,
     WalkChannel,
     build_broken_line,
     build_coherent,
@@ -53,7 +54,7 @@ from .moments import (
     second_moment_coin_specialized,
 )
 from .pauli import COIN_PRESETS
-from .simulator import check_run_size, fold, init_state, position_distribution, step
+from .simulator import distributions, evolve, fold, init_state, position_distribution
 
 _BUILTIN_CHANNELS = ("coherent", "broken-line", "coin-dephasing")
 _MAX_SWEEP_ROWS = 10**6
@@ -221,15 +222,11 @@ def _oracle_run(channel: WalkChannel, coin, t_max: int, x0: int = 0):
             f"start {x0} with {t_max} steps of up to {channel.max_hop} sites "
             "leaves the 64-bit position range"
         )
-    check_run_size(1, channel.max_hop, t_max)
     state = init_state(coin, x0=x0)
     folded = fold(channel)
     firsts, seconds, variances = [], [], []
-    for t in range(t_max + 1):
-        if t:
-            state = step(state, folded)
-        # one diagonal read per step; the sums are moment_direct's
-        xs, probs = position_distribution(state)
+    for xs, probs in distributions(state, folded, t_max):
+        # the sums are moment_direct's
         offsets = (xs - x0).astype(float)
         xf = xs.astype(float)
         firsts.append(float(np.sum(xf ** 1 * probs)))
@@ -303,6 +300,19 @@ def cmd_diffusion(config: RunConfig) -> int:
     return 0
 
 
+def _two_steps(channel: WalkChannel) -> WalkChannel:
+    """Two steps of ``channel`` as one channel, of Kraus operators E_m E_n."""
+    count = max(channel.kraus_indices) + 1
+    amps: dict[tuple, complex] = {}
+    for a in channel.terms:
+        for b in channel.terms:
+            if a.j == b.i:
+                key = (a.n * count + b.n, a.l + b.l, a.i, b.j)
+                amps[key] = amps.get(key, 0) + a.amp * b.amp
+    return WalkChannel(f"{channel.label}-twice", tuple(
+        KrausTerm(*key, amp) for key, amp in amps.items() if amp != 0))
+
+
 def _xcheck_rows() -> list[tuple[str, float, float]]:
     """Each row is (name, max |delta|, tolerance)."""
     rows: list[tuple[str, float, float]] = []
@@ -343,6 +353,20 @@ def _xcheck_rows() -> list[tuple[str, float, float]]:
     engine_vs_oracle(
         "broken-line p=0.3, coin R, t=65", brokenline.default_channel(0.3), "R", 65
     )
+
+    def band_vs_evolve(channel: WalkChannel) -> float:
+        """max |walk's band run - evolve| per site at t = 16, symmetric coin."""
+        start = init_state("symmetric")
+        *_, (_, band) = distributions(start, channel, 16)
+        _, full = position_distribution(evolve(start, channel, 16))
+        return float(np.max(np.abs(band - full)))
+
+    rows.append((
+        "broken-line p=0.3, theta1=0.4 and its two-step channel, symmetric coin: "
+        "walk's band run vs evolve, t=16",
+        max(band_vs_evolve(theta1), band_vs_evolve(_two_steps(theta1))),
+        1e-15,
+    ))
 
     bl = brokenline.default_channel(0.3)
     # a different global phase per Kraus operator: complex Kraus operators

@@ -33,8 +33,8 @@ row count) and at least ``_TILE_FLOOR``, so its buffer holds about N^2
 elements, one block's worth, rather than k N^2.  Tiling and write-first go
 together only because each group starts with its largest ket offset l: a
 later tile's write then lands on rows past every row that an earlier tile
-added to.  ``evolve`` and the CLI fold the channel once per run
-(``fold``) and pass the fold to every ``step``.
+added to.  ``evolve`` folds the channel once per run (``fold``) and
+passes the fold to every ``step``.
 
 Three facts cut the work further, and all are exact:
 
@@ -64,6 +64,44 @@ without a copy.  The sums run in a different order from the term-by-term
 loop and from earlier versions of this step, so probabilities agree with
 them to about 1e-17, not byte for byte; unreachable sites still come out
 as exact zeros.
+
+``walk`` reports only diagonals: the moments after every step and the final
+distribution.  ``distributions`` runs a start for ``t_max`` steps and yields
+just those, stepping only the coherences that can still reach one.  A step
+moves the offset y - x of rho(x, y) by l' - l, at most 2 h (h = max_hop),
+so at step m a coherence of offset above 2 h (t_max - m) never reaches the
+diagonal again, and by Hermiticity rho_ab(x, y) = conj rho_ba(y, x) the
+offsets below 0 repeat those above.  The run therefore holds each coin-pair
+block as an upper band, diagonal-major:
+
+    band[r, j, x] = rho_ab(x, x + j - 2 h),  j = 0 .. W - 1,
+    W = min(N - 1, 2 h (t_max - m)) + 2 h + 1,
+
+zero where x + j - 2 h leaves the window.  Band row 2 h is the diagonal, and
+the rows above it, offsets 0 .. W - 2 h - 1, are stepped.  Before each step
+the 2 h rows below it are refilled from the mirror image,
+rho_ab(x, x - e) = conj rho_ba(x - e, x), because a step reads offsets down
+to -2 h to fill offset 0.  A pair (l, l') moves band row j to j + l' - l and
+site x to x + h + l, so each tile of band rows is one contiguous matrix
+product, as in ``step``, with its slabs written first and then added.  Each
+group's pairs run by descending l' - l, which lets the tiles write before
+they add.  The product buffer holds about one block, but at least
+``_TILE_ELEMENTS``, because band rows are whole windows long.  All four
+blocks are computed, the RL block too, since the band holds only half of
+each.  The rows, float views and dtype promotion are ``step``'s.  Four
+blocks of W N entries per step, against the square step's three blocks of
+N^2, come to 0.56, 0.53 and 0.51 of its products at t = 60, 120 and 240.
+The mirrored rows and the computed RL block round differently from
+``step``, so the distributions match ``evolve``'s to about 1e-16, not byte
+for byte.
+
+``step`` and ``evolve`` keep the square layout, because tests and the
+benchmark's checks read the full state from them as the reference.  The
+band cannot stand in for it: holding every coherence, the band pads the
+upper triangle to a rectangle and runs slower than the square step (80
+against 72 ms for 120 steps of the broken line at p = 0.3 with coin R, 147
+against 121 ms with the symmetric coin, 2-vCPU Xeon; the light-cone band
+took 35 and 58 ms).
 """
 
 from __future__ import annotations
@@ -79,6 +117,11 @@ from .pauli import coin_state, from_pauli
 # Fewest ket rows per tile of a step's product: below this the per-tile
 # numpy calls cost more than the smaller buffer saves.
 _TILE_FLOOR = 32
+
+# Fewest elements in the product buffer of one of ``distributions``' tiles:
+# its band rows are whole sites long, so a tile of one block's size is few
+# rows, and the per-tile numpy calls would cost more than the buffer saves.
+_TILE_ELEMENTS = 1 << 16
 
 # Site-pair-steps (n_sites^2 summed over the steps of a run) past which a
 # run is refused before it starts (``check_run_size``).  They set both the
@@ -220,6 +263,98 @@ def step(state: DensityState, channel: WalkChannel | FoldedChannel) -> DensitySt
         x_max=state.x_max + hop,
         rho=new.reshape(2, 2, n_new, n_new).transpose(2, 0, 3, 1),
     )
+
+
+def distributions(state: DensityState, channel: WalkChannel | FoldedChannel,
+                  t_max: int):
+    """Run ``state`` for ``t_max`` steps, yielding each position distribution.
+
+    Yields ``(positions, probabilities)`` after 0, 1, ..., ``t_max`` steps:
+    ``position_distribution`` of the states ``evolve`` would reach, to about
+    1e-16 rather than byte for byte, with unreachable sites as exact zeros.
+    Only the coherences that can still reach the diagonal by step ``t_max``
+    are stepped, held as the upper band of the module docstring, so no
+    ``DensityState`` is formed after the start.  ``state.rho`` must be
+    Hermitian and is left untouched; ``channel`` is a ``WalkChannel`` or
+    its ``fold``.
+    """
+    if t_max < 0:
+        raise ValueError(f"step count must be nonnegative, got {t_max}")
+    folded = channel if isinstance(channel, FoldedChannel) else fold(channel)
+    hop = folded.max_hop
+    check_run_size(state.n_sites, hop, t_max)
+    diag = 2 * hop  # the band row of offset 0
+
+    def width(n_sites: int, steps_left: int) -> int:
+        return min(n_sites - 1, diag * steps_left) + diag + 1
+
+    n_old = state.n_sites
+    w_old = width(n_old, t_max)
+    square = state.rho.transpose(1, 3, 0, 2).reshape(4, n_old, n_old)
+    band = np.zeros((4, w_old, n_old), dtype=square.dtype)
+    for d in range(w_old - diag):
+        band[:, diag + d, :n_old - d] = square.diagonal(d, 1, 2)
+    # each group's pairs by descending offset shift l' - l, the order the
+    # write-first tiling over band rows needs
+    groups = []
+    for rows, shifts in folded.groups:
+        order = sorted(range(len(shifts)), key=lambda q: shifts[q][0] - shifts[q][1])
+        groups.append((rows[order], [shifts[q] for q in order]))
+    rows_dtype = groups[0][0].dtype
+    k_max = max(1, *(len(rows) for rows, _ in groups))
+    x_min = state.x_min
+    for m in range(t_max + 1):
+        probs = band[0, diag] + band[3, diag]
+        yield x_min + np.arange(n_old), probs.real
+        if m == t_max:
+            return
+        # the 2 hop rows below the diagonal from the mirror image,
+        # rho_ab(x, x - e) = conj rho_ba(x - e, x), zero left of the window
+        band[:, :diag, :diag] = 0
+        for e in range(1, min(diag, n_old - 1) + 1):
+            np.conjugate(band[::3, diag + e, :n_old - e], out=band[::3, diag - e, e:])
+            np.conjugate(band[2:0:-1, diag + e, :n_old - e], out=band[1:3, diag - e, e:])
+        n_new = n_old + diag
+        w_new = width(n_new, t_max - m - 1)
+        new = np.empty((4, w_new, n_new), dtype=np.result_type(band, rows_dtype))
+        src, out, cell = band, new, 1  # cell: array columns per site
+        if new.dtype != rows_dtype:  # a complex state on real rows, as in step
+            src, out, cell = band.view(float), new.view(float), 2
+        cols = cell * n_old
+        height = max(-(-w_old // k_max), _TILE_ELEMENTS // (k_max * cols))
+        buf = np.empty(k_max * min(height, w_old) * cols, dtype=out.dtype)
+        for block, (rows, shifts) in zip(out, groups):
+            if not shifts:  # no row targets this coin pair
+                block[diag:] = 0
+                continue
+            # pair (l, l') moves band row j to j + l' - l, kept where it
+            # lands in [diag, w_new), and site x to x + hop + l
+            spans = []
+            for l, l2 in shifts:
+                s = l2 - l
+                lo, hi = max(diag, s), min(w_old + s, w_new)
+                spans.append((lo - s, hi - s, s, cell * (hop + l)))
+            j0, j1, s, c = spans[0]
+            # the first pair's window is written tile by tile; clear the rest
+            # of the upper band (the rows below it are refilled before use)
+            block[diag:j0 + s] = 0
+            block[j1 + s:] = 0
+            block[j0 + s:j1 + s, :c] = 0
+            block[j0 + s:j1 + s, c + cols:] = 0
+            for y0 in range(0, w_old, height):
+                y1 = min(y0 + height, w_old)
+                prod = buf[:len(rows) * (y1 - y0) * cols].reshape(len(rows), -1)
+                np.matmul(rows, src[:, y0:y1].reshape(4, -1), out=prod)
+                slabs = prod.reshape(len(rows), y1 - y0, cols)
+                for q, ((j0, j1, s, c), slab) in enumerate(zip(spans, slabs)):
+                    a, b = max(y0, j0), min(y1, j1)
+                    if a >= b:
+                        continue
+                    if q:
+                        block[a + s:b + s, c:c + cols] += slab[a - y0:b - y0]
+                    else:
+                        block[a + s:b + s, c:c + cols] = slab[a - y0:b - y0]
+        band, n_old, w_old, x_min = new, n_new, w_new, x_min - hop
 
 
 def check_run_size(n_sites: int, max_hop: int, steps: int) -> None:

@@ -17,8 +17,10 @@ from dqwalk import moments
 from dqwalk.channels import (
     HADAMARD,
     BrokenLineParams,
+    WalkChannel,
     build_broken_line,
     build_coherent,
+    channel_to_dict,
     load_channel,
     save_channel,
 )
@@ -32,7 +34,7 @@ from dqwalk.cli import (
 )
 from dqwalk.errors import QuadratureTooCoarseWarning
 from dqwalk.pauli import COIN_PRESETS
-from dqwalk.simulator import evolve, init_state, position_distribution
+from test_moments import random_layered_channel
 
 
 def read_csv(path):
@@ -100,9 +102,10 @@ def test_walk_distribution_table_bytes(channel, tmp_path):
     out = tmp_path / "dist.csv"
     assert main(["walk", "--channel", channel, "--t", "9", "--coin", "mixed",
                  "--x0", "-3", "--out", str(out)]) == 0
+    # the values are checked against evolve by the oracle's property test
     chan = build_coherent(HADAMARD) if channel == "coherent" else build_broken_line(
         BrokenLineParams(p=RunConfig.p))
-    xs, probs = position_distribution(evolve(init_state("mixed", x0=-3), chan, 9))
+    (xs, probs), _, _, _ = _oracle_run(chan, "mixed", 9, x0=-3)
     want = "x,prob\n" + "".join(
         f"{x},{prob:.17g}\n" for x, prob in zip(xs, probs) if prob != 0.0
     )
@@ -225,6 +228,21 @@ def test_channel_file_amplitude_too_large_for_a_float_exits_2(tmp_path, capsys):
     assert "int too large to convert to float" in captured.err
 
 
+@pytest.mark.parametrize("amp, dup", [(float("-inf"), False), (1e308, False), (1e308, True)],
+                         ids=["-inf", "1e308", "overflowing-duplicate"])
+def test_channel_file_overflowing_amplitude_exits_2(amp, dup, tmp_path, capsys):
+    # the certificate's sums and squares overflow; that is a failed
+    # certificate (exit 2), not a numpy warning
+    terms = _hand_rolled_hadamard()
+    terms[0]["re"] = amp
+    chan = tmp_path / "chan.json"
+    chan.write_text(json.dumps({"label": "huge", "terms": terms + terms[:1] * dup}))
+    assert main(["walk", "--channel-file", str(chan), "--t", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "violates Kraus completeness: residual" in captured.err
+
+
 @pytest.mark.parametrize("terms, size", [
     # four terms, but a hop of 1e8: about 93 GB of phases
     ([dict(t, l=t["l"] * 10**8) for t in _hand_rolled_hadamard()], 4 * (4 * 10**8 + 1)),
@@ -305,6 +323,20 @@ def test_moments_json_format(tmp_path):
     assert data["t"] == list(range(7))
     assert "n_k" in data and "variance" in data
     assert data["channel"].startswith("coin-dephasing")
+
+
+@pytest.mark.parametrize("flags, label", [
+    (["--p", "0.3000001", "--theta1", "0.4"], "broken-line(p=0.3000001, theta1=0.4)"),
+    (["--p", "0.3", "--theta2", "-3.141592653589793", "--theta3", "0", "--theta4", "1"],
+     "broken-line(p=0.3, theta2=-3.141592653589793, theta4=1.0)"),
+    (["--p", "0.3", "--theta2", "3.141592653589793"], "broken-line(p=0.3)"),
+    (["--channel", "coin-dephasing", "--q", "0.30000000000000004"],
+     "coin-dephasing(q=0.30000000000000004)"),
+], ids=["p-and-theta1", "theta2-and-theta4", "default-phases", "dephasing"])
+def test_moments_json_label_names_every_parameter(flags, label, capsys):
+    # p and q in full, and every phase that differs from its default
+    assert main(["moments", *flags, "--t", "2", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["channel"] == label
 
 
 def test_moments_asymptotic_value(capsys):
@@ -719,7 +751,7 @@ def test_xcheck_clean_build_passes(xcheck_run):
     code, report = xcheck_run
     assert code == 0
     assert "FAIL" not in report
-    assert report.strip().endswith("26/26 checks passed")
+    assert report.strip().endswith("27/27 checks passed")
     # both the half-grid sweep and the full-grid one are played against the
     # oracle, with a real and a complex start on the complex-row channel
     assert "theta1=0.4, coin R: second moment vs oracle" in report
@@ -731,7 +763,7 @@ def test_xcheck_coin_reduction_suite(xcheck_run):
     # at every dephasing strength
     code, report = xcheck_run
     assert code == 0
-    assert "26/26 checks passed" in report
+    assert "27/27 checks passed" in report
     for q in ("0", "0.2", "0.5", "1"):
         assert f"coin-dephasing q={q}: generic vs coin-specialized, t<=20" in report
         assert f"coin-dephasing q={q}: dispersion term vs t" in report
@@ -982,3 +1014,84 @@ def test_fuzzed_argv_exits_cleanly_and_prints_no_nan(argv):
     text = BALLISTIC_ROW.sub("", out.getvalue()).lower()
     assert "nan" not in text and "inf" not in text, (argv, out.getvalue())
     assert code == 0 or out.getvalue() == "", argv
+
+
+# ---------------------------------------------------------------------------
+# fuzzed channel files
+# ---------------------------------------------------------------------------
+
+# Amplitudes past what a complete channel can hold: non-finite, overflowing
+# on squaring, and an integer with no float.
+FUZZ_AMPLITUDES = [float("nan"), float("inf"), float("-inf"), 1e308, -1e308, 10**400,
+                   5e-324]
+# Values of the wrong JSON type for some field.
+FUZZ_WRONG_TYPES = ["1", None, True, [1], {"re": 1}, 1.5, -2.0]
+FUZZ_BASES = [channel_to_dict(channel) for channel in (
+    build_coherent(HADAMARD),
+    build_broken_line(BrokenLineParams(p=0.3, theta1=0.4)),
+    random_layered_channel(11, 2, 2),
+    random_layered_channel(12, 1, 3),
+)]
+
+
+@st.composite
+def fuzzed_channel_doc(draw):
+    """A channel file's document: a valid channel, mutated up to three times."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(FUZZ_BASES))))
+    terms = doc["terms"]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["amplitude", "type", "empty", "duplicate", "split",
+                                     "translate", "hop", "drop", "label"]))
+        index = draw(st.integers(0, max(0, len(terms) - 1)))
+        if kind == "empty" or not terms:
+            terms.clear()
+        elif kind == "amplitude":
+            terms[index][draw(st.sampled_from(["re", "im"]))] = draw(
+                st.sampled_from(FUZZ_AMPLITUDES))
+        elif kind == "type":
+            terms[index][draw(st.sampled_from(["n", "l", "i", "j", "re", "im"]))] = draw(
+                st.sampled_from(FUZZ_WRONG_TYPES))
+        elif kind == "duplicate":
+            terms.append(dict(terms[index]))
+        elif kind == "split":  # two terms summing to one: the same channel
+            half = dict(terms[index])
+            for key in ("re", "im"):
+                if type(half.get(key)) is float:
+                    half[key] /= 2
+            terms[index:index + 1] = [half, dict(half)]
+        elif kind == "translate":  # every hop moved alike: still complete
+            shift = draw(st.integers(-2, 2))
+            hops = [term.get("l") for term in terms]
+            if all(type(l) is int and abs(l + shift) <= 3 for l in hops):
+                for term in terms:
+                    term["l"] += shift
+        elif kind == "hop":
+            terms[index]["l"] = draw(st.integers(-3, 3))
+        elif kind == "drop":
+            terms[index].pop(draw(st.sampled_from(["n", "l", "i", "j", "re", "im"])), None)
+        else:
+            doc["label"] = draw(st.sampled_from(FUZZ_WRONG_TYPES))
+    return doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_channel_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "channel.json"
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=fuzzed_channel_doc())
+def test_fuzzed_channel_file_exits_cleanly_and_prints_no_nan(doc, fuzz_channel_path):
+    # a channel file is either run with finite numbers or refused with a
+    # usage (2) or regime (3) exit; a numpy warning fails the suite
+    fuzz_channel_path.write_text(json.dumps(doc))
+    flags = ["--channel-file", str(fuzz_channel_path)]
+    for argv in (["walk", *flags, "--t", "3"], ["moments", *flags, "--t", "3"],
+                 ["moments", *flags, "--asymptotic"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3), (argv, doc, err.getvalue())
+        text = out.getvalue().lower()
+        assert "nan" not in text and "inf" not in text, (argv, doc, out.getvalue())
+        assert code == 0 or out.getvalue() == "", (argv, doc)

@@ -8,9 +8,12 @@ against, so it gets its own independent scrutiny here.
 """
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dqwalk import brokenline, cli, simulator
 from dqwalk.channels import (
@@ -23,16 +26,22 @@ from dqwalk.channels import (
     dephasing_channel,
 )
 from dqwalk.errors import ResourceLimitError
-from dqwalk.pauli import coin_state, from_pauli
+from dqwalk.pauli import COIN_PRESETS, coin_state, from_pauli
 from dqwalk.simulator import (
     DensityState,
+    distributions,
     evolve,
     init_state,
     moment_direct,
     position_distribution,
     step,
 )
-from test_moments import MEASURE, random_coin_channel, random_hop2_channel
+from test_moments import (
+    MEASURE,
+    random_coin_channel,
+    random_hop2_channel,
+    random_layered_channel,
+)
 
 
 def dist_dict(state):
@@ -540,3 +549,111 @@ def test_walk_folds_the_channel_once(fold_calls, tmp_path):
             "--out", str(tmp_path / "walk.csv")]
     assert cli.main(argv) == 0
     assert len(fold_calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# walk's band run (``distributions``) against the full state
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def band_channels(draw):
+    """Channels of max_hop 0, 1 and 2, with real rows and with complex rows."""
+    phase = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
+    prob = st.floats(0.0, 1.0)
+    kind = draw(st.sampled_from(["measurement", "boxed", "broken", "dephasing",
+                                 "coherent", "random-coin", "layered", "two-steps"]))
+    if kind == "measurement":
+        return MEASURE
+    if kind == "boxed":  # p = 1: hop 0, complex rows where theta4 is not 0
+        return build_broken_line(BrokenLineParams(p=1.0, theta4=draw(phase)))
+    if kind in ("broken", "two-steps"):
+        channel = build_broken_line(BrokenLineParams(p=draw(prob), theta1=draw(phase)))
+        return cli._two_steps(channel) if kind == "two-steps" else channel
+    if kind == "dephasing":
+        return dephasing_channel(draw(prob))
+    if kind == "coherent":
+        return HAD
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "random-coin":
+        return random_coin_channel(seed)
+    return random_layered_channel(seed, draw(st.integers(1, 3)), draw(st.integers(1, 2)))
+
+
+@st.composite
+def band_coins(draw):
+    """A coin preset or a Pauli vector, real (sigma_y = 0) or complex."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(sorted(COIN_PRESETS)))
+    unit = st.floats(-1.0, 1.0)
+    bloch = np.array([draw(unit), draw(st.sampled_from([0.0, 0.3, -0.5])), draw(unit)])
+    return np.array([0.5, *(0.5 * bloch / max(1.0, np.linalg.norm(bloch)))])
+
+
+def assert_band_run_matches_evolve(start, channel, t_max):
+    state, count = start, 0
+    for t, (xs, probs) in enumerate(distributions(start, channel, t_max)):
+        if t:
+            state = evolve(state, channel, 1)
+        want_xs, want = position_distribution(state)
+        np.testing.assert_array_equal(xs, want_xs)
+        np.testing.assert_allclose(probs, want, rtol=0, atol=1e-15)
+        # walk prints a row exactly where evolve's probability is not 0.0
+        np.testing.assert_array_equal(probs == 0.0, want == 0.0)
+        count += 1
+    assert count == t_max + 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(channel=band_channels(), coin=band_coins(), t_max=st.integers(0, 20),
+       x0=st.integers(-30, 30), tile_elements=st.sampled_from([1, 1 << 16]))
+def test_band_run_matches_evolve(channel, coin, t_max, x0, tile_elements):
+    # a floor of one element splits every product into tiles of band rows
+    with mock.patch.object(simulator, "_TILE_ELEMENTS", tile_elements):
+        assert_band_run_matches_evolve(init_state(coin, x0), channel, t_max)
+
+
+@pytest.mark.parametrize("t_max", [0, 1])
+@pytest.mark.parametrize("channel", [HAD, BROKEN_THETA1, random_hop2_channel(), MEASURE],
+                         ids=["coherent", "broken-theta1", "hop2", "measurement"])
+def test_band_run_of_zero_and_one_step(channel, t_max):
+    start = init_state("symmetric", x0=4)
+    runs = list(distributions(start, channel, t_max))
+    assert len(runs) == t_max + 1
+    xs, probs = runs[0]
+    assert xs.tolist() == [4] and probs.tolist() == [1.0]
+    assert_band_run_matches_evolve(start, channel, t_max)
+
+
+def test_band_run_leaves_coherent_walk_parity_sites_exactly_zero():
+    *_, (xs, probs) = distributions(init_state("symmetric"), HAD, 31)
+    assert np.all(probs[xs % 2 == 0] == 0.0)
+    assert np.all(probs[xs % 2 == 1] != 0.0)
+
+
+def test_band_run_starts_from_a_wide_state_and_leaves_it_untouched():
+    # a start of many sites, complex, with every coherence in the band
+    start = evolve(init_state("symmetric"), BROKEN_THETA1, 6)
+    before = start.rho.copy()
+    assert_band_run_matches_evolve(start, random_hop2_channel(), 8)
+    np.testing.assert_array_equal(start.rho, before)
+
+
+def test_band_run_checks_its_arguments_before_stepping():
+    with pytest.raises(ValueError, match="nonnegative"):
+        next(distributions(init_state("R"), HAD, -1))
+    with pytest.raises(ResourceLimitError, match="site-pair-step count"):
+        next(distributions(init_state("R"), HAD, 10**7))
+
+
+@pytest.mark.parametrize("coin, run", TILED_RUNS.values(), ids=TILED_RUNS.keys())
+def test_tiled_band_run_writes_every_entry_it_reads(coin, run, monkeypatch):
+    # with the tile floor at one element, every step splits its product into
+    # k tiles of band rows; the uninitialised arrays are NaN-filled, so a
+    # skipped clear or a row read before it is refilled surfaces as NaN
+    monkeypatch.setattr(simulator, "_TILE_ELEMENTS", 1)
+    monkeypatch.setattr(simulator, "np", _NaNFilledEmpty())
+    state = init_state(coin)
+    for channel, steps in run:
+        assert_band_run_matches_evolve(state, channel, steps)
+        state = evolve(state, channel, steps)
