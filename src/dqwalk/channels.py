@@ -16,8 +16,10 @@ and trace preservation is equivalent to sum_n C_n(k)^dag C_n(k) = I at every
 momentum.  ``_coin_blocks`` decodes the term list once into the Fourier blocks
 M_{n,l} of C_n(k) = sum_l M_{n,l} e^{-ilk}.  The completeness certificate
 reads their Gram coefficients, and ``coin_pair_maps`` folds them into the
-one Kraus sum that both the oracle (``simulator.fold``) and the moment
-engine read.  Builders for the standard models live here:
+one Kraus sum that both ``walk``'s band run (``simulator.fold``) and the
+moment engine read.  The oracle's reference, ``simulator.step``, reads the
+terms itself, so a fault in this decoding shows up against it.  Builders
+for the standard models live here:
 
 * ``build_coherent`` -- noiseless coined walk for any unitary coin,
 * ``build_broken_line`` -- each lattice link next to the walker fails

@@ -54,7 +54,13 @@ from .moments import (
     second_moment_coin_specialized,
 )
 from .pauli import COIN_PRESETS
-from .simulator import distributions, evolve, fold, init_state, position_distribution
+from .simulator import (
+    DensityState,
+    distributions,
+    evolve,
+    init_state,
+    position_distribution,
+)
 
 _BUILTIN_CHANNELS = ("coherent", "broken-line", "coin-dephasing")
 _MAX_SWEEP_ROWS = 10**6
@@ -223,9 +229,8 @@ def _oracle_run(channel: WalkChannel, coin, t_max: int, x0: int = 0):
             "leaves the 64-bit position range"
         )
     state = init_state(coin, x0=x0)
-    folded = fold(channel)
     firsts, seconds, variances = [], [], []
-    for xs, probs in distributions(state, folded, t_max):
+    for xs, probs in distributions(state, channel, t_max):
         # the sums are moment_direct's
         offsets = (xs - x0).astype(float)
         xf = xs.astype(float)
@@ -354,17 +359,29 @@ def _xcheck_rows() -> list[tuple[str, float, float]]:
         "broken-line p=0.3, coin R, t=65", brokenline.default_channel(0.3), "R", 65
     )
 
-    def band_vs_evolve(channel: WalkChannel) -> float:
-        """max |walk's band run - evolve| per site at t = 16, symmetric coin."""
-        start = init_state("symmetric")
+    # walk's band run decodes the channel through coin_pair_maps, evolve
+    # reads its Kraus terms alone.  The wide start, a fixed 5-site density
+    # matrix with coherences at every offset, is what shows a fault that
+    # swaps the ket and bra hops of the maps: from a point mass such a
+    # fault moves no diagonal
+    rng = np.random.default_rng(5)
+    amps = rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10))
+    rho = amps @ amps.conj().T
+    wide = DensityState(t=0, x_min=-2, x_max=2,
+                        rho=(rho / np.trace(rho).real).reshape(5, 2, 5, 2))
+
+    def band_vs_evolve(channel: WalkChannel, start: DensityState) -> float:
+        """max |walk's band run - evolve| per site at t = 16."""
         *_, (_, band) = distributions(start, channel, 16)
         _, full = position_distribution(evolve(start, channel, 16))
         return float(np.max(np.abs(band - full)))
 
     rows.append((
-        "broken-line p=0.3, theta1=0.4 and its two-step channel, symmetric coin: "
-        "walk's band run vs evolve, t=16",
-        max(band_vs_evolve(theta1), band_vs_evolve(_two_steps(theta1))),
+        "broken-line p=0.3, theta1=0.4 and its two-step channel, symmetric coin "
+        "and a wide start: walk's band run vs evolve, t=16",
+        max(band_vs_evolve(channel, start)
+            for channel in (theta1, _two_steps(theta1))
+            for start in (init_state("symmetric"), wide)),
         1e-15,
     ))
 

@@ -63,8 +63,8 @@ L(-k) = P conj(L(k)) P, G(-k) = -P conj(G(k)) P and J(-k) = P conj(J(k)) P,
 where P = diag(1, 1, -1, 1) is complex conjugation in the Pauli basis.
 Node -k then carries the integrand of node k started from P rho0, and since
 the moments are linear in rho0 the pair sums to twice node k started from
-rho0 with its sigma_y part removed.  The same flag picks the oracle's real
-rows.  The series (``_series_sums``) and the limit
+rho0 with its sigma_y part removed.  The same flag picks the real rows of
+``walk``'s band run.  The series (``_series_sums``) and the limit
 (``asymptotic_first_moment``) then sweep only nodes 0 .. n_k // 2, with
 weight 2 except at the self-paired nodes -pi and 0 (``_swept_rule``).  In
 the series the weights go into the start vector, so the sweep itself is

@@ -1,69 +1,34 @@
 """Brute-force density-matrix evolution on a finite window of the line.
 
-This is the reference the momentum engine is tested against: the walker's
-full density matrix is stored as a (N, 2, N, 2) array over (position, coin)
-and every step applies the Kraus sum directly in position space.  The window
-is sized exactly to the light cone and grows by ``channel.max_hop`` sites per
-side per step, so no probability is ever lost at the edges.
+This is the oracle the momentum engine is tested against: the walker's full
+density matrix is stored over (position, coin) and every step applies the
+Kraus sum in position space.  The window is sized exactly to the light cone
+and grows by ``channel.max_hop`` sites per side per step, so no probability
+is ever lost at the edges.  It comes in two routes:
 
-Each step folds the Kraus sum per shift pair.  Writing every Kraus operator
-as E_n = sum_l S_l (x) M_{n,l} (S_l shifts by l sites, M_{n,l} is its 2x2
-coin part),
+* ``step`` and ``evolve``, the reference: the literal Kraus sum on the full
+  state, read from ``channel.terms`` alone;
+* ``distributions``, the run ``walk`` uses: the same sum folded per shift
+  pair and stepped on the coherences that can still reach a diagonal.
 
-    sum_n E_n rho E_n^dag = sum_{(l, l')} shift_{l,l'}(A_{l,l'} . rho),
-    A_{l,l'} = sum_n M_{n,l} (x) conj(M_{n,l'}),
+``step`` writes every Kraus operator as its terms,
+E_n = sum a_{n,l,i,j} S_l (x) |i><j| (S_l shifts by l sites), so
 
-where A_{l,l'} is a 4x4 map on the coin pair (a, b) of rho[x, a, y, b] and
-shift_{l,l'} moves the ket index by l and the bra index by l'.  The maps
-are ``channels.coin_pair_maps``, the same ones the moment engine reads in
-the Pauli basis; ``fold`` keeps only their nonzero rows, grouped by the
-output coin pair r = 2 a + b they fill (12 rows in 4 groups for the broken
-line).  The oracle's own work is the position-space step below, which no
-momentum-space code touches.
+    E_n rho E_n^dag = sum_{t, t'} a_t conj(a_t') S_l |i><j| rho |j'><i'| S_l'^dag
 
-A step views rho coin-pair-major as (4, N, N) and fills each (N', N') block
-r of a new (4, N', N') array from one matrix product: the group's stacked
-rows (k_r, 4) times the source (4, N*N) give one (N, N) slab per row, each
-landing in the block at its own shift.  The first slab is written, the
-others are added, so the new array is allocated uninitialised and only
-the block's border outside the first slab's window is cleared (a block no
-row targets, as in a hop-0 measurement, is set to zero).  The product runs
-over tiles of the ket axis, about N / k sites each (k the largest group's
-row count) and at least ``_TILE_FLOOR``, so its buffer holds about N^2
-elements, one block's worth, rather than k N^2.  Tiling and write-first go
-together only because each group starts with its largest ket offset l: a
-later tile's write then lands on rows past every row that an earlier tile
-added to.  ``evolve`` folds the channel once per run (``fold``) and
-passes the fold to every ``step``.
-
-Three facts cut the work further, and all are exact:
-
-* Kraus operators that are real up to a global phase (the broken line at
-  its default phases, coin dephasing, the Hadamard walk) give real maps.
-  ``coin_pair_maps`` decides this once per channel, with the tolerance
-  that also picks the engine's half-grid sweep, and ``fold`` then stores
-  the rows as floats.
-* A real start (any coin density with no sigma_y part: the presets R, L
-  and mixed among them) is stored as float64 by ``init_state``, and a real
-  map keeps it real.  ``step`` takes the new array's dtype from numpy's
-  promotion of the state and the rows, so a real state on real rows runs
-  a plain float matmul and stays float64, and a real state on complex rows
-  turns complex on its first step.  For a complex state on real rows, a
-  real row acts on the real and imaginary parts of rho alike, so the
-  product runs as a real matmul on float views of the source and the new
-  array, where each site spans two adjacent columns; no copy is made.  A
-  complex state on complex rows runs the same loop in complex arithmetic.
-* Every Kraus map preserves Hermiticity, so block RL (r = 2) is the
-  conjugate transpose of block LR (r = 1).  ``step`` computes blocks 0, 1
-  and 3 and fills block 2 from block 1; it therefore expects a Hermitian
-  ``rho``, which every state from ``init_state`` and ``step`` is.
-
-``rho`` is returned as the transposed (N', 2, N', 2) view of the new array,
-so it is generally not C-contiguous, and the next step reads it back
-without a copy.  The sums run in a different order from the term-by-term
-loop and from earlier versions of this step, so probabilities agree with
-them to about 1e-17, not byte for byte; unreachable sites still come out
-as exact zeros.
+over the pairs of terms t = (l, i, j), t' = (l', i', j') of one operator: each
+pair moves the ket by l and the bra by l' and carries the coin pair (j, j')
+of rho[x, j, y, j'] to (i, i').  ``step`` adds up the weights a_t conj(a_t')
+of each (i, i', l, l') into one row over the four source coin pairs (12 rows
+for the broken line) and applies each row as one vector-matrix product with
+the source, viewed coin-pair-major as (4, N^2), into one (N, N) buffer that
+is added to the new state at its shifts.  It reads only ``channel.terms``
+and ``COIN_INDEX``, never ``channels.coin_pair_maps`` or the coin blocks
+behind it, so a fault in that decoding, which the band run and the moment
+engine share, shows up against it.  It runs in complex arithmetic,
+computes all four coin-pair blocks and returns ``rho`` as the transposed
+(N', 2, N', 2) view of a coin-pair-major array, which the next step reads
+back without a copy.
 
 ``walk`` reports only diagonals: the moments after every step and the final
 distribution.  ``distributions`` runs a start for ``t_max`` steps and yields
@@ -81,27 +46,52 @@ zero where x + j - 2 h leaves the window.  Band row 2 h is the diagonal, and
 the rows above it, offsets 0 .. W - 2 h - 1, are stepped.  Before each step
 the 2 h rows below it are refilled from the mirror image,
 rho_ab(x, x - e) = conj rho_ba(x - e, x), because a step reads offsets down
-to -2 h to fill offset 0.  A pair (l, l') moves band row j to j + l' - l and
-site x to x + h + l, so each tile of band rows is one contiguous matrix
-product, as in ``step``, with its slabs written first and then added.  Each
-group's pairs run by descending l' - l, which lets the tiles write before
-they add.  The product buffer holds about one block, but at least
-``_TILE_ELEMENTS``, because band rows are whole windows long.  All four
-blocks are computed, the RL block too, since the band holds only half of
-each.  The rows, float views and dtype promotion are ``step``'s.  Four
-blocks of W N entries per step, against the square step's three blocks of
-N^2, come to 0.56, 0.53 and 0.51 of its products at t = 60, 120 and 240.
-The mirrored rows and the computed RL block round differently from
-``step``, so the distributions match ``evolve``'s to about 1e-16, not byte
-for byte.
+to -2 h to fill offset 0.
 
-``step`` and ``evolve`` keep the square layout, because tests and the
-benchmark's checks read the full state from them as the reference.  The
-band cannot stand in for it: holding every coherence, the band pads the
-upper triangle to a rectangle and runs slower than the square step (80
-against 72 ms for 120 steps of the broken line at p = 0.3 with coin R, 147
-against 121 ms with the symmetric coin, 2-vCPU Xeon; the light-cone band
-took 35 and 58 ms).
+The band run applies the channel folded per shift pair (``fold``): with
+M_{n,l} the 2x2 coin part of E_n at hop l,
+
+    sum_n E_n rho E_n^dag = sum_{(l, l')} shift_{l,l'}(A_{l,l'} . rho),
+    A_{l,l'} = sum_n M_{n,l} (x) conj(M_{n,l'}),
+
+where A_{l,l'} is a 4x4 map on the coin pair (a, b) of rho[x, a, y, b].  The
+maps are ``channels.coin_pair_maps``, the ones the moment engine reads in
+the Pauli basis; ``fold`` keeps only their nonzero rows, grouped by the
+output coin pair r = 2 a + b they fill, each group by descending l' - l.
+A pair (l, l') moves band row j to j + l' - l and site x to x + h + l, so
+one matrix product of a group's stacked rows (k_r, 4) with a tile of band
+rows gives one slab per pair, each a contiguous block of the new band.  The
+first slab of a tile is written and the others are added; the descending
+order of l' - l makes a later tile's write land on rows past every row that
+an earlier tile added to, so the new band is allocated uninitialised and
+only its border outside the first pair's window is cleared.  The product
+buffer holds about one block, but at least ``_TILE_ELEMENTS``, because band
+rows are whole windows long.  All four blocks are computed, the RL block
+too, since the band holds only half of each.
+
+Two facts cut the band's work further, and both are exact:
+
+* Kraus operators that are real up to a global phase (the broken line at
+  its default phases, coin dephasing, the Hadamard walk) give real maps.
+  ``coin_pair_maps`` decides this once per channel, with the tolerance
+  that also picks the engine's half-grid sweep, and ``fold`` then stores
+  the rows as floats.
+* A real start (any coin density with no sigma_y part: the presets R, L
+  and mixed among them) is stored as float64 by ``init_state``, and a real
+  map keeps it real.  The band's dtype is numpy's promotion of the band
+  and the rows, so a real start on real rows runs a plain float matmul,
+  and a real start on complex rows turns complex on its first step.  For
+  a complex band on real rows, a real row acts on the real and imaginary
+  parts alike, so the product runs as a real matmul on float views of the
+  band and the new band, where each site spans two adjacent columns.
+
+Four blocks of W N entries per step come to about 0.4 of the full state's
+4 N^2 over a run of t = 60 to 240 steps.  For 120 steps of the broken line
+at p = 0.3 the band run takes 24 ms with coin R and 41 ms with the
+symmetric coin, and ``evolve`` 210 ms with either (2-vCPU Xeon, one BLAS
+thread).  The sums run in a different order from ``step``, so the
+distributions match ``evolve``'s to about 1e-16, not byte for byte;
+unreachable sites come out as exact zeros on both routes.
 """
 
 from __future__ import annotations
@@ -110,13 +100,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import WalkChannel, coin_pair_maps
+from .channels import COIN_INDEX, WalkChannel, coin_pair_maps
 from .errors import ResourceLimitError
 from .pauli import coin_state, from_pauli
-
-# Fewest ket rows per tile of a step's product: below this the per-tile
-# numpy calls cost more than the smaller buffer saves.
-_TILE_FLOOR = 32
 
 # Fewest elements in the product buffer of one of ``distributions``' tiles:
 # its band rows are whole sites long, so a tile of one block's size is few
@@ -125,8 +111,11 @@ _TILE_ELEMENTS = 1 << 16
 
 # Site-pair-steps (n_sites^2 summed over the steps of a run) past which a
 # run is refused before it starts (``check_run_size``).  They set both the
-# time, 25-50 ns each on a 2-vCPU Xeon, and the state's size.  The tests and
-# the benchmark reach 1.1e7 (t = 200 on a max_hop-1 channel).
+# time and the state's size.  On a 2-vCPU Xeon ``evolve`` takes about 8 ns
+# per row of its Kraus sum (``_kraus_rows``), so 32 ns for the coherent walk's
+# 4 rows, 90 ns for the broken line's 12 and 115 ns for a 16-row max_hop-2
+# channel; the band run takes 4-40 ns.  The tests and the benchmark reach
+# 1.1e7 (t = 200 on a max_hop-1 channel).
 _MAX_SITE_PAIR_STEPS = 2 * 10**9
 
 
@@ -138,8 +127,8 @@ class DensityState:
     x_min: int
     x_max: int
     # float64 when real, else complex; shape (n_sites, 2, n_sites, 2); after
-    # a ``step`` this is a transposed view of a coin-pair-major array, so
-    # not C-contiguous
+    # a ``step`` this is a complex, transposed view of a coin-pair-major
+    # array, so not C-contiguous
     rho: np.ndarray
 
     @property
@@ -170,93 +159,73 @@ def init_state(coin, x0: int = 0) -> DensityState:
     return DensityState(t=0, x_min=x0, x_max=x0, rho=rho_c.reshape(1, 2, 1, 2))
 
 
-@dataclass(frozen=True)
-class FoldedChannel:
-    """A channel's Kraus sum folded per output coin pair; see ``fold``."""
-
-    max_hop: int
-    # one (rows, shifts) pair per output coin pair r = 2 i + i'
-    groups: tuple
-
-
-def fold(channel: WalkChannel) -> FoldedChannel:
-    """The channel in the form ``step`` applies.
+def fold(channel: WalkChannel) -> tuple:
+    """The channel in the form ``distributions`` applies.
 
     One ``(rows, shifts)`` pair per output coin pair ``r = 2 i + i'``:
     ``rows`` stacks the nonzero rows A_{l,l'}[r, :] of the coin-pair maps
     (``channels.coin_pair_maps``) as a ``(k_r, 4)`` array, float when the
     maps are real, and ``shifts`` holds their shift pairs ``(l, l')``;
     ``k_r`` is 0 for a coin pair no map reaches.  The pairs run in order of
-    descending ket offset ``l``, then ascending ``l'``, so each group starts
-    with its largest ``l``, which ``step``'s write-first tiling relies on.
-    A caller that steps one channel many times folds it once and passes
-    the fold to every ``step``.
+    descending offset shift ``l' - l``, then descending ``l``, the order
+    the band run's write-first tiling needs.
     """
     hops, maps, real = coin_pair_maps(channel)
     if real:
         maps = maps.real
-    maps, kets = maps[::-1], hops[::-1]  # descending ket offset l
     groups = []
     for r in range(4):
         rows = maps[:, :, r]
-        kept = np.any(rows != 0, axis=-1)
-        ket, bra = np.nonzero(kept)
-        shifts = tuple(zip(kets[ket].tolist(), hops[bra].tolist()))
-        groups.append((rows[kept], shifts))
-    return FoldedChannel(channel.max_hop, tuple(groups))
+        ket, bra = np.nonzero(np.any(rows != 0, axis=-1))
+        order = np.lexsort((-hops[ket], hops[ket] - hops[bra]))
+        ket, bra = ket[order], bra[order]
+        shifts = tuple(zip(hops[ket].tolist(), hops[bra].tolist()))
+        groups.append((rows[ket, bra], shifts))
+    return tuple(groups)
 
 
-def step(state: DensityState, channel: WalkChannel | FoldedChannel) -> DensityState:
-    """One application of the channel; returns a new, wider state.
+def _kraus_rows(channel: WalkChannel) -> tuple[list, np.ndarray]:
+    """The weights of ``step``'s Kraus sum, summed per target and shift pair.
 
-    ``channel`` is a ``WalkChannel``, folded afresh on every call, or its
-    ``fold``, which a caller stepping many times builds once.
-    ``state.rho`` must be Hermitian, as every state from ``init_state`` and
-    ``step`` is: the RL coin-pair block is filled as the conjugate
-    transpose of the LR block rather than computed.  The new state is
-    float64 only if the state and the folded rows both are.
+    Returns the keys ``(r, l, l')``, r = 2 i + i' the output coin pair, and
+    a complex ``(len(keys), 4)`` array whose row holds, for each source coin
+    pair 2 j + j', the sum of a_t conj(a_t') over the term pairs t, t' of
+    one Kraus operator with those hops and coins.
     """
-    folded = channel if isinstance(channel, FoldedChannel) else fold(channel)
-    hop, groups = folded.max_hop, folded.groups
+    operators: dict[int, list] = {}
+    for t in channel.terms:
+        operators.setdefault(t.n, []).append(
+            (t.l, COIN_INDEX[t.i], COIN_INDEX[t.j], t.amp))
+    rows: dict[tuple, list] = {}
+    for terms in operators.values():
+        for l, i, j, amp in terms:
+            for l2, i2, j2, amp2 in terms:
+                row = rows.setdefault((2 * i + i2, l, l2), [0j] * 4)
+                row[2 * j + j2] += amp * amp2.conjugate()
+    return list(rows), np.array(list(rows.values()), dtype=complex)
+
+
+def step(state: DensityState, channel: WalkChannel) -> DensityState:
+    """One application of the channel, sum_n E_n rho E_n^dag; a new, wider state.
+
+    The sum is read from ``channel.terms`` alone (see the module docstring)
+    and runs in complex arithmetic, so the new state is complex.
+    ``state.rho`` is left untouched.
+    """
+    hop = channel.max_hop
+    keys, rows = _kraus_rows(channel)
     n_old = state.n_sites
     n_new = n_old + 2 * hop
-    # rho[x, a, y, b] -> src[2 a + b, x, y]; a view for step's output
-    src = state.rho.transpose(1, 3, 0, 2).reshape(4, n_old, n_old)
-    rows_dtype = groups[0][0].dtype
-    new = np.empty((4, n_new, n_new), dtype=np.result_type(src, rows_dtype))
-    out, width = new, 1  # width: array columns per site
-    if new.dtype != rows_dtype:
-        # a complex state on real rows: the rows act on real and imaginary
-        # parts alike, so run the products on float views, where a site
-        # spans two columns
-        src, out, width = src.view(float), new.view(float), 2
-    cols = width * n_old
-    k_max = max(1, *(len(rows) for rows, _ in groups))
-    height = max(_TILE_FLOOR, -(-n_old // k_max))
-    buf = np.empty(k_max * min(height, n_old) * cols, dtype=out.dtype)
-    for r, (block, (rows, shifts)) in enumerate(zip(out, groups)):
-        if r == 2:  # RL: filled from LR below
-            continue
-        if not shifts:  # no row targets this coin pair
-            block[...] = 0
-            continue
-        lo, lo2 = hop + shifts[0][0], width * (hop + shifts[0][1])
-        # the first pair's window is written tile by tile; clear the rest
-        block[:lo] = 0
-        block[lo + n_old:] = 0
-        block[lo:lo + n_old, :lo2] = 0
-        block[lo:lo + n_old, lo2 + cols:] = 0
-        for x0 in range(0, n_old, height):
-            x1 = min(x0 + height, n_old)
-            prod = buf[:len(rows) * (x1 - x0) * cols].reshape(len(rows), -1)
-            np.matmul(rows, src[:, x0:x1].reshape(4, -1), out=prod)
-            slabs = prod.reshape(len(rows), x1 - x0, cols)
-            block[lo + x0:lo + x1, lo2:lo2 + cols] = slabs[0]
-            for (l, l2), slab in zip(shifts[1:], slabs[1:]):
-                lo_q, lo2_q = hop + l, width * (hop + l2)
-                block[lo_q + x0:lo_q + x1, lo2_q:lo2_q + cols] += slab
-    # the new state is Hermitian: rho[x, R, y, L] = conj(rho[y, L, x, R])
-    np.conjugate(new[1].T, out=new[2])
+    # rho[x, a, y, b] -> src[2 a + b, x * n_old + y]; a copy unless rho is
+    # a step's output, which is complex and coin-pair-major already
+    src = np.ascontiguousarray(state.rho.transpose(1, 3, 0, 2), dtype=complex)
+    src = src.reshape(4, -1)
+    new = np.zeros((4, n_new, n_new), dtype=complex)
+    buf = np.empty(n_old * n_old, dtype=complex)
+    slab = buf.reshape(n_old, n_old)
+    for (r, l, l2), row in zip(keys, rows):
+        np.dot(row, src, out=buf)
+        new[r, hop + l:hop + l + n_old, hop + l2:hop + l2 + n_old] += slab
     return DensityState(
         t=state.t + 1,
         x_min=state.x_min - hop,
@@ -265,8 +234,7 @@ def step(state: DensityState, channel: WalkChannel | FoldedChannel) -> DensitySt
     )
 
 
-def distributions(state: DensityState, channel: WalkChannel | FoldedChannel,
-                  t_max: int):
+def distributions(state: DensityState, channel: WalkChannel, t_max: int):
     """Run ``state`` for ``t_max`` steps, yielding each position distribution.
 
     Yields ``(positions, probabilities)`` after 0, 1, ..., ``t_max`` steps:
@@ -275,14 +243,13 @@ def distributions(state: DensityState, channel: WalkChannel | FoldedChannel,
     Only the coherences that can still reach the diagonal by step ``t_max``
     are stepped, held as the upper band of the module docstring, so no
     ``DensityState`` is formed after the start.  ``state.rho`` must be
-    Hermitian and is left untouched; ``channel`` is a ``WalkChannel`` or
-    its ``fold``.
+    Hermitian and is left untouched; the channel is folded once (``fold``).
     """
     if t_max < 0:
         raise ValueError(f"step count must be nonnegative, got {t_max}")
-    folded = channel if isinstance(channel, FoldedChannel) else fold(channel)
-    hop = folded.max_hop
+    hop = channel.max_hop
     check_run_size(state.n_sites, hop, t_max)
+    groups = fold(channel)
     diag = 2 * hop  # the band row of offset 0
 
     def width(n_sites: int, steps_left: int) -> int:
@@ -294,12 +261,6 @@ def distributions(state: DensityState, channel: WalkChannel | FoldedChannel,
     band = np.zeros((4, w_old, n_old), dtype=square.dtype)
     for d in range(w_old - diag):
         band[:, diag + d, :n_old - d] = square.diagonal(d, 1, 2)
-    # each group's pairs by descending offset shift l' - l, the order the
-    # write-first tiling over band rows needs
-    groups = []
-    for rows, shifts in folded.groups:
-        order = sorted(range(len(shifts)), key=lambda q: shifts[q][0] - shifts[q][1])
-        groups.append((rows[order], [shifts[q] for q in order]))
     rows_dtype = groups[0][0].dtype
     k_max = max(1, *(len(rows) for rows, _ in groups))
     x_min = state.x_min
@@ -318,7 +279,7 @@ def distributions(state: DensityState, channel: WalkChannel | FoldedChannel,
         w_new = width(n_new, t_max - m - 1)
         new = np.empty((4, w_new, n_new), dtype=np.result_type(band, rows_dtype))
         src, out, cell = band, new, 1  # cell: array columns per site
-        if new.dtype != rows_dtype:  # a complex state on real rows, as in step
+        if new.dtype != rows_dtype:  # a complex band on real rows
             src, out, cell = band.view(float), new.view(float), 2
         cols = cell * n_old
         height = max(-(-w_old // k_max), _TILE_ELEMENTS // (k_max * cols))
@@ -385,9 +346,8 @@ def evolve(
     if steps < 0:
         raise ValueError(f"step count must be nonnegative, got {steps}")
     check_run_size(state.n_sites, channel.max_hop, steps)
-    folded = fold(channel)
     for _ in range(steps):
-        state = step(state, folded)
+        state = step(state, channel)
         if check_positivity:
             dim = 2 * state.n_sites
             lowest = np.linalg.eigvalsh(state.rho.reshape(dim, dim)).min()

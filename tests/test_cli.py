@@ -2,10 +2,12 @@
 
 import contextlib
 import dataclasses
+import inspect
 import io
 import json
 import re
 import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqwalk import moments
+from dqwalk import channels, moments, simulator
 from dqwalk.channels import (
     HADAMARD,
     BrokenLineParams,
@@ -798,6 +800,31 @@ def test_xcheck_detects_drift_corruption(tmp_path, monkeypatch):
                if line.startswith("broken-line p=0.3, coin R, t=65:")]
     assert len(blocked) == 2
     assert all(line.endswith("FAIL") for line in blocked)
+
+
+# One-line faults in the decoding that walk's band run and the moment engine
+# share, each applied to the function's own source: the hops of the
+# coin-pair maps swapped, each coin block transposed, and the conjugate
+# dropped.  ``evolve`` reads the Kraus terms alone, so xcheck must see each.
+DECODING_FAULTS = {
+    "hop-swap": ("coin_pair_maps", '"nlij,nmab->lmiajb"', '"nlij,nmab->mliajb"'),
+    "transposed-blocks": ("_coin_blocks", "COIN_INDEX[t.i], COIN_INDEX[t.j]]",
+                          "COIN_INDEX[t.j], COIN_INDEX[t.i]]"),
+    "dropped-conj": ("coin_pair_maps", "blocks, blocks.conj())", "blocks, blocks)"),
+}
+
+
+@pytest.mark.parametrize("name, old, new", DECODING_FAULTS.values(),
+                         ids=DECODING_FAULTS.keys())
+def test_xcheck_fails_under_a_decoding_fault(name, old, new, tmp_path, monkeypatch):
+    source = textwrap.dedent(inspect.getsource(getattr(channels, name)))
+    assert source.count(old) == 1
+    namespace = dict(vars(channels))
+    exec(source.replace(old, new), namespace)
+    for module in (channels, moments, simulator):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, namespace[name])
+    assert main(["xcheck", "--out", str(tmp_path / "xcheck.txt")]) != 0
 
 
 # ---------------------------------------------------------------------------

@@ -1026,7 +1026,7 @@ def test_closed_forms_obey_mirror_relations(p):
 )
 def test_conjugation_symmetry_check_matches_grids(channel, folds):
     # one flag, from coin_pair_maps, picks both the engine's half-grid sweep
-    # and the oracle's real rows: check it against what each consumer needs
+    # and the band run's real rows: check it against what each consumer needs
     real = coin_pair_maps(channel)[2]
     assert real == folds
     assert _fourier_coefficients(channel)[2] == real
@@ -1037,7 +1037,7 @@ def test_conjugation_symmetry_check_matches_grids(channel, folds):
         for p, m, (_, sign) in zip(plus, minus, MIRROR_SIGNS)
     )
     assert gap <= 1e-14 if real else gap > 1e-2
-    dtypes = {rows.dtype for rows, _ in simulator.fold(channel).groups}
+    dtypes = {rows.dtype for rows, _ in simulator.fold(channel)}
     assert dtypes == {np.dtype(float) if real else np.dtype(complex)}
 
 

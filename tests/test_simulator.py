@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqwalk import brokenline, cli, simulator
+from dqwalk import brokenline, channels, cli, simulator
 from dqwalk.channels import (
     COIN_INDEX,
     HADAMARD,
@@ -151,8 +151,7 @@ def test_full_dephasing_is_classical_random_walk():
 
 def test_coherent_peaks_near_t_over_sqrt2():
     # Hallmark of the ballistic regime: the distribution peaks near +-t/sqrt(2).
-    state = evolve(init_state("symmetric"), HAD, 100)
-    xs, probs = position_distribution(state)
+    *_, (xs, probs) = distributions(init_state("symmetric"), HAD, 100)
     peak = abs(int(xs[np.argmax(probs)]))
     assert 66 <= peak <= 76  # 100/sqrt(2) ~ 70.7
 
@@ -242,8 +241,9 @@ def test_broken_line_variance_reaches_diffusive_rate():
     from dqwalk.brokenline import diffusion_closed_form
 
     p = 0.9
-    state = evolve(init_state("mixed"), brokenline.default_channel(p), 200)
-    rate = variance_direct(state) / (2 * diffusion_closed_form(p).diffusion * 200)
+    *_, (xs, probs) = distributions(init_state("mixed"), brokenline.default_channel(p), 200)
+    variance = np.sum(xs**2 * probs) - np.sum(xs * probs) ** 2
+    rate = variance / (2 * diffusion_closed_form(p).diffusion * 200)
     assert abs(rate - 1.0) < 0.05
 
 
@@ -259,9 +259,12 @@ def test_measurement_collapse_matches_classical_walk():
     assert moment_direct(state, 1) == pytest.approx(0.0, abs=1e-12)
 
 
-def assert_rl_block_mirrors_lr(state):
-    # ``step`` fills the RL coin pair as the conjugate transpose of LR
-    np.testing.assert_array_equal(state.rho[:, 1, :, 0], state.rho[:, 0, :, 1].conj().T)
+def assert_hermitian(state):
+    # ``step`` computes all four coin-pair blocks, so Hermiticity holds to
+    # rounding (about 6e-17), not exactly
+    dim = 2 * state.n_sites
+    mat = state.rho.reshape(dim, dim)
+    np.testing.assert_allclose(mat, mat.conj().T, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -295,7 +298,7 @@ def test_step_matches_term_by_term_reference(channel, coin):
         assert (fast.t, fast.x_min, fast.x_max) == (ref.t, ref.x_min, ref.x_max)
         assert fast.rho.shape == ref.rho.shape
         np.testing.assert_allclose(fast.rho, ref.rho, rtol=0, atol=1e-14)
-        assert_rl_block_mirrors_lr(fast)
+        assert_hermitian(fast)
         # unreachable sites (parity, light cone) get exactly zero probability
         # on both routes; ``walk`` drops its rows by that test
         _, p_fast = position_distribution(fast)
@@ -303,11 +306,11 @@ def test_step_matches_term_by_term_reference(channel, coin):
         np.testing.assert_array_equal(p_fast == 0.0, p_ref == 0.0)
 
 
-# Step sequences long enough that ``step`` splits its product into several
-# ket tiles (n_old > simulator._TILE_FLOOR rows per tile); the last case ends
-# on wide states stepped by the hop-0 measurement, whose coin pairs RL and
-# LR no row targets.  The R and mixed starts are real, so they run in real
-# arithmetic on real rows and turn complex on the first step of complex rows.
+# Step sequences long enough that the band run crosses many tiles of band
+# rows; the last case ends on wide states stepped by the hop-0 measurement,
+# whose coin pairs RL and LR no row targets.  The R and mixed starts are
+# real, so they run in real arithmetic on real rows and turn complex on the
+# first step of complex rows.
 TILED_RUNS = {
     "broken-0.3-t80": ("mixed", [(brokenline.default_channel(0.3), 80)]),
     "broken-0.3-t80-R": ("R", [(brokenline.default_channel(0.3), 80)]),
@@ -322,34 +325,6 @@ TILED_RUNS = {
 }
 
 
-def tile_count(state, channel):
-    """How many ket tiles ``step`` splits ``state``'s product into."""
-    k_max = max(len(rows) for rows, _ in simulator.fold(channel).groups)
-    height = max(simulator._TILE_FLOOR, -(-state.n_sites // k_max))
-    return -(-state.n_sites // height)
-
-
-def assert_runs_like_reference(coin, run):
-    fast = ref = init_state(coin)
-    most_tiles = 0
-    for channel, steps in run:
-        for _ in range(steps):
-            most_tiles = max(most_tiles, tile_count(fast, channel))
-            fast, ref = step(fast, channel), reference_step(ref, channel)
-            assert (fast.t, fast.x_min, fast.x_max) == (ref.t, ref.x_min, ref.x_max)
-            np.testing.assert_allclose(fast.rho, ref.rho, rtol=0, atol=1e-13)
-            assert_rl_block_mirrors_lr(fast)
-            _, p_fast = position_distribution(fast)
-            _, p_ref = position_distribution(ref)
-            np.testing.assert_array_equal(p_fast == 0.0, p_ref == 0.0)
-    assert most_tiles >= 3  # the run really crossed tile boundaries
-
-
-@pytest.mark.parametrize("coin, run", TILED_RUNS.values(), ids=TILED_RUNS.keys())
-def test_tiled_step_matches_term_by_term_reference(coin, run):
-    assert_runs_like_reference(coin, run)
-
-
 class _NaNFilledEmpty:
     """Stands in for ``numpy`` with an ``empty`` that fills with NaN."""
 
@@ -362,18 +337,9 @@ class _NaNFilledEmpty:
         return np.full(shape, fill, dtype=dtype)
 
 
-@pytest.mark.parametrize("coin, run", TILED_RUNS.values(), ids=TILED_RUNS.keys())
-def test_step_writes_every_entry_of_its_output(coin, run, monkeypatch):
-    # ``step`` allocates its output uninitialised and must write every entry:
-    # a skipped border or an untargeted coin pair would surface as NaN here
-    # (freshly mapped pages are zero, so np.empty alone would hide it)
-    monkeypatch.setattr(simulator, "np", _NaNFilledEmpty())
-    assert_runs_like_reference(coin, run)
-
-
 def test_fold_is_keyed_by_channel_value():
     # Two channels under one label: each must be stepped with its own Kraus
-    # terms, never with the fold of the other.
+    # terms, never with the rows of the other.
     a = WalkChannel("custom", brokenline.default_channel(0.3).terms)
     b = WalkChannel("custom", random_hop2_channel().terms)
     for channel in (a, b, a, b):
@@ -406,31 +372,37 @@ def test_step_leaves_input_untouched_and_returns_fresh_array():
 def test_fold_steps_real_channels_in_real_arithmetic(channel, real):
     # Kraus operators real up to a global phase give real coin-pair maps
     # (the broken line's e^{i pi} phases leave ~1e-17 of rounding); those
-    # rows are stored as floats and ``step`` runs on float views
-    groups = simulator.fold(channel).groups
+    # rows are stored as floats and the band run runs on float views
+    groups = simulator.fold(channel)
     dtypes = {rows.dtype for rows, _ in groups}
     assert dtypes == {np.dtype(float) if real else np.dtype(complex)}
 
 
-def test_step_allocates_only_its_output_and_tile_buffer():
-    # a hidden copy of the source state (or of one block) on the float-view
-    # path, or a real state silently promoted to complex, would show here
-    # before it shows in a process's peak memory; the slack covers numpy's
-    # per-operand iteration buffers (8192 elements).  The byte budget per
-    # element is the one the step should produce: 8 for a real state on real
-    # rows, 16 for a complex state (a real start turns complex on the first
-    # step of complex rows)
-    cases = [
-        (brokenline.default_channel(0.3), "mixed", 8),
-        (brokenline.default_channel(0.3), "symmetric", 16),
-        (BROKEN_THETA1, "mixed", 16),
-    ]
-    for channel, coin, itemsize in cases:
-        state = evolve(init_state(coin), channel, 120)
+def test_fold_orders_each_group_for_the_band():
+    # the band run's write-first tiles need each group by descending offset
+    # shift l' - l; ties run by descending l
+    for channel in (brokenline.default_channel(0.3), BROKEN_THETA1, random_hop2_channel(),
+                    cli._two_steps(BROKEN_THETA1), MEASURE):
+        for _, shifts in simulator.fold(channel):
+            keys = [(l2 - l, l) for l, l2 in shifts]
+            assert keys == sorted(keys, reverse=True)
+
+
+def test_step_allocates_only_its_output_a_complex_source_and_one_slab():
+    # a hidden copy of a block or a (rows, N^2) product buffer would show
+    # here before it shows in a process's peak memory.  The budget is the new
+    # complex state, a complex copy of the source and one (N, N) slab; the
+    # slack covers numpy's per-operand iteration buffers (8192 elements) and
+    # the rows.  A real state is cast to complex; a complex state from
+    # ``step`` is read in place
+    n = 241
+    psi = np.random.default_rng(0).standard_normal(2 * n)
+    psi /= np.linalg.norm(psi)
+    real = DensityState(0, -120, 120, np.outer(psi, psi).reshape(n, 2, n, 2))
+    channel = brokenline.default_channel(0.3)
+    for state in (real, step(real, channel)):
         n_old, n_new = state.n_sites, state.n_sites + 2
-        k_max = max(len(rows) for rows, _ in simulator.fold(channel).groups)
-        height = max(simulator._TILE_FLOOR, -(-n_old // k_max))
-        budget = itemsize * (4 * n_new**2 + k_max * min(height, n_old) * n_old)
+        budget = 16 * (4 * n_new**2 + 4 * n_old**2 + n_old**2)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -438,9 +410,8 @@ def test_step_allocates_only_its_output_and_tile_buffer():
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert n_old == 241
-        assert after.rho.itemsize == itemsize
-        assert peak <= budget + 512 * 1024, (coin, peak, budget)
+        assert after.rho.dtype == complex
+        assert peak <= budget + 512 * 1024, (state.rho.dtype, peak, budget)
 
 
 @pytest.mark.parametrize(
@@ -471,6 +442,21 @@ def test_init_state_is_real_exactly_when_the_coin_density_is(coin, real):
     np.testing.assert_array_equal(rho[0, :, 0, :], want)
 
 
+class _EmptyDtypes:
+    """Stands in for ``numpy``, recording the dtype of every 3-d ``empty``."""
+
+    def __init__(self):
+        self.dtypes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def empty(self, shape, dtype=float):
+        if np.shape(shape) == (3,):
+            self.dtypes.append(np.dtype(dtype))
+        return np.empty(shape, dtype=dtype)
+
+
 @pytest.mark.parametrize(
     "channel, coin, steps, real",
     [
@@ -488,13 +474,15 @@ def test_init_state_is_real_exactly_when_the_coin_density_is(coin, real):
          "complex-state-real-rows", "real-state-theta1", "real-state-hop2",
          "real-state-random-coin", "complex-state-complex-rows"],
 )
-def test_state_dtype_follows_start_and_rows(channel, coin, steps, real):
-    # numpy promotion picks the step's dtype: a real state stays real on
-    # real rows for the whole run and turns complex on the first step of
-    # complex rows; a complex state stays complex
-    state = evolve(init_state(coin), channel, steps)
-    assert state.rho.dtype == (np.dtype(float) if real else np.dtype(complex))
-    assert_rl_block_mirrors_lr(state)
+def test_state_dtype_follows_start_and_rows(channel, coin, steps, real, monkeypatch):
+    # numpy promotion picks the dtype of each new band: a real start stays
+    # real on real rows for the whole run and turns complex on the first
+    # step of complex rows; a complex start stays complex
+    spy = _EmptyDtypes()
+    monkeypatch.setattr(simulator, "np", spy)
+    for _ in distributions(init_state(coin), channel, steps):
+        pass
+    assert spy.dtypes == [np.dtype(float) if real else np.dtype(complex)] * steps
 
 
 @pytest.fixture
@@ -511,9 +499,25 @@ def fold_calls(monkeypatch):
     return calls
 
 
-def test_evolve_folds_the_channel_once(fold_calls):
-    evolve(init_state("mixed"), brokenline.default_channel(0.3), 30)
-    assert len(fold_calls) == 1
+def test_step_and_evolve_read_only_the_kraus_terms(monkeypatch):
+    # the reference shares no decoding with the band run and the engine, so
+    # a fault in coin_pair_maps or the coin blocks behind it cannot reach it;
+    # the channels are built before the spies, since building certifies them
+    broken, hop2 = brokenline.default_channel(0.3), random_hop2_channel()
+    calls = []
+    for module, name in [(channels, "coin_pair_maps"), (channels, "_coin_blocks"),
+                         (simulator, "coin_pair_maps")]:
+        def spy(*args, _name=name, _real=getattr(module, name)):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, spy)
+    for channel in (broken, BROKEN_THETA1, hop2, RANDOM_COIN, MEASURE):
+        step(evolve(init_state("symmetric"), channel, 3), channel)
+    assert calls == []
+    # the spies see the band run's decoding
+    next(distributions(init_state("symmetric"), broken, 1))
+    assert calls == ["coin_pair_maps", "_coin_blocks"]
 
 
 WALK_CHANNELS = {
