@@ -76,19 +76,18 @@ Two facts cut the band's work further, and both are exact:
   ``coin_pair_maps`` decides this once per channel, with the tolerance
   that also picks the engine's half-grid sweep, and ``fold`` then stores
   the rows as floats.
-* A real start (any coin density with no sigma_y part: the presets R, L
-  and mixed among them) is stored as float64 by ``init_state``, and a real
-  map keeps it real.  The band's dtype is numpy's promotion of the band
-  and the rows, so a real start on real rows runs a plain float matmul,
-  and a real start on complex rows turns complex on its first step.  For
-  a complex band on real rows, a real row acts on the real and imaginary
-  parts alike, so the product runs as a real matmul on float views of the
-  band and the new band, where each site spans two adjacent columns.
+* A real map never carries the start's imaginary part into a diagonal:
+  the diagonal of Phi^t(rho) is that of Phi^t(Re rho), the fact by which
+  the engine's half grid drops sigma_y (``moments`` module docstring).  So
+  the band takes the dtype of the rows.  On real rows it holds
+  Re rho and every step is a plain float matmul, whatever the coin (the
+  symmetric coin then walks exactly as the mixed one); on complex rows it
+  is complex from the start.
 
 Four blocks of W N entries per step come to about 0.4 of the full state's
 4 N^2 over a run of t = 60 to 240 steps.  For 120 steps of the broken line
-at p = 0.3 the band run takes 24 ms with coin R and 41 ms with the
-symmetric coin, and ``evolve`` 210 ms with either (2-vCPU Xeon, one BLAS
+at p = 0.3 the band run takes about 22 ms with coin R and with the
+symmetric coin alike, and ``evolve`` 210 ms (2-vCPU Xeon, one BLAS
 thread).  The sums run in a different order from ``step``, so the
 distributions match ``evolve``'s to about 1e-16, not byte for byte;
 unreachable sites come out as exact zeros on both routes.
@@ -126,9 +125,9 @@ class DensityState:
     t: int
     x_min: int
     x_max: int
-    # float64 when real, else complex; shape (n_sites, 2, n_sites, 2); after
-    # a ``step`` this is a complex, transposed view of a coin-pair-major
-    # array, so not C-contiguous
+    # shape (n_sites, 2, n_sites, 2), complex from ``init_state`` and
+    # ``step`` (a float64 array is accepted too); after a ``step`` this is
+    # a transposed view of a coin-pair-major array, so not C-contiguous
     rho: np.ndarray
 
     @property
@@ -146,16 +145,11 @@ def init_state(coin, x0: int = 0) -> DensityState:
 
     ``coin`` may be a preset name ("R", "L", "symmetric", "mixed"), a
     length-2 amplitude vector, a Pauli 4-vector, or a 2x2 density matrix;
-    see ``pauli.coin_state``.  ``rho`` is float64 when the coin density's
-    imaginary part is exactly zero (a Pauli vector with sigma_y = 0, which
-    the presets R, L and mixed are) and complex otherwise.  The test has no
-    tolerance: a real map keeps an imaginary part of 1e-18 at 1e-18, so
-    dropping one would change the walk, unlike the rounding of global
-    phases that ``coin_pair_maps`` absorbs in the maps.
+    see ``pauli.coin_state``.  ``rho`` holds the coin density as given, as
+    a complex array: ``distributions`` takes its band's dtype from the
+    channel's rows, and ``step`` runs complex anyway.
     """
     rho_c = from_pauli(coin_state(coin))
-    if not np.any(rho_c.imag):
-        rho_c = rho_c.real.copy()
     return DensityState(t=0, x_min=x0, x_max=x0, rho=rho_c.reshape(1, 2, 1, 2))
 
 
@@ -243,7 +237,8 @@ def distributions(state: DensityState, channel: WalkChannel, t_max: int):
     Only the coherences that can still reach the diagonal by step ``t_max``
     are stepped, held as the upper band of the module docstring, so no
     ``DensityState`` is formed after the start.  ``state.rho`` must be
-    Hermitian and is left untouched; the channel is folded once (``fold``).
+    Hermitian and is left untouched; on real rows only its real part is
+    read.  The channel is folded once (``fold``).
     """
     if t_max < 0:
         raise ValueError(f"step count must be nonnegative, got {t_max}")
@@ -258,10 +253,12 @@ def distributions(state: DensityState, channel: WalkChannel, t_max: int):
     n_old = state.n_sites
     w_old = width(n_old, t_max)
     square = state.rho.transpose(1, 3, 0, 2).reshape(4, n_old, n_old)
-    band = np.zeros((4, w_old, n_old), dtype=square.dtype)
+    dtype = groups[0][0].dtype
+    if dtype == float:  # real rows: Re rho alone reaches a diagonal
+        square = square.real
+    band = np.zeros((4, w_old, n_old), dtype=dtype)
     for d in range(w_old - diag):
         band[:, diag + d, :n_old - d] = square.diagonal(d, 1, 2)
-    rows_dtype = groups[0][0].dtype
     k_max = max(1, *(len(rows) for rows, _ in groups))
     x_min = state.x_min
     for m in range(t_max + 1):
@@ -277,14 +274,10 @@ def distributions(state: DensityState, channel: WalkChannel, t_max: int):
             np.conjugate(band[2:0:-1, diag + e, :n_old - e], out=band[1:3, diag - e, e:])
         n_new = n_old + diag
         w_new = width(n_new, t_max - m - 1)
-        new = np.empty((4, w_new, n_new), dtype=np.result_type(band, rows_dtype))
-        src, out, cell = band, new, 1  # cell: array columns per site
-        if new.dtype != rows_dtype:  # a complex band on real rows
-            src, out, cell = band.view(float), new.view(float), 2
-        cols = cell * n_old
-        height = max(-(-w_old // k_max), _TILE_ELEMENTS // (k_max * cols))
-        buf = np.empty(k_max * min(height, w_old) * cols, dtype=out.dtype)
-        for block, (rows, shifts) in zip(out, groups):
+        new = np.empty((4, w_new, n_new), dtype=dtype)
+        height = max(-(-w_old // k_max), _TILE_ELEMENTS // (k_max * n_old))
+        buf = np.empty(k_max * min(height, w_old) * n_old, dtype=dtype)
+        for block, (rows, shifts) in zip(new, groups):
             if not shifts:  # no row targets this coin pair
                 block[diag:] = 0
                 continue
@@ -294,27 +287,27 @@ def distributions(state: DensityState, channel: WalkChannel, t_max: int):
             for l, l2 in shifts:
                 s = l2 - l
                 lo, hi = max(diag, s), min(w_old + s, w_new)
-                spans.append((lo - s, hi - s, s, cell * (hop + l)))
+                spans.append((lo - s, hi - s, s, hop + l))
             j0, j1, s, c = spans[0]
             # the first pair's window is written tile by tile; clear the rest
             # of the upper band (the rows below it are refilled before use)
             block[diag:j0 + s] = 0
             block[j1 + s:] = 0
             block[j0 + s:j1 + s, :c] = 0
-            block[j0 + s:j1 + s, c + cols:] = 0
+            block[j0 + s:j1 + s, c + n_old:] = 0
             for y0 in range(0, w_old, height):
                 y1 = min(y0 + height, w_old)
-                prod = buf[:len(rows) * (y1 - y0) * cols].reshape(len(rows), -1)
-                np.matmul(rows, src[:, y0:y1].reshape(4, -1), out=prod)
-                slabs = prod.reshape(len(rows), y1 - y0, cols)
+                prod = buf[:len(rows) * (y1 - y0) * n_old].reshape(len(rows), -1)
+                np.matmul(rows, band[:, y0:y1].reshape(4, -1), out=prod)
+                slabs = prod.reshape(len(rows), y1 - y0, n_old)
                 for q, ((j0, j1, s, c), slab) in enumerate(zip(spans, slabs)):
                     a, b = max(y0, j0), min(y1, j1)
                     if a >= b:
                         continue
                     if q:
-                        block[a + s:b + s, c:c + cols] += slab[a - y0:b - y0]
+                        block[a + s:b + s, c:c + n_old] += slab[a - y0:b - y0]
                     else:
-                        block[a + s:b + s, c:c + cols] = slab[a - y0:b - y0]
+                        block[a + s:b + s, c:c + n_old] = slab[a - y0:b - y0]
         band, n_old, w_old, x_min = new, n_new, w_new, x_min - hop
 
 

@@ -129,6 +129,32 @@ def test_walk_moment_table_bytes(tmp_path):
     assert table.read_bytes() == want.encode()
 
 
+COIN_PAIR_CHANNELS = {
+    "broken-0.3": (["--channel", "broken-line", "--p", "0.3"], True),
+    "dephasing-0.4": (["--channel", "coin-dephasing", "--q", "0.4"], True),
+    "coherent": (["--channel", "coherent"], True),
+    "broken-0.3-theta1": (["--channel", "broken-line", "--p", "0.3", "--theta1", "0.4"],
+                          False),
+}
+
+
+@pytest.mark.parametrize("flags, real", COIN_PAIR_CHANNELS.values(),
+                         ids=COIN_PAIR_CHANNELS.keys())
+def test_symmetric_and_mixed_coins_agree_exactly_on_real_channels(flags, real, capsys):
+    # the two coin densities differ only in their sigma_y part, which a real
+    # channel never carries into a diagonal: the oracle steps Re rho on real
+    # rows and the engine's half grid drops sigma_y, so both print the same
+    # bytes; complex link phases tell the two coins apart
+    printed = {}
+    for coin in ("symmetric", "mixed"):
+        assert main(["walk", *flags, "--coin", coin, "--t", "40",
+                     "--moments-out", "-"]) == 0
+        assert main(["moments", *flags, "--coin", coin, "--t", "40"]) == 0
+        printed[coin] = capsys.readouterr().out
+    assert printed["symmetric"].count("\n") > 2 * 42
+    assert (printed["symmetric"] == printed["mixed"]) is real
+
+
 @pytest.mark.parametrize("x0", ["9223372036854775807", "-9223372036854775808"])
 def test_walk_start_whose_light_cone_overflows_exits_2(x0, capsys):
     assert main(["walk", "--x0", x0, "--t", "1"]) == 2

@@ -308,9 +308,8 @@ def test_step_matches_term_by_term_reference(channel, coin):
 
 # Step sequences long enough that the band run crosses many tiles of band
 # rows; the last case ends on wide states stepped by the hop-0 measurement,
-# whose coin pairs RL and LR no row targets.  The R and mixed starts are
-# real, so they run in real arithmetic on real rows and turn complex on the
-# first step of complex rows.
+# whose coin pairs RL and LR no row targets.  Every start runs in real
+# arithmetic on real rows, from its real part, and complex on complex rows.
 TILED_RUNS = {
     "broken-0.3-t80": ("mixed", [(brokenline.default_channel(0.3), 80)]),
     "broken-0.3-t80-R": ("R", [(brokenline.default_channel(0.3), 80)]),
@@ -372,7 +371,7 @@ def test_step_leaves_input_untouched_and_returns_fresh_array():
 def test_fold_steps_real_channels_in_real_arithmetic(channel, real):
     # Kraus operators real up to a global phase give real coin-pair maps
     # (the broken line's e^{i pi} phases leave ~1e-17 of rounding); those
-    # rows are stored as floats and the band run runs on float views
+    # rows are stored as floats and the band run steps a float band
     groups = simulator.fold(channel)
     dtypes = {rows.dtype for rows, _ in groups}
     assert dtypes == {np.dtype(float) if real else np.dtype(complex)}
@@ -434,12 +433,13 @@ def test_step_allocates_only_its_output_a_complex_source_and_one_slab():
          "amplitudes-complex"],
 )
 def test_init_state_is_real_exactly_when_the_coin_density_is(coin, real):
-    # no tolerance: a real map keeps a 1e-18 imaginary part at 1e-18, so
-    # dropping it would change the walk
+    # the start is stored complex, as given: the band run picks its own
+    # dtype from the rows, and a 1e-18 imaginary part is kept
     rho = init_state(coin).rho
-    assert rho.dtype == (np.dtype(float) if real else np.dtype(complex))
+    assert rho.dtype == complex
     want = from_pauli(coin_state(coin))
     np.testing.assert_array_equal(rho[0, :, 0, :], want)
+    assert (not np.any(rho.imag)) is real
 
 
 class _EmptyDtypes:
@@ -464,7 +464,7 @@ class _EmptyDtypes:
         (dephasing_channel(0.4), "mixed", 120, True),
         (HAD, "L", 120, True),
         (MEASURE, "mixed", 120, True),
-        (brokenline.default_channel(0.3), "symmetric", 5, False),
+        (brokenline.default_channel(0.3), "symmetric", 5, True),
         (BROKEN_THETA1, "R", 1, False),
         (random_hop2_channel(), "mixed", 1, False),
         (RANDOM_COIN, "R", 1, False),
@@ -475,9 +475,9 @@ class _EmptyDtypes:
          "real-state-random-coin", "complex-state-complex-rows"],
 )
 def test_state_dtype_follows_start_and_rows(channel, coin, steps, real, monkeypatch):
-    # numpy promotion picks the dtype of each new band: a real start stays
-    # real on real rows for the whole run and turns complex on the first
-    # step of complex rows; a complex start stays complex
+    # every band takes the rows' dtype, whatever the start's: on real rows
+    # the run steps the start's real part, which alone reaches a diagonal,
+    # and on complex rows every start runs complex
     spy = _EmptyDtypes()
     monkeypatch.setattr(simulator, "np", spy)
     for _ in distributions(init_state(coin), channel, steps):
@@ -531,18 +531,17 @@ WALK_CHANNELS = {
 @pytest.mark.parametrize("flags", WALK_CHANNELS.values(), ids=WALK_CHANNELS.keys())
 def test_real_start_walks_like_the_same_start_held_complex(flags, coin, tmp_path,
                                                            monkeypatch):
-    # the real start on real rows must print the bytes the complex state
-    # prints, which runs on float views of the same numbers
+    # init_state holds every start complex; the same start held as float64
+    # must print the same bytes, since on real rows both run a float band
     argv = ["walk", *flags, "--coin", coin, "--t", "60"]
-    assert cli.main([*argv, "--out", str(tmp_path / "real.csv")]) == 0
-
-    def held_complex(coin, x0=0):
-        state = init_state(coin, x0)
-        assert state.rho.dtype == float
-        return DensityState(state.t, state.x_min, state.x_max, state.rho.astype(complex))
-
-    monkeypatch.setattr(cli, "init_state", held_complex)
     assert cli.main([*argv, "--out", str(tmp_path / "complex.csv")]) == 0
+
+    def held_real(coin, x0=0):
+        state = init_state(coin, x0)
+        return DensityState(state.t, state.x_min, state.x_max, state.rho.real.copy())
+
+    monkeypatch.setattr(cli, "init_state", held_real)
+    assert cli.main([*argv, "--out", str(tmp_path / "real.csv")]) == 0
     real = (tmp_path / "real.csv").read_bytes()
     assert real == (tmp_path / "complex.csv").read_bytes()
     assert real.count(b"\n") > 30
