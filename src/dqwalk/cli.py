@@ -10,6 +10,11 @@ Subcommands:
 The computing modules return numbers; every output format (the CSV tables,
 the JSON series, the xcheck report) is written here.
 
+Each subcommand's flags are one table.  A call reads well-formed flags
+straight from it (``_fast_parse``) and builds an argparse parser from the
+same table only for the help, an error message or a rarer form such as an
+abbreviated flag; nothing is built at import or kept between calls.
+
 Exit codes: 0 ok, 1 cross-check failure, 2 invalid input or channel
 (including NaN values and negative horizons), 3 regime error
 (non-contracting / ballistic).
@@ -222,11 +227,12 @@ def _oracle_run(channel: WalkChannel, coin, t_max: int, x0: int = 0):
     """
     if t_max < 0:
         raise ValueError(f"horizon must be nonnegative, got {t_max}")
-    reach = channel.max_hop * t_max
+    max_hop = channel.max_hop  # a property that scans every term
+    reach = max_hop * t_max
     sites = np.iinfo(np.int64)
     if not (sites.min <= x0 - reach and x0 + reach <= sites.max):
         raise ValueError(
-            f"start {x0} with {t_max} steps of up to {channel.max_hop} sites "
+            f"start {x0} with {t_max} steps of up to {max_hop} sites "
             "leaves the 64-bit position range"
         )
     runs = distributions(init_state(coin, x0=x0), channel, t_max)
@@ -239,7 +245,7 @@ def _oracle_run(channel: WalkChannel, coin, t_max: int, x0: int = 0):
     table = np.stack([xf, xf * xf, offsets, offsets * offsets])
     sums = np.empty((t_max + 1, 4))
     for m, (xs, probs) in enumerate(itertools.chain([first], runs)):
-        edge = channel.max_hop * (t_max - m)
+        edge = max_hop * (t_max - m)
         np.matmul(table[:, edge:len(ints) - edge], probs, out=sums[m])
     variances = sums[:, 3] - sums[:, 2] ** 2
     return (xs, probs), sums[:, 0].tolist(), sums[:, 1].tolist(), variances.tolist()
@@ -464,79 +470,72 @@ def cmd_xcheck(config: RunConfig) -> int:
 
 # --- argument parsing --------------------------------------------------------
 
-def _channel_flags(parser: argparse.ArgumentParser) -> None:
-    """The channel, coin and output flags that ``walk`` and ``moments`` share."""
-    group = parser.add_argument_group("channel")
-    group.add_argument("--channel", choices=_BUILTIN_CHANNELS)
-    group.add_argument("--channel-file", metavar="PATH",
-                       help="load a channel from JSON instead of --channel")
-    group.add_argument("--p", type=float,
-                       help="broken-line link-failure probability")
-    group.add_argument("--q", type=float,
-                       help="coin-dephasing measurement probability")
-    for i in (1, 2, 3, 4):
-        group.add_argument(f"--theta{i}", type=float, help=argparse.SUPPRESS)
-    parser.add_argument(
-        "--coin", type=_parse_coin,
-        help="initial coin: preset name or four comma-separated Pauli coordinates",
-    )
-    parser.add_argument("--out", help="output path ('-' or omitted = stdout)")
+# Each subcommand's flags are one table of (option, add_argument kwargs), in
+# the order ``build_parser`` adds them.  ``_fast_parse`` reads the same table.
 
+# The flags of the "channel" argument group of ``walk`` and ``moments``.
+_CHANNEL_GROUP = (
+    ("--channel", {"choices": _BUILTIN_CHANNELS}),
+    ("--channel-file", {"metavar": "PATH",
+                        "help": "load a channel from JSON instead of --channel"}),
+    ("--p", {"type": float, "help": "broken-line link-failure probability"}),
+    ("--q", {"type": float, "help": "coin-dephasing measurement probability"}),
+    *((f"--theta{i}", {"type": float, "help": argparse.SUPPRESS}) for i in (1, 2, 3, 4)),
+)
+# The coin and output flags that ``walk`` and ``moments`` share.
+_COIN_OUT = (
+    ("--coin", {"type": _parse_coin, "help": "initial coin: preset name or four "
+                "comma-separated Pauli coordinates"}),
+    ("--out", {"help": "output path ('-' or omitted = stdout)"}),
+)
 
-def _walk_flags(parser: argparse.ArgumentParser) -> None:
-    _channel_flags(parser)
-    parser.add_argument("--t", type=int, help="number of steps")
-    parser.add_argument("--x0", type=int, help="starting site")
-    parser.add_argument("--moments-out", metavar="PATH",
-                        help="also write the per-step moment table here")
-
-
-def _moments_flags(parser: argparse.ArgumentParser) -> None:
-    _channel_flags(parser)
-    parser.add_argument("--t", type=int, help="horizon")
-    parser.add_argument("--naive", action="store_true",
-                        help="use the literal double sum for the second moment")
-    parser.add_argument("--asymptotic", action="store_true",
-                        help="print the long-time first moment instead of a series")
-    parser.add_argument("--format", choices=("csv", "json"), dest="fmt")
-
-
-def _diffusion_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--p-min", type=float)
-    parser.add_argument("--p-max", type=float)
-    parser.add_argument("--p-step", type=float)
-    parser.add_argument("--critical", action="store_true",
-                        help="print the p where D = 1/2 and exit")
-    parser.add_argument("--with-slope", action="store_true",
-                        help="add a D_slope column from the finite-horizon engine")
-    parser.add_argument("--t-lo", type=int)
-    parser.add_argument("--t-hi", type=int)
-    parser.add_argument("--out")
-
-
-def _xcheck_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out")
-
-
-# name: (help line, flags, command)
+# name: (help line, flags of the "channel" group, other flags, command)
 _SUBCOMMANDS = {
-    "walk": ("run the brute-force density-matrix simulator", _walk_flags, cmd_walk),
-    "moments": ("run the momentum-space moment engine", _moments_flags, cmd_moments),
-    "diffusion": ("broken-line diffusion-constant sweep", _diffusion_flags,
-                  cmd_diffusion),
-    "xcheck": ("cross-check the independent computation routes", _xcheck_flags,
-               cmd_xcheck),
+    "walk": ("run the brute-force density-matrix simulator", _CHANNEL_GROUP, (
+        *_COIN_OUT,
+        ("--t", {"type": int, "help": "number of steps"}),
+        ("--x0", {"type": int, "help": "starting site"}),
+        ("--moments-out", {"metavar": "PATH",
+                           "help": "also write the per-step moment table here"}),
+    ), cmd_walk),
+    "moments": ("run the momentum-space moment engine", _CHANNEL_GROUP, (
+        *_COIN_OUT,
+        ("--t", {"type": int, "help": "horizon"}),
+        ("--naive", {"action": "store_true",
+                     "help": "use the literal double sum for the second moment"}),
+        ("--asymptotic", {"action": "store_true", "help": "print the long-time "
+                          "first moment instead of a series"}),
+        ("--format", {"choices": ("csv", "json"), "dest": "fmt"}),
+    ), cmd_moments),
+    "diffusion": ("broken-line diffusion-constant sweep", (), (
+        ("--p-min", {"type": float}),
+        ("--p-max", {"type": float}),
+        ("--p-step", {"type": float}),
+        ("--critical", {"action": "store_true",
+                        "help": "print the p where D = 1/2 and exit"}),
+        ("--with-slope", {"action": "store_true", "help": "add a D_slope column "
+                          "from the finite-horizon engine"}),
+        ("--t-lo", {"type": int}),
+        ("--t-hi", {"type": int}),
+        ("--out", {}),
+    ), cmd_diffusion),
+    "xcheck": ("cross-check the independent computation routes", (), (
+        ("--out", {}),
+    ), cmd_xcheck),
 }
 
 
 def build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
     """The parser of one subcommand or, given none, the usage parser.
 
-    A subcommand's parser is one flat ``dqwalk <name>`` parser with that
-    subcommand's flags only.  The usage parser lists the subcommands and
-    takes no flags: ``main`` runs it only when the first argument names no
-    subcommand, to print the usage, the help or the error.  Each call builds
-    its parser anew; nothing is kept between calls.
+    A subcommand's parser is one flat ``dqwalk <name>`` parser that adds the
+    subcommand's flag table in order, its "channel" group first.  ``main``
+    builds it only for what ``_fast_parse`` leaves to argparse: the help,
+    every error message and the rarer forms such as abbreviated flags.  The
+    usage parser lists the subcommands and takes no flags: ``main`` runs it
+    only when the first argument names no subcommand, to print the usage,
+    the help or the error.  Each call builds its parser anew; nothing is
+    kept between calls.
     """
     if subcommand is None:
         parser = argparse.ArgumentParser(
@@ -545,14 +544,66 @@ def build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
             "and diffusion constants.",
         )
         sub = parser.add_subparsers(dest="subcommand", required=True)
-        for name, (help_line, _, _) in _SUBCOMMANDS.items():
+        for name, (help_line, *_) in _SUBCOMMANDS.items():
             sub.add_parser(name, help=help_line)
         return parser
-    _, add_flags, _ = _SUBCOMMANDS[subcommand]
+    _, grouped, flags, _ = _SUBCOMMANDS[subcommand]
     parser = argparse.ArgumentParser(prog=f"dqwalk {subcommand}")
-    add_flags(parser)
+    if grouped:
+        group = parser.add_argument_group("channel")
+        for option, kwargs in grouped:
+            group.add_argument(option, **kwargs)
+    for option, kwargs in flags:
+        parser.add_argument(option, **kwargs)
     parser.set_defaults(subcommand=subcommand)
     return parser
+
+
+def _fast_parse(subcommand: str, argv: list[str]) -> argparse.Namespace | None:
+    """The flags ``argv`` of ``subcommand`` as argparse would parse them, or None.
+
+    Reads only the plain forms, from the subcommand's flag table: an exact
+    ``--flag value`` or ``--flag=value``, and a bare ``store_true`` flag;
+    repeats keep the last value, as in argparse.  Returns None, leaving the
+    call to ``build_parser``, on anything else: an unknown or abbreviated
+    flag, ``-h``, a positional, a missing value, a separate value that
+    starts with "-" and is not "-" itself, the value "--" (which argparse
+    3.11 drops from ``--out=--``), "=value" on a ``store_true`` flag, and a
+    value that its type or choices refuse.  So what argparse would refuse
+    or print is left to argparse, and its wording is never copied here.
+    """
+    _, grouped, flags, _ = _SUBCOMMANDS[subcommand]
+    table: dict[str, tuple[str, dict]] = {}
+    values: dict = {}
+    for option, kwargs in (*grouped, *flags):
+        dest = kwargs.get("dest", option[2:].replace("-", "_"))
+        table[option] = dest, kwargs
+        values[dest] = False if kwargs.get("action") == "store_true" else None
+    tokens = iter(argv)
+    for token in tokens:
+        option, eq, value = token.partition("=")
+        if option not in table:
+            return None
+        dest, kwargs = table[option]
+        if kwargs.get("action") == "store_true":
+            if eq:
+                return None
+            values[dest] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None or (value.startswith("-") and value != "-"):
+                return None
+        if value == "--":
+            return None
+        try:
+            value = kwargs.get("type", str)(value)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        values[dest] = value
+    return argparse.Namespace(subcommand=subcommand, **values)
 
 
 # Flags that a mode flag turns off: ``moments --asymptotic`` prints one
@@ -644,16 +695,21 @@ def main(argv=None) -> int:
         usage.parse_args(argv)  # prints the usage, the help or the error, and exits
         # reached only if argparse accepts a subcommand after a leading "--"
         usage.error("the subcommand must come first")
-    parser = build_parser(name)
-    args = parser.parse_args(_attach_negative_values(argv[1:]))
-    ignored = _ignored_flag(args)
-    if ignored is not None:
-        parser.error(ignored)
-    try:
-        config = config_from_args(args)
-    except ValueError as exc:
-        parser.error(str(exc))
-    _, _, command = _SUBCOMMANDS[name]
+    flags = _attach_negative_values(argv[1:])
+    parser = None  # built only for what the fast parse leaves to argparse
+    args = _fast_parse(name, flags)
+    if args is None:
+        parser = build_parser(name)
+        args = parser.parse_args(flags)  # or prints the help or the error, and exits
+    error = _ignored_flag(args)
+    if error is None:
+        try:
+            config = config_from_args(args)
+        except ValueError as exc:
+            error = str(exc)
+    if error is not None:
+        (parser or build_parser(name)).error(error)
+    *_, command = _SUBCOMMANDS[name]
     try:
         return command(config)
     except (NotContractingError, BallisticRegimeError) as exc:

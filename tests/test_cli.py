@@ -1,10 +1,12 @@
 """End-to-end CLI tests; every invocation goes through ``cli.main`` in-process."""
 
+import argparse
 import contextlib
 import dataclasses
 import inspect
 import io
 import json
+import math
 import re
 import sys
 import textwrap
@@ -12,7 +14,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dqwalk import channels, moments, simulator
@@ -27,7 +29,10 @@ from dqwalk.channels import (
     save_channel,
 )
 from dqwalk.cli import (
+    _SUBCOMMANDS,
     RunConfig,
+    _attach_negative_values,
+    _fast_parse,
     _oracle_run,
     _parse_coin,
     build_parser,
@@ -880,6 +885,7 @@ SUBCOMMANDS = ["walk", "moments", "diffusion", "xcheck"]
 @pytest.mark.parametrize("sub", SUBCOMMANDS)
 def test_parser_defaults_are_runconfig_defaults(sub):
     assert config_from_args(build_parser(sub).parse_args([])) == RunConfig(subcommand=sub)
+    assert config_from_args(_fast_parse(sub, [])) == RunConfig(subcommand=sub)
 
 
 # ``--help`` of each subcommand as printed at 80 columns by Python 3.11 when
@@ -1001,6 +1007,185 @@ def test_parse_coin_forms():
     assert _parse_coin("0.5,0,0,0.5") == (0.5, 0.0, 0.0, 0.5)
     with pytest.raises(Exception):
         _parse_coin("1,2")
+
+
+# ---------------------------------------------------------------------------
+# the fast parse against argparse
+# ---------------------------------------------------------------------------
+
+# Flag values that some or every flag refuses or that argparse reads
+# specially: bad floats, ints, coins and choices, "-", "--", "-x", the empty
+# string, and a value with a space that argparse takes although it starts
+# with "-".
+PARSE_VALUES = ["0.3", "5", "nan", "-1e-3", "1.5", "abc", "", "=", "north", "a,b,c,d",
+                "1,2", "teleporter", "xml", "-", "--", "-x", "-y", "-a b", "--t"]
+# Values that each kind of flag accepts.
+PARSE_GOOD = {float: ["0.3", "5", "-1e-3", "-inf", "nan", "1_0", " 2 "],
+              int: ["5", "0", "-2", " 3 "],
+              _parse_coin: ["R", "mixed", "0.5,0,0,0.5", "-0.5,0,0,0.5", "nan,0,0,0.5"],
+              str: ["out.csv", "-", "", "=", "a=b", " a b ", "R"]}
+# Tokens that are no flag of any subcommand's table.
+PARSE_STRAYS = ["-h", "--help", "--", "-", "R", "5", "", "-1", "--nk", "--bogus=1",
+                "-t"]
+
+
+@st.composite
+def subcommand_argv(draw):
+    """A subcommand and flags for it, as ``main`` passes them on.
+
+    Well-formed flags, each exact and with a value its type and choices
+    accept, repeats included, among which up to two deviations are
+    inserted: an abbreviated flag, a stray token, a missing value, "=value"
+    on a ``store_true`` flag, or a value of any kind.
+    """
+    sub = draw(st.sampled_from(SUBCOMMANDS))
+    _, grouped, flags, _ = _SUBCOMMANDS[sub]
+    table = (*grouped, *flags)
+
+    def flag(values, forms):
+        option, kwargs = draw(st.sampled_from(table))
+        if kwargs.get("action") == "store_true":
+            return [option]
+        value = draw(st.sampled_from(
+            values or kwargs.get("choices") or PARSE_GOOD[kwargs.get("type", str)]))
+        if draw(st.sampled_from(forms)) == "equals":
+            return [f"{option}={value}"]
+        return [option, value]
+
+    def deviation():
+        kind = draw(st.sampled_from(["value", "abbreviated", "stray", "missing",
+                                     "store_true="]))
+        if kind == "value":
+            return flag(PARSE_VALUES, ["separate", "equals"])
+        option, kwargs = draw(st.sampled_from(table))
+        if kind == "abbreviated":  # argparse accepts a unique prefix
+            short = option[:draw(st.integers(3, max(3, len(option) - 1)))]
+            return [short] if kwargs.get("action") else [short, "5"]
+        if kind == "stray":
+            return [draw(st.sampled_from(PARSE_STRAYS))]
+        if kind == "missing":
+            return [option]
+        return [f"{option}={draw(st.sampled_from(PARSE_VALUES))}"]
+
+    parts = [flag(None, ["separate", "equals"]) for _ in range(draw(st.integers(0, 5)))]
+    for _ in range(draw(st.integers(0, 2))):
+        parts.insert(draw(st.integers(0, len(parts))), deviation())
+    return sub, _attach_negative_values([token for part in parts for token in part])
+
+
+def same_value(a, b):
+    """Equal and of one type, with NaN equal to NaN."""
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(map(same_value, a, b))
+    if isinstance(a, float) and isinstance(b, float) and math.isnan(a):
+        return math.isnan(b)
+    return type(a) is type(b) and a == b
+
+
+# argparse 3.11 drops "--" from an explicit value: ``--out=--`` gives out=[]
+@example(case=("moments", ["--out=--"]))
+@example(case=("diffusion", ["--p-min=nan", "--critical", "--p-min", "0.2"]))
+@example(case=("moments", ["--chan", "coherent", "--coin=0.5,nan,0,0.5"]))
+@example(case=("walk", ["--out", "-x"]))
+@settings(max_examples=400, deadline=None)
+@given(case=subcommand_argv())
+def test_fast_parse_is_argparse_or_none(case):
+    sub, argv = case
+    fast = _fast_parse(sub, argv)
+    if fast is None:
+        return
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            parsed = vars(build_parser(sub).parse_args(argv))
+        except SystemExit:
+            parsed = None
+    assert parsed is not None, (sub, argv, vars(fast))
+    assert vars(fast).keys() == parsed.keys(), (sub, argv)
+    assert all(same_value(vars(fast)[k], parsed[k]) for k in parsed), (
+        sub, argv, vars(fast), parsed)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--out=--"],  # argparse 3.11 reads it as out=[]
+    ["--form", "json"],  # abbreviated
+    ["--chan", "coherent"],  # an ambiguous abbreviation
+    ["-h"],
+    ["--help"],
+    ["R"],  # a positional
+    ["--t"],  # a missing value
+    ["--out", "-x"],
+    ["--out", "--"],
+    ["--naive=1"],
+    ["--naive="],
+    ["--p", "abc"],
+    ["--t", "1.5"],
+    ["--format", "xml"],
+    ["--coin", "north"],
+    ["--coin", "a,b,c,d"],
+])
+def test_forms_left_to_argparse(argv):
+    assert _fast_parse("moments", argv) is None
+
+
+def test_fast_parse_reads_the_plain_forms():
+    # a repeated flag keeps its last value, as in argparse
+    argv = _attach_negative_values(
+        ["--channel=coin-dephasing", "--q", "0.25", "--coin", "-0.5,0,0,0.5",
+         "--out", "-", "--t", "3", "--t=7", "--naive", "--naive", "--format=json",
+         "--theta1", "-1e-3"])
+    assert _fast_parse("moments", argv) == argparse.Namespace(
+        subcommand="moments", channel="coin-dephasing", channel_file=None, p=None,
+        q=0.25, theta1=-1e-3, theta2=None, theta3=None, theta4=None,
+        coin=(-0.5, 0.0, 0.0, 0.5), out="-", t=7, naive=True, asymptotic=False,
+        fmt="json")
+    args = _fast_parse("walk", ["--moments-out=", "--x0=-4"])
+    assert (args.moments_out, args.x0) == ("", -4)
+
+
+@pytest.fixture
+def parsers_built(monkeypatch):
+    """The ``prog`` of each ``ArgumentParser`` constructed during the test."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return built
+
+
+def test_well_formed_call_builds_no_parser(parsers_built, capsys):
+    assert main(["moments", "--channel", "broken-line", "--p=0.3", "--coin", "mixed",
+                 "--t", "5", "--format", "json"]) == 0
+    assert parsers_built == []
+
+
+# stderr of each call as argparse prints it at 80 columns, under the
+# subcommand's usage line
+MOMENTS_USAGE = PINNED_HELP["moments"].split("\n\n")[0] + "\n"
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["moments", "--help"], 0, ""),
+    (["moments", "--p", "abc"], 2,
+     MOMENTS_USAGE + "dqwalk moments: error: argument --p: invalid float value: 'abc'\n"),
+    (["moments", "--asymptotic", "--t", "5"], 2,
+     MOMENTS_USAGE + "dqwalk moments: error: --t has no effect with --asymptotic\n"),
+], ids=["help", "bad-float", "ignored-flag"])
+def test_help_and_errors_build_one_parser(argv, code, err, parsers_built, capsys,
+                                          monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    assert parsers_built == ["dqwalk moments"]
+    captured = capsys.readouterr()
+    if sys.version_info[:2] == (3, 11):  # argparse's layout differs between versions
+        assert captured.err == err
+        assert captured.out == ("" if code else PINNED_HELP["moments"])
 
 
 

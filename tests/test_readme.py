@@ -1,9 +1,12 @@
-"""The README's Python quickstart runs as written and prints the values it promises."""
+"""The README's quickstarts: the Python block prints the values it promises, and every CLI line parses without argparse."""
 
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
+
+from dqwalk.cli import _attach_negative_values, _fast_parse
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -26,3 +29,15 @@ def test_python_quickstart_prints_its_commented_values():
             promised[comment.group(1)] = got
     assert promised == {"0.6846794217843045": "0.6846794217843045",
                         "0.41719753197103276": "0.41719753197103276"}
+
+
+def test_cli_quickstart_parses_without_argparse():
+    # every line of the CLI quickstart is read by the fast parse, so none of
+    # them builds an argparse parser
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## Quickstart \(CLI\)\n\n```sh\n(.*?)```", text, re.S).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("dqwalk ")]
+    assert lines
+    for line in lines:
+        _, sub, *flags = shlex.split(line, comments=True)
+        assert _fast_parse(sub, _attach_negative_values(flags)) is not None, line
