@@ -51,8 +51,10 @@ from .errors import (
     UnnormalizedCoinError,
 )
 from .moments import (
+    ChannelMaps,
     MomentSeries,
     asymptotic_first_moment,
+    channel_maps,
     diffusion_from_slope,
     moment_series,
     second_moment_coin_specialized,

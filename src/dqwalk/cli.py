@@ -119,10 +119,6 @@ def _parse_coin(text: str):
         raise argparse.ArgumentTypeError(f"cannot parse coin {text!r}") from None
 
 
-def _coin_arg(config: RunConfig):
-    return config.coin if isinstance(config.coin, str) else np.array(config.coin)
-
-
 def _resolve_channel(config: RunConfig) -> WalkChannel:
     if config.channel_file is not None:
         return load_channel(config.channel_file)
@@ -177,7 +173,7 @@ def _series_json(series: MomentSeries) -> str:
     pure-Python encoder, which took 1.4 to 2.7 times as long at t = 60 to
     0 (2-vCPU Xeon, Python 3.11).  Numbers are
     written by ``repr``, as json writes ints and finite floats; every value
-    here is finite (``moments._finalize``).  The label is the one string,
+    here is finite (``moments.moment_series``).  The label is the one string,
     escaped by json itself.
     """
     def array(values) -> str:
@@ -254,7 +250,7 @@ def _oracle_run(channel: WalkChannel, coin, t_max: int, x0: int = 0):
 def cmd_walk(config: RunConfig) -> int:
     channel = _resolve_channel(config)
     (xs, probs), firsts, seconds, variances = _oracle_run(
-        channel, _coin_arg(config), config.t, x0=config.x0
+        channel, config.coin, config.t, x0=config.x0
     )
     # parity / light-cone sites that were never touched are exact zeros
     with _out_stream(config.out) as fh:
@@ -270,13 +266,12 @@ def cmd_walk(config: RunConfig) -> int:
 
 def cmd_moments(config: RunConfig) -> int:
     channel = _resolve_channel(config)
-    coin = _coin_arg(config)
     if config.asymptotic:
-        value = asymptotic_first_moment(channel, coin)
+        value = asymptotic_first_moment(channel, config.coin)
         with _out_stream(config.out) as fh:
             fh.write(f"{value:.17g}\n")
         return 0
-    series = moment_series(channel, coin, config.t, naive=config.naive)
+    series = moment_series(channel, config.coin, config.t, naive=config.naive)
     with _out_stream(config.out) as fh:
         if config.fmt == "json":
             fh.write(_series_json(series))
@@ -669,18 +664,25 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     return config
 
 
-def _attach_negative_values(argv: list[str]) -> list[str]:
+def _attach_negative_values(subcommand: str, argv: list[str]) -> list[str]:
     """Rewrite ``--flag -1e-3`` as ``--flag=-1e-3``.
 
     argparse takes a token after a flag for its value only if it looks like
     ``-<digits>[.<digits>]``, and reads any other negative number ("-1e-3",
     "-inf", "-0.5,0,0,0.5") as an unknown option.  No option name starts
-    like a number, so the join cannot capture one.
+    like a number, so the join cannot capture one.  The subcommand's exact
+    ``store_true`` flags take no value and are never joined, so argparse
+    reports a number after one as the stray argument it is.  A number after
+    any other ``--`` token is joined, an abbreviated value flag included.
     """
+    _, grouped, flags, _ = _SUBCOMMANDS[subcommand]
+    switches = {option for option, kwargs in (*grouped, *flags)
+                if kwargs.get("action") == "store_true"}
     out: list[str] = []
     for token in argv:
         prev = out[-1] if out else ""
-        if prev.startswith("--") and "=" not in prev and _NEGATIVE_VALUE.match(token):
+        if (prev.startswith("--") and "=" not in prev and prev not in switches
+                and _NEGATIVE_VALUE.match(token)):
             out[-1] = f"{prev}={token}"
         else:
             out.append(token)
@@ -695,7 +697,7 @@ def main(argv=None) -> int:
         usage.parse_args(argv)  # prints the usage, the help or the error, and exits
         # reached only if argparse accepts a subcommand after a leading "--"
         usage.error("the subcommand must come first")
-    flags = _attach_negative_values(argv[1:])
+    flags = _attach_negative_values(name, argv[1:])
     parser = None  # built only for what the fast parse leaves to argparse
     args = _fast_parse(name, flags)
     if args is None:

@@ -48,12 +48,14 @@ n_k = 2 * max_hop * t + 1 nodes suffice (``exact_node_bound``), and every
 series runs on exactly that count; no caller sets it.  The same
 frequencies build the maps: the channel's terms fold into one Fourier
 coefficient per frequency l - l' and map (``_fourier_coefficients``), with
-the change to Pauli coordinates a constant matrix (``_PAULI_MAP``).  Every
-route evaluates only the real parts it reads, the block map B and the
-readout R, laid out by another constant (``_LAYOUT``) and built from the
-cosine and sine parts of the checked coefficients (``_node_maps``;
-``transfer_grids`` returns them at given momenta).  Only
-``naive=True`` evaluates the complex maps (``_complex_maps``).
+the change to Pauli coordinates a constant matrix (``_PAULI_MAP``).  Each
+engine call decodes and checks them once (``channel_maps``, one
+``ChannelMaps`` value).  Every route evaluates only the real parts it
+reads, the block map B and the readout R, laid out by another constant
+(``_LAYOUT``) and built from the cosine and sine parts of the checked
+coefficients; ``transfer_grids`` is the one place that evaluates them at
+momenta.  Only ``naive=True`` evaluates the complex maps
+(``_complex_maps``).
 
 Many channels need only half of that grid.  If the coin-pair maps of
 ``channels.coin_pair_maps`` are real (every Kraus operator real up to a
@@ -64,7 +66,7 @@ where P = diag(1, 1, -1, 1) is complex conjugation in the Pauli basis.
 Node -k then carries the integrand of node k started from P rho0, and since
 the moments are linear in rho0 the pair sums to twice node k started from
 rho0 with its sigma_y part removed.  The same flag picks the real rows of
-``walk``'s band run.  The series (``_series_sums``) and the limit
+``walk``'s band run.  The series (``moment_series``) and the limit
 (``asymptotic_first_moment``) then sweep only nodes 0 .. n_k // 2, with
 weight 2 except at the self-paired nodes -pi and 0 (``_swept_rule``).  In
 the series the weights go into the start vector, so the sweep itself is
@@ -203,29 +205,68 @@ def _fourier_coefficients(channel: WalkChannel) -> tuple[np.ndarray, np.ndarray,
     return freqs, coef.transpose(0, 2, 1).reshape(48, -1), real
 
 
-def transfer_grids(channel: WalkChannel, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+@dataclass(frozen=True)
+class ChannelMaps:
+    """A channel's step, drift and dispersion maps as checked Fourier coefficients.
+
+    ``freqs`` are the frequencies d and ``coef`` the (48, n_d) complex
+    coefficients of ``_fourier_coefficients``, ``residue`` their
+    ``_coefficient_residue``.  ``sweep`` is the (2 n_d, 88) real array of
+    the sweep's B and R: every entry is the real part of a map
+    sum_d A_d e^{-idk}, which is sum_d Re A_d cos(dk) + Im A_d sin(dk), so
+    [cos(dk), sin(dk)] @ ``sweep`` gives the 64 entries of B and the 24 of
+    R at momentum k (``_LAYOUT``).  ``real`` says whether the coin-pair maps
+    are real, which licenses the half grid (``_swept_rule``).
+    """
+
+    freqs: np.ndarray
+    coef: np.ndarray
+    sweep: np.ndarray
+    residue: float
+    real: bool
+
+
+def channel_maps(channel: WalkChannel) -> ChannelMaps:
+    """Decode and check the channel's maps, once per engine call.
+
+    Raises:
+        NonRealMomentError: if the coefficients are not finite or lack the
+            structure the real sweep assumes (``_coefficient_residue``).
+    """
+    freqs, coef, real = _fourier_coefficients(channel)
+    residue = _coefficient_residue(coef)
+    parts = _LAYOUT @ coef
+    sweep = np.concatenate([parts.real, parts.imag], axis=1).T
+    return ChannelMaps(freqs, coef, sweep, residue, real)
+
+
+def transfer_grids(
+    maps: ChannelMaps, ks: np.ndarray, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """The real block map B (n, 8, 8) and readout R (n, 3, 8) at the momenta ``ks``.
 
-    The channel's Fourier coefficients are built and checked once
-    (``_coefficient_residue``), then evaluated by ``_node_maps``: the maps
-    every route but ``naive=True`` reads (see ``_real_coefficients``).
+    One (n, 2 n_d) @ (2 n_d, 88) product of [cos(dk), sin(dk)] with
+    ``maps.sweep``: the maps every route but ``naive=True`` reads.  Written
+    into the flat buffer ``out`` if given (the sweep's workspace), and B and
+    R are views of it.
     """
-    freqs, coef, _ = _fourier_coefficients(channel)
-    _coefficient_residue(coef)
-    return _node_maps((freqs, _real_coefficients(coef)), ks, np.empty(88 * len(ks)))
+    n = len(ks)
+    phases = np.multiply.outer(ks, maps.freqs)
+    grid = np.matmul(np.concatenate([np.cos(phases), np.sin(phases)], axis=1), maps.sweep,
+                     out=None if out is None else _take(out, n, 88))
+    return grid[:, :64].reshape(n, 8, 8), grid[:, 64:].reshape(n, 3, 8)
 
 
 def _complex_maps(
-    coefficients: tuple[np.ndarray, np.ndarray, bool], ks: np.ndarray
+    maps: ChannelMaps, ks: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The complex step, drift and dispersion maps (n, 4, 4) at ``ks``, for ``naive``.
 
-    One (48, n_d) @ (n_d, n_k) product of ``_fourier_coefficients`` that are
-    already checked with e^{-idk}.  The drift's partner map
-    O -> sum_n C_n O C_n'^dag is its complex conjugate.
+    One (48, n_d) @ (n_d, n_k) product of the checked ``maps.coef`` with
+    e^{-idk}.  The drift's partner map O -> sum_n C_n O C_n'^dag is its
+    complex conjugate.
     """
-    freqs, coef, _ = coefficients
-    grid = (coef @ np.exp(-1j * np.multiply.outer(freqs, ks))).reshape(3, 4, 4, -1)
+    grid = (maps.coef @ np.exp(-1j * np.multiply.outer(maps.freqs, ks))).reshape(3, 4, 4, -1)
     step, drift, dispersion = np.moveaxis(grid, -1, 1)
     return step, drift, dispersion
 
@@ -295,35 +336,6 @@ def _naive_cross(
     return inner
 
 
-def _real_coefficients(coef: np.ndarray) -> np.ndarray:
-    """The (2 n_d, 88) real coefficients of the sweep's B and R (``_LAYOUT``).
-
-    Every entry is the real part of a map sum_d A_d e^{-idk}, which is
-    sum_d Re A_d cos(dk) + Im A_d sin(dk), so [cos(dk), sin(dk)] @ this
-    array gives the 64 entries of B and the 24 of R at momentum k.  Valid
-    once ``_coefficient_residue`` has passed.
-    """
-    parts = _LAYOUT @ coef
-    return np.concatenate([parts.real, parts.imag], axis=1).T
-
-
-def _node_maps(
-    coefficients: tuple[np.ndarray, np.ndarray], ks: np.ndarray, out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The sweep's B and R at the momenta ``ks``, node-first.
-
-    ``coefficients`` is the channel's frequencies and ``_real_coefficients``;
-    the maps are one (n, 2 n_d) @ (2 n_d, 88) product, written into the flat
-    buffer ``out``.  Returns views of it: B (n, 8, 8) and R (n, 3, 8).
-    """
-    freqs, real = coefficients
-    n = len(ks)
-    phases = np.multiply.outer(ks, freqs)
-    maps = _take(out, n, 88)
-    np.matmul(np.concatenate([np.cos(phases), np.sin(phases)], axis=1), real, out=maps)
-    return maps[:, :64].reshape(n, 8, 8), maps[:, 64:].reshape(n, 3, 8)
-
-
 def _take(buf: np.ndarray, *shape: int) -> np.ndarray:
     """The leading elements of the flat buffer ``buf`` as a C-ordered array."""
     return buf[:math.prod(shape)].reshape(shape)
@@ -374,7 +386,7 @@ def _accumulate(
 ) -> None:
     """Add one chunk's per-horizon trace sums to ``work.sums``, in real arithmetic.
 
-    ``maps`` are the chunk's ``_node_maps``, ``coin`` the Pauli vector of
+    ``maps`` are the chunk's ``transfer_grids``, ``coin`` the Pauli vector of
     rho0 and ``weights`` each node's quadrature weight; the sums are linear
     in the start rho0 * weight.  ``work.series`` turns the sums of all
     chunks into, for each horizon t, the sum over the momenta of
@@ -479,45 +491,6 @@ def _swept_rule(
     return ks[:len(weights)], weights, rho_vec
 
 
-def _series_sums(
-    channel: WalkChannel,
-    rho_vec: np.ndarray,
-    t_max: int,
-    n_k: int,
-    naive: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Sweep the n_k-node momentum grid chunk by chunk, summing in order.
-
-    The channel's coefficients are built and checked once
-    (``_coefficient_residue``).  A channel whose coin-pair maps are real is
-    swept on half the grid (``_swept_rule``).  With ``naive`` the cross sum
-    is the complex literal double sum, from the chunk's ``_complex_maps``.
-    Returns the three sums and the residue: the coefficients' and, with
-    ``naive``, the imaginary part of the literal double sum.
-    """
-    coefficients = _fourier_coefficients(channel)
-    residue = _coefficient_residue(coefficients[1])
-    real_maps = (coefficients[0], _real_coefficients(coefficients[1]))
-    ks, weights, rho_vec = _swept_rule(n_k, coefficients[2], rho_vec)
-    ResourceLimitError.check(len(ks) * t_max, _MAX_NODE_STEPS, "swept node-step count")
-    work = _Workspace(t_max, min(_CHUNK, len(ks)))
-    naive_cross = 0.0
-    for i in range(0, len(ks), _CHUNK):
-        part = ks[i:i + _CHUNK]
-        _accumulate(_node_maps(real_maps, part, work.spare), rho_vec,
-                    weights[i:i + _CHUNK], work)
-        if naive:
-            naive_cross = naive_cross + np.cumsum(_naive_cross(
-                _complex_maps(coefficients, part),
-                np.multiply.outer(rho_vec, weights[i:i + _CHUNK]), t_max,
-            ))
-    first, cross, jsum = work.series(t_max)
-    if naive:
-        residue = max(residue, _imag_residue(naive_cross / n_k, "naive cross term"))
-        cross = naive_cross.real
-    return first, cross, jsum, residue
-
-
 @dataclass(frozen=True)
 class MomentSeries:
     """First and second position moments for t = 0 .. t_max.
@@ -562,33 +535,6 @@ def _imag_residue(val, what: str) -> float:
     return residue
 
 
-def _finalize(
-    first_sums: np.ndarray,
-    cross_sums: np.ndarray,
-    j_sums: np.ndarray,
-    n_k: int,
-    label: str,
-    rho_vec: np.ndarray,
-    residue: float,
-) -> MomentSeries:
-    first = first_sums / n_k
-    second = (cross_sums + j_sums) / n_k
-    if not (np.isfinite(first).all() and np.isfinite(second).all()):
-        raise NonRealMomentError(
-            "moments are not finite numbers; the channel data are inconsistent"
-        )
-    return MomentSeries(
-        channel_label=label,
-        coin=tuple(float(v) for v in rho_vec),
-        n_k=n_k,
-        first=first,
-        second=second,
-        variance=second - first**2,
-        dispersion=j_sums / n_k,
-        max_imag_residue=residue,
-    )
-
-
 def _prepare(channel: WalkChannel, coin, t_max: int) -> tuple[np.ndarray, int]:
     """The start vector and node count, ``exact_node_bound``, of a moment call.
 
@@ -613,13 +559,52 @@ def moment_series(
     state (any form accepted by ``pauli.coin_state``).  The momentum rule
     has the exactness bound 2 * max_hop * t_max + 1 (``exact_node_bound``)
     of nodes, recorded as ``MomentSeries.n_k``: fewer would alias and more
-    give the same numbers.  ``naive`` switches the second moment to the
-    literal double sum.  The momentum grid is swept in fixed 256-node
-    chunks summed in order, so the result depends only on the arguments.
+    give the same numbers.  The channel's maps are decoded and checked once
+    (``channel_maps``).  The momentum grid, or half of it for real
+    coin-pair maps (``_swept_rule``), is swept in fixed 256-node chunks
+    summed in order, so the result depends only on the arguments.
+    ``naive`` switches the second moment to the literal complex double sum,
+    from each chunk's ``_complex_maps``, whose imaginary part joins
+    ``max_imag_residue``.
+
+    Raises:
+        NonRealMomentError: if the channel fails the structure check or a
+            moment is not finite.
     """
     rho_vec, n_k = _prepare(channel, coin, t_max)
-    first, cross, jsum, residue = _series_sums(channel, rho_vec, t_max, n_k, naive)
-    return _finalize(first, cross, jsum, n_k, channel.label, rho_vec, residue)
+    maps = channel_maps(channel)
+    ks, weights, start = _swept_rule(n_k, maps.real, rho_vec)
+    ResourceLimitError.check(len(ks) * t_max, _MAX_NODE_STEPS, "swept node-step count")
+    work = _Workspace(t_max, min(_CHUNK, len(ks)))
+    naive_cross = 0.0
+    for i in range(0, len(ks), _CHUNK):
+        part, chunk_weights = ks[i:i + _CHUNK], weights[i:i + _CHUNK]
+        _accumulate(transfer_grids(maps, part, work.spare), start, chunk_weights, work)
+        if naive:
+            naive_cross = naive_cross + np.cumsum(_naive_cross(
+                _complex_maps(maps, part), np.multiply.outer(start, chunk_weights), t_max
+            ))
+    first, cross, jsum = work.series(t_max)
+    residue = maps.residue
+    if naive:
+        residue = max(residue, _imag_residue(naive_cross / n_k, "naive cross term"))
+        cross = naive_cross.real
+    first = first / n_k
+    second = (cross + jsum) / n_k
+    if not (np.isfinite(first).all() and np.isfinite(second).all()):
+        raise NonRealMomentError(
+            "moments are not finite numbers; the channel data are inconsistent"
+        )
+    return MomentSeries(
+        channel_label=channel.label,
+        coin=tuple(float(v) for v in rho_vec),
+        n_k=n_k,
+        first=first,
+        second=second,
+        variance=second - first**2,
+        dispersion=jsum / n_k,
+        max_imag_residue=residue,
+    )
 
 
 def second_moment_coin_specialized(channel: WalkChannel, coin, t_max: int) -> np.ndarray:
@@ -644,7 +629,7 @@ def second_moment_coin_specialized(channel: WalkChannel, coin, t_max: int) -> np
         )
     rho_vec, n_k = _prepare(channel, coin, t_max)
     ResourceLimitError.check(n_k * t_max, _MAX_NODE_STEPS, "swept node-step count")
-    block, _ = transfer_grids(channel, momentum_grid(n_k))
+    block, _ = transfer_grids(channel_maps(channel), momentum_grid(n_k))
     # the step map L, (4, 4, n_k): the momentum axis innermost
     step = np.ascontiguousarray(np.moveaxis(block[:, 4:, 4:], 0, -1))
     b = np.einsum("ijn,j->in", step, rho_vec)
@@ -701,7 +686,8 @@ def asymptotic_first_moment(channel: WalkChannel, coin) -> float:
     provided the k-average of the stationary drift vanishes (it must, or no
     limit exists).  Everything runs in real arithmetic on the maps of
     ``transfer_grids``: M_k and c_k are blocks of L, and i * 2 gamma is the
-    real first-moment row of the readout R (``_real_coefficients``).
+    real first-moment row of the readout R (``_LAYOUT``).  The channel is
+    decoded and checked once (``channel_maps``), whatever the node count.
 
     The integral is an n-node rule, on half the grid when the coin-pair
     maps are real (``_swept_rule``, as for the series).  From n =
@@ -720,13 +706,11 @@ def asymptotic_first_moment(channel: WalkChannel, coin) -> float:
             first moment grows linearly.
     """
     rho_vec = coin_state(coin)
-    # the flag picks the nodes, so it is read before transfer_grids folds
-    # the same maps again
-    real = coin_pair_maps(channel)[2]
+    maps = channel_maps(channel)
     n_k = _LIMIT_NODES
     while True:
-        ks, weights, rho_vec = _swept_rule(n_k, real, rho_vec)
-        block, readout = transfer_grids(channel, ks)
+        ks, weights, rho_vec = _swept_rule(n_k, maps.real, rho_vec)
+        block, readout = transfer_grids(maps, ks)
         step = block[:, 4:, 4:]
         bloch = step[:, 1:, 1:]
         _check_contracting(bloch, ks)
@@ -748,7 +732,7 @@ def asymptotic_first_moment(channel: WalkChannel, coin) -> float:
         _imag_residue(val, "asymptotic first moment")
         # n_k is a power of two, so the even-indexed swept nodes are those
         # of the (n_k / 2)-node rule
-        gap = abs(val - _rule_weights(n_k // 2, real) @ per_node[::2] / (n_k // 2))
+        gap = abs(val - _rule_weights(n_k // 2, maps.real) @ per_node[::2] / (n_k // 2))
         if gap <= 1e-10 * max(1.0, abs(val)):
             return float(val)
         if n_k >= _MAX_LIMIT_NODES:

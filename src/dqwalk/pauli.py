@@ -4,7 +4,8 @@ A 2x2 coin operator O is stored as the real/complex 4-vector r with
 O = sum_i r_i sigma_i, where (sigma_0..sigma_3) = (I, X, Y, Z).  Linear maps
 on coin operators then become 4x4 matrices acting on these vectors, which is
 the representation the moment engine works in; it changes basis with
-``PAULI`` directly (``moments._fourier_coefficients``).  This module holds
+``PAULI`` directly, through the constant ``moments._PAULI_MAP`` that
+``moments.channel_maps`` applies once per engine call.  This module holds
 the basis, the conversions and the validated initial coin states.
 """
 

@@ -22,6 +22,7 @@ from dqwalk.channels import (
 )
 from dqwalk.errors import PhaseConstraintError
 from dqwalk.moments import (
+    channel_maps,
     diffusion_from_slope,
     exact_node_bound,
     moment_series,
@@ -195,7 +196,7 @@ def test_criterion_7_structural_matrices():
             worst = max(worst, float(np.max(np.abs(
                 drift - drift_matrix_closed_form(p, k)))))
             want = block_maps(*(form(p, np.array([k])) for form in CLOSED_FORMS))
-            for got, ref in zip(transfer_grids(channel, np.array([k])), want):
+            for got, ref in zip(transfer_grids(channel_maps(channel), np.array([k])), want):
                 worst = max(worst, float(np.max(np.abs(got - ref))))
 
     good_phase = True

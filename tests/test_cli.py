@@ -488,6 +488,20 @@ def test_negative_float_literal_is_a_flag_value(argv, flag, value, code, capsys)
         assert "must be in [0, 1]" in spaced.err and spaced.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["moments", "--naive", "-1"],
+    ["moments", "--naive", "1"],
+    ["moments", "--asymptotic", "-1"],
+    ["diffusion", "--critical", "-5"],
+])
+def test_number_after_a_store_true_flag_is_a_stray_argument(argv, capsys):
+    # a store_true flag takes no value, so the number is never joined to it
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert f"error: unrecognized arguments: {argv[-1]}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("sub", ["walk", "moments"])
 def test_nan_channel_file_exits_2(sub, tmp_path, capsys):
     s = 0.5 ** 0.5
@@ -811,15 +825,15 @@ def test_xcheck_has_no_coin_reduction_flag():
 def test_xcheck_detects_drift_corruption(tmp_path, monkeypatch):
     # doubling the sweep's drift map keeps its structure, so only the
     # comparisons can catch it
-    build = moments._node_maps
+    build = moments.transfer_grids
 
-    def doubled(*args):
-        block, readout = build(*args)
+    def doubled(maps, ks, out=None):
+        block, readout = build(maps, ks, out)
         block[:, :4, 4:] *= 2.0  # the drift part of B
         readout[:, ::2] *= 2.0  # and the first-moment and cross rows of R
         return block, readout
 
-    monkeypatch.setattr(moments, "_node_maps", doubled)
+    monkeypatch.setattr(moments, "transfer_grids", doubled)
     out = tmp_path / "xcheck.txt"
     assert main(["xcheck", "--out", str(out)]) == 1
     report = out.read_text()
@@ -1070,7 +1084,7 @@ def subcommand_argv(draw):
     parts = [flag(None, ["separate", "equals"]) for _ in range(draw(st.integers(0, 5)))]
     for _ in range(draw(st.integers(0, 2))):
         parts.insert(draw(st.integers(0, len(parts))), deviation())
-    return sub, _attach_negative_values([token for part in parts for token in part])
+    return sub, _attach_negative_values(sub, [token for part in parts for token in part])
 
 
 def same_value(a, b):
@@ -1131,6 +1145,7 @@ def test_forms_left_to_argparse(argv):
 def test_fast_parse_reads_the_plain_forms():
     # a repeated flag keeps its last value, as in argparse
     argv = _attach_negative_values(
+        "moments",
         ["--channel=coin-dephasing", "--q", "0.25", "--coin", "-0.5,0,0,0.5",
          "--out", "-", "--t", "3", "--t=7", "--naive", "--naive", "--format=json",
          "--theta1", "-1e-3"])

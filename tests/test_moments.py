@@ -49,8 +49,8 @@ from dqwalk.moments import (
     _BLOCK,
     _CHUNK,
     _GROUP,
-    _fourier_coefficients,
     asymptotic_first_moment,
+    channel_maps,
     diffusion_from_slope,
     exact_node_bound,
     moment_series,
@@ -77,7 +77,7 @@ def complex_maps(channel, ks):
 
     The evaluator of the naive route, the only one that builds them.
     """
-    return moments._complex_maps(_fourier_coefficients(channel), np.asarray(ks))
+    return moments._complex_maps(channel_maps(channel), np.asarray(ks))
 
 
 def at_k(channel, k):
@@ -90,8 +90,8 @@ def block_maps(step, drift, dispersion):
 
     B = [[L, 2 Im G], [0, L]] advances the sweep's (w_r, a); the rows of R
     read the first moment (0, -2 Im G[0]), the dispersion (0, 2 Re J[0])
-    and the cross sum (2 Im G[0], 0).  Written from the docstring of
-    ``moments._real_coefficients``, not from its code.
+    and the cross sum (2 Im G[0], 0).  Written from the comment on
+    ``moments._LAYOUT``, not from its code.
     """
     n = len(step)
     drive = 2.0 * drift.imag
@@ -462,7 +462,8 @@ def test_transfer_grids_match_per_node_reference(channel, n_k):
     step, drift, dispersion = want
     dropped = (step.imag, drift[:, 0].real, dispersion[:, 0].imag)
     assert max(np.abs(part).max() for part in dropped) <= 1e-14
-    for got, ref, name in zip(transfer_grids(channel, ks), block_maps(*want), ("B", "R")):
+    for got, ref, name in zip(transfer_grids(channel_maps(channel), ks), block_maps(*want),
+                              ("B", "R")):
         np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-14, err_msg=name)
 
 
@@ -862,9 +863,11 @@ def _structure_routes():
               for t, n_k in SWEEP_CASES]
     return series + [
         lambda: moment_series(bl, "R", 6, naive=True),
-        lambda: transfer_grids(bl, momentum_grid(8)),
+        lambda: transfer_grids(channel_maps(bl), momentum_grid(8)),
         lambda: second_moment_coin_specialized(deph, "R", 8),
         lambda: asymptotic_first_moment(bl, "R"),
+        # a full grid that doubles 64 -> 128 nodes
+        lambda: asymptotic_first_moment(BL_THETA1, "symmetric"),
     ]
 
 
@@ -887,51 +890,58 @@ def test_grid_structure_check_bites(corrupt, monkeypatch):
 
 
 def test_structure_check_runs_once_per_call(monkeypatch):
-    checks, chunks = [], []
-    check, maps = moments._coefficient_residue, moments._node_maps
+    checks, decodes, chunks = [], [], []
+    check, maps = moments._coefficient_residue, moments.transfer_grids
+    decode = moments.coin_pair_maps
 
     def check_spy(coef):
         checks.append(1)
         return check(coef)
 
-    def maps_spy(coefficients, ks, out):
+    def decode_spy(channel):
+        decodes.append(1)
+        return decode(channel)
+
+    def maps_spy(maps_of, ks, out=None):
         chunks.append(len(ks))
-        return maps(coefficients, ks, out)
+        return maps(maps_of, ks, out)
 
     monkeypatch.setattr(moments, "_coefficient_residue", check_spy)
-    monkeypatch.setattr(moments, "_node_maps", maps_spy)
+    monkeypatch.setattr(moments, "transfer_grids", maps_spy)
+    monkeypatch.setattr(moments, "coin_pair_maps", decode_spy)
     # t = 600: a half grid of 605 of 1208 nodes, in three chunks
     series_on_nodes(1208, brokenline.default_channel(0.7), "R", 600)
     assert chunks == [256, 256, 93]
     assert len(checks) == 1
-    # the limit checks once per node count; its case converges at the first
+    # every route decodes the channel once (channel_maps) and checks it
+    # once, the limit also when its node count doubles
     for route in _structure_routes():
         checks.clear()
+        decodes.clear()
         route()
-        assert len(checks) == 1
+        assert (len(decodes), len(checks)) == (1, 1)
 
 
 def test_only_the_naive_route_evaluates_complex_maps(monkeypatch):
     # one map representation: every route reads the real node maps, and
     # only the literal double sum (naive=True) also builds the complex ones
     calls = {"real": 0, "complex": 0}
-    node_maps, complex_eval = moments._node_maps, moments._complex_maps
+    node_maps, complex_eval = moments.transfer_grids, moments._complex_maps
 
-    def node_spy(*args):
+    def node_spy(maps, ks, out=None):
         calls["real"] += 1
-        return node_maps(*args)
+        return node_maps(maps, ks, out)
 
     def complex_spy(*args):
         calls["complex"] += 1
         return complex_eval(*args)
 
-    monkeypatch.setattr(moments, "_node_maps", node_spy)
+    monkeypatch.setattr(moments, "transfer_grids", node_spy)
     monkeypatch.setattr(moments, "_complex_maps", complex_spy)
     bl, deph = brokenline.default_channel(0.4), dephasing_channel(0.4)
     routes = {
         "moment_series": lambda: moment_series(bl, "R", 6),
         "naive": lambda: moment_series(bl, "R", 6, naive=True),
-        "transfer_grids": lambda: transfer_grids(bl, momentum_grid(8)),
         "coin-specialized": lambda: second_moment_coin_specialized(deph, "R", 8),
         "asymptotic": lambda: asymptotic_first_moment(bl, "R"),
     }
@@ -958,7 +968,7 @@ def test_nan_channel_data_fail_closed():
     with pytest.raises(NonRealMomentError):
         moment_series(ch, "R", 4, naive=True)
     with pytest.raises(NonRealMomentError):
-        transfer_grids(ch, momentum_grid(4))
+        transfer_grids(channel_maps(ch), momentum_grid(4))
     with pytest.raises(NonRealMomentError):
         second_moment_coin_specialized(ch, "R", 4)
     with pytest.raises(NonRealMomentError):
@@ -1029,7 +1039,7 @@ def test_conjugation_symmetry_check_matches_grids(channel, folds):
     # and the band run's real rows: check it against what each consumer needs
     real = coin_pair_maps(channel)[2]
     assert real == folds
-    assert _fourier_coefficients(channel)[2] == real
+    assert channel_maps(channel).real == real
     ks = np.linspace(-3.0, 3.0, 13)
     plus, minus = complex_maps(channel, ks), complex_maps(channel, -ks)
     gap = max(
@@ -1043,13 +1053,13 @@ def test_conjugation_symmetry_check_matches_grids(channel, folds):
 
 def test_symmetric_channel_sweeps_half_the_grid(monkeypatch):
     swept = []
-    maps = moments._node_maps
+    maps = moments.transfer_grids
 
-    def spy(coefficients, ks, out):
+    def spy(maps_of, ks, out=None):
         swept.append(len(ks))
-        return maps(coefficients, ks, out)
+        return maps(maps_of, ks, out)
 
-    monkeypatch.setattr(moments, "_node_maps", spy)
+    monkeypatch.setattr(moments, "transfer_grids", spy)
     # nodes 0 .. n_k // 2 in 256-node chunks; a channel that fails the check
     # sweeps all of them
     for channel, n_k, want in [(brokenline.default_channel(0.3), 1208, [256, 256, 93]),
@@ -1088,9 +1098,9 @@ def test_asymptotic_sweeps_half_the_grid_of_real_maps(monkeypatch):
     swept = []
     grids = moments.transfer_grids
 
-    def spy(channel, ks):
+    def spy(maps, ks, out=None):
         swept.append(len(ks))
-        return grids(channel, ks)
+        return grids(maps, ks, out)
 
     monkeypatch.setattr(moments, "transfer_grids", spy)
     for channel, coin, want in [(brokenline.default_channel(0.3), "R", [33]),
@@ -1104,7 +1114,7 @@ def test_asymptotic_sweeps_half_the_grid_of_real_maps(monkeypatch):
 
 def full_grid_asymptotic(channel, coin, n_k=512):
     """Test-only reference: the limit on all n_k nodes, each with weight 1."""
-    block, readout = transfer_grids(channel, momentum_grid(n_k))
+    block, readout = transfer_grids(channel_maps(channel), momentum_grid(n_k))
     rho_vec, step = coin_state(coin), block[:, 4:, 4:]
     relax = np.eye(3) - step[:, 1:, 1:]
     r_star = np.linalg.solve(relax, step[:, 1:, 0:1] * rho_vec[0])[..., 0]
@@ -1132,7 +1142,7 @@ def eigvals_decision(bloch):
 def certified_decision(channel, n_k=512):
     """The certificate-then-eigenvalues verdict and the eigenvalue-only one."""
     ks = momentum_grid(n_k)
-    bloch = transfer_grids(channel, ks)[0][:, 5:, 5:]
+    bloch = transfer_grids(channel_maps(channel), ks)[0][:, 5:, 5:]
     try:
         moments._check_contracting(bloch, ks)
     except NotContractingError as err:

@@ -40,4 +40,4 @@ def test_cli_quickstart_parses_without_argparse():
     assert lines
     for line in lines:
         _, sub, *flags = shlex.split(line, comments=True)
-        assert _fast_parse(sub, _attach_negative_values(flags)) is not None, line
+        assert _fast_parse(sub, _attach_negative_values(sub, flags)) is not None, line
